@@ -130,12 +130,23 @@ def _write_samples(path, x, c, header: str):
 
 def _read_samples(path):
     xs, cs = [], []
+    width = None
     with open(path) as fh:
-        for row in csv.reader(line for line in fh if not line.startswith("#")):
-            if row[0] == "c":
+        for lineno, line in enumerate(fh, 1):
+            if line.startswith("#") or not line.strip():
                 continue
-            cs.append(int(row[0]))
-            xs.append([float(v) for v in row[1:]])
+            row = next(csv.reader([line]))
+            if row[0] == "c":
+                width = len(row)
+                continue
+            width = width or max(len(row), 2)
+            if len(row) != width:
+                raise ConfigError(f"{path}:{lineno}: {len(row)} columns, expected {width}")
+            try:
+                cs.append(int(row[0]))
+                xs.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: non-numeric value ({exc})") from None
     if not xs:
         raise ConfigError(f"{path} contains no samples")
     return np.array(xs), np.array(cs)
@@ -174,6 +185,9 @@ def cmd_train_guidance(args) -> int:
 
 def cmd_sample(args) -> int:
     config, digest = _load_setup(args)
+    if args.trajectory is not None and not 0 <= args.trajectory < config.sample.count:
+        raise ConfigError(f"--trajectory {args.trajectory} is not a chain in "
+                          f"[0, {config.sample.count})")
     header = f"seed={config.seed} config_digest={digest}"
     out_path = args.output or os.path.join(args.out, "samples.csv")
     if args.from_data:
@@ -244,6 +258,8 @@ def cmd_sweep(args) -> int:
         beta=config.eval.beta, lam=config.eval.lam,
         n_resamples=config.eval.resamples, seed=config.seed,
         config_digest=digest, quiet=args.quiet)
+    if not all(np.isfinite([r.mmd, r.se]).all() for r in report.rows):
+        raise FloatingPointError("sweep evaluation produced a non-finite value")
     header = f"seed={config.seed} config_digest={digest}"
     report.write_csv(os.path.join(args.out, "sweep.csv"), header)
     report.write_json(os.path.join(args.out, "sweep.json"))

@@ -72,12 +72,19 @@ class ExperimentConfig:
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """Override every seed in the config tree (the CLI --seed flag)."""
-        return dataclasses.replace(
-            self, seed=seed,
-            denoiser=dataclasses.replace(
-                self.denoiser,
-                train=dataclasses.replace(self.denoiser.train, seed=seed)),
-            train=dataclasses.replace(self.train, seed=seed))
+        return _reseed(self, seed)
+
+
+def _reseed(node, seed: int):
+    """Copy of a config dataclass with every field named seed, at any depth, set to seed."""
+    changes = {}
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if f.name == "seed":
+            changes[f.name] = seed
+        elif dataclasses.is_dataclass(value):
+            changes[f.name] = _reseed(value, seed)
+    return dataclasses.replace(node, **changes) if changes else node
 
 
 _SIMPLE = (int, float, str, bool, type(None))

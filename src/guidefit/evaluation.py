@@ -26,24 +26,64 @@ from scipy.spatial.distance import cdist
 from .rng import stream
 
 
-def _within(points, beta: float) -> float:
-    d = cdist(points, points) ** beta
-    m = points.shape[0]
-    if m < 2:
-        raise ValueError("within-set term needs at least two points")
-    return float((d.sum() - np.trace(d)) / (m * (m - 1)))
+# Rows per distance block: 512 x 4096 float64 is 16 MB, so no estimate ever
+# holds a full n x n matrix.
+BLOCK_ROWS = 512
 
 
-def energy_mmd(x, y, beta: float = 1.0, lam: float = 1.0) -> float:
-    """Two-sample energy-kernel discrepancy between point sets x and y."""
+def _pair_sums(a, b, beta: float, wa, wb):
+    """Sums of ||a_i - b_j||^beta over all pairs and over each resample's pairs.
+
+    wa (n_a, r) and wb (n_b, r) are 0/1 indicators of the r resampled
+    subsets; resample k's sum is wa[:, k] @ D @ wb[:, k]. The distance matrix
+    D is built BLOCK_ROWS rows at a time. On a set against itself cdist
+    returns exact zeros on the diagonal, so the sums are off-diagonal sums.
+    """
+    total = 0.0
+    per_resample = np.zeros(wa.shape[1])
+    for lo in range(0, a.shape[0], BLOCK_ROWS):
+        d = cdist(a[lo:lo + BLOCK_ROWS], b)
+        if beta != 1.0:
+            d **= beta
+        total += float(d.sum())
+        per_resample += np.einsum("ir,ir->r", wa[lo:lo + BLOCK_ROWS], d @ wb)
+    return total, per_resample
+
+
+def _energy(x, y, beta: float, lam: float, wx, wy):
+    """Energy MMD of the full sets and of each indicator-selected subset pair.
+
+    Returns (full, per_resample) with per_resample of shape (r,), where r is
+    the number of indicator columns (zero for a plain estimate).
+    """
+    nx, ny = wx.sum(axis=0), wy.sum(axis=0)
+    total, per = _pair_sums(x, y, beta, wx, wy)
+    full, sub = total / (x.shape[0] * y.shape[0]), per / (nx * ny)
+    if lam == 0.0:
+        return full, sub
+    (tx, px), (ty, py) = (_pair_sums(p, p, beta, w, w) for p, w in ((x, wx), (y, wy)))
+    n, m = x.shape[0], y.shape[0]
+    full -= 0.5 * lam * (tx / (n * (n - 1)) + ty / (m * (m - 1)))
+    sub -= 0.5 * lam * (px / (nx * (nx - 1)) + py / (ny * (ny - 1)))
+    return full, sub
+
+
+def _checked_points(x, y, beta: float, lam: float):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if not 0.0 < beta <= 2.0:
         raise ValueError(f"beta must lie in (0, 2], got {beta}")
-    cross = float(np.mean(cdist(x, y) ** beta))
-    if lam == 0.0:
-        return cross
-    return cross - 0.5 * lam * (_within(x, beta) + _within(y, beta))
+    if lam != 0.0 and min(x.shape[0], y.shape[0]) < 2:
+        raise ValueError("within-set term needs at least two points")
+    return x, y
+
+
+def energy_mmd(x, y, beta: float = 1.0, lam: float = 1.0) -> float:
+    """Two-sample energy-kernel discrepancy between point sets x and y."""
+    x, y = _checked_points(x, y, beta, lam)
+    full, _ = _energy(x, y, beta, lam, np.zeros((x.shape[0], 0)),
+                      np.zeros((y.shape[0], 0)))
+    return float(full)
 
 
 def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20,
@@ -52,25 +92,26 @@ def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20
 
     n_resamples subsets of both sets are drawn without replacement at the
     given fraction; the standard deviation of the subset estimates, scaled by
-    sqrt(fraction), estimates the standard error at full size.
+    sqrt(fraction), estimates the standard error at full size. The full
+    estimate and all subset estimates come from one blocked pass over each
+    distance matrix, the subsets entering as 0/1 indicator columns.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    x, y = _checked_points(x, y, beta, lam)
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
-    full = energy_mmd(x, y, beta, lam)
     rng = stream(seed, "eval/subsample")
     nx = max(2, int(round(fraction * x.shape[0])))
     ny = max(2, int(round(fraction * y.shape[0])))
-    estimates = np.empty(n_resamples)
+    wx = np.zeros((x.shape[0], n_resamples))
+    wy = np.zeros((y.shape[0], n_resamples))
     for r in range(n_resamples):
-        ix = rng.choice(x.shape[0], size=nx, replace=False)
-        iy = rng.choice(y.shape[0], size=ny, replace=False)
-        estimates[r] = energy_mmd(x[ix], y[iy], beta, lam)
+        wx[rng.choice(x.shape[0], size=nx, replace=False), r] = 1.0
+        wy[rng.choice(y.shape[0], size=ny, replace=False), r] = 1.0
+    full, estimates = _energy(x, y, beta, lam, wx, wy)
     se = float(np.std(estimates, ddof=1) * np.sqrt(fraction))
-    return full, se
+    return float(full), se
 
 
 @dataclass

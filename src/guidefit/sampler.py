@@ -4,7 +4,9 @@ Chains start from the schedule's prior at 1 - zeta and take steps steps down
 a uniform time grid to zeta. Each step queries the conditional and
 unconditional denoisers once, combines them at omega(s, t, c), and applies
 the reverse transition at the configured churn (0 by default, the
-deterministic velocity step).
+deterministic velocity step). omega depends on a chain only through its
+class, so each step evaluates the weight function once on every class and
+gathers by c: one row per class, and the same rows however many chains run.
 
 Randomness is per chain: chain i draws from substream (seed, "sample/chain",
 i), so results for chain i do not depend on how many chains run, and a
@@ -72,6 +74,7 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
         c = np.minimum(c, n_classes - 1)
     else:
         c = np.full(config.count, int(config.conditioning))
+    classes = np.arange(n_classes)
 
     _, sigma_top = schedule.alpha_sigma(grid[-1])
     x = sigma_top * x_init
@@ -79,13 +82,13 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
     omegas = []
     for k in range(config.steps - 1, -1, -1):
         s, t = grid[k], grid[k + 1]
-        omega = weight_fn.weight(s, t, c)
+        omega = np.asarray(weight_fn.weight(s, t, classes), dtype=float)[c]
         guided, _ = guided_denoise(cond, uncond, x, t, c, omega)
         trans = ddim_transition(schedule, s, t, config.churn)
         x = trans.mean(guided, x) + np.sqrt(trans.cov_scale) * z[:, k]
         if keep_trajectory:
             traj.append(x.copy())
-            omegas.append(np.asarray(omega, dtype=float) + np.zeros(config.count))
+            omegas.append(omega)
     return x, c, grid, traj, omegas
 
 

@@ -1,13 +1,18 @@
 """Command-line interface: the full artifact pipeline, exit codes, overrides."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from guidefit.checkpoints import save_weight_fn
 from guidefit.cli import main
+from guidefit.config import ExperimentConfig, load_config
 from guidefit.guidance import ConstantWeight
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = {
     "seed": 3,
@@ -110,3 +115,56 @@ def test_non_finite_weights_are_numerical_failure(tmp_path, tiny_config):
         code = run("sample", "--config", tiny_config, "--out", str(tmp_path / "o"),
                    "--quiet", "--guidance", str(path))
     assert code == 3
+
+
+def _seeds(node, path="config"):
+    """(path, value) of every field named seed in a config dataclass tree."""
+    found = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if f.name == "seed":
+            found.append((f"{path}.seed", value))
+        elif dataclasses.is_dataclass(value):
+            found.extend(_seeds(value, f"{path}.{f.name}"))
+    return found
+
+
+def test_with_seed_overrides_every_seed():
+    configs = [ExperimentConfig()] + [load_config(p) for p in sorted(CONFIGS.glob("*.json"))]
+    for config in configs:
+        seeds = _seeds(config.with_seed(42))
+        assert "config.denoiser.corruption.seed" in dict(seeds)
+        assert all(value == 42 for _, value in seeds), seeds
+
+
+@pytest.mark.parametrize("chain", ["-1", str(TINY["sample"]["count"])])
+def test_trajectory_chain_out_of_range_is_usage_error(tmp_path, tiny_config, chain):
+    out = tmp_path / "o"
+    assert run("sample", "--config", tiny_config, "--out", str(out), "--quiet",
+               "--trajectory", chain) == 2
+    assert not (out / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("bad_row", ["1,0.5", "1,0.5,abc", "x,0.5,0.5", "1,0.5,0.5,0.5"])
+def test_malformed_sample_row_is_usage_error(tmp_path, tiny_config, bad_row, capsys):
+    good = tmp_path / "good.csv"
+    good.write_text("# header\nc,x,y\n0,0.1,0.2\n1,0.3,0.4\n2,0.5,0.6\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"# header\nc,x,y\n0,0.1,0.2\n{bad_row}\n2,0.5,0.6\n")
+    out = tmp_path / "o"
+    assert run("eval-mmd", "--config", tiny_config, "--out", str(out), "--quiet",
+               "--generated", str(bad), "--reference", str(good)) == 2
+    assert f"{bad}:4" in capsys.readouterr().err
+    assert not (out / "eval.json").exists()
+
+
+def test_non_finite_sweep_is_numerical_failure(tmp_path, tiny_config):
+    path = tmp_path / "nan.json"
+    save_weight_fn(path, ConstantWeight(float("nan")))
+    out = tmp_path / "o"
+    with np.errstate(invalid="ignore"):
+        code = run("sweep", "--config", tiny_config, "--out", str(out), "--quiet",
+                   "--guidance", str(path))
+    assert code == 3
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "sweep.json").exists()

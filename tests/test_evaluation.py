@@ -1,14 +1,93 @@
 """Evaluation estimator and report plumbing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from guidefit.evaluation import (EvalReport, EvalRow, energy_mmd, evaluate_samples,
-                                 mmd_with_se, run_figure_protocol)
+from guidefit.evaluation import (BLOCK_ROWS, EvalReport, EvalRow, energy_mmd,
+                                 evaluate_samples, mmd_with_se, run_figure_protocol)
 from guidefit.guidance import ConstantWeight
 from guidefit.rng import stream
+
+
+# Oracle: the estimator written directly, one full distance matrix per term
+# and one separate estimate per resample.
+
+def _oracle_within(points, beta):
+    d = cdist(points, points) ** beta
+    m = points.shape[0]
+    return float((d.sum() - np.trace(d)) / (m * (m - 1)))
+
+
+def _oracle_energy(x, y, beta=1.0, lam=1.0):
+    cross = float(np.mean(cdist(x, y) ** beta))
+    if lam == 0.0:
+        return cross
+    return cross - 0.5 * lam * (_oracle_within(x, beta) + _oracle_within(y, beta))
+
+
+def _oracle_mmd_with_se(x, y, beta=1.0, lam=1.0, n_resamples=20, fraction=0.5, seed=0):
+    full = _oracle_energy(x, y, beta, lam)
+    rng = stream(seed, "eval/subsample")
+    nx = max(2, int(round(fraction * x.shape[0])))
+    ny = max(2, int(round(fraction * y.shape[0])))
+    estimates = np.empty(n_resamples)
+    for r in range(n_resamples):
+        ix = rng.choice(x.shape[0], size=nx, replace=False)
+        iy = rng.choice(y.shape[0], size=ny, replace=False)
+        estimates[r] = _oracle_energy(x[ix], y[iy], beta, lam)
+    return full, float(np.std(estimates, ddof=1) * np.sqrt(fraction))
+
+
+def _two_sets(nx, ny, dim=2, seed=0):
+    rng = stream(seed, "test/oracle")
+    return rng.standard_normal((nx, dim)), rng.standard_normal((ny, dim)) + 0.3
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 3), (3, 2), (511, 513), (513, 512),
+                                   (512, 1100), (1100, 511)])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.75, 2.0])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_blocked_estimator_matches_oracle(nx, ny, beta, lam):
+    assert BLOCK_ROWS == 512  # the sizes above straddle one block
+    x, y = _two_sets(nx, ny)
+    np.testing.assert_allclose(energy_mmd(x, y, beta, lam), _oracle_energy(x, y, beta, lam),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(mmd_with_se(x, y, beta, lam, seed=5),
+                               _oracle_mmd_with_se(x, y, beta, lam, seed=5),
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 24), ny=st.integers(2, 24), dim=st.integers(1, 3),
+       beta=st.sampled_from([0.5, 1.0, 1.75, 2.0]), lam=st.sampled_from([0.0, 0.5, 1.0]),
+       n_resamples=st.integers(2, 6), fraction=st.sampled_from([0.3, 0.5, 0.8]),
+       seed=st.integers(0, 2**16))
+def test_blocked_estimator_matches_oracle_property(nx, ny, dim, beta, lam, n_resamples,
+                                                   fraction, seed):
+    x, y = _two_sets(nx, ny, dim, seed)
+    np.testing.assert_allclose(energy_mmd(x, y, beta, lam), _oracle_energy(x, y, beta, lam),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        mmd_with_se(x, y, beta, lam, n_resamples, fraction, seed),
+        _oracle_mmd_with_se(x, y, beta, lam, n_resamples, fraction, seed),
+        rtol=1e-12, atol=1e-12)
+
+
+def test_mmd_with_se_never_holds_a_full_distance_matrix():
+    x, y = _two_sets(4096, 4096)
+    tracemalloc.start()
+    try:
+        mmd_with_se(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 4096 * 8 // 2, peak
 
 
 def test_energy_mmd_two_point_hand_value():
@@ -47,6 +126,10 @@ def test_mmd_with_se_is_deterministic(mog):
         mmd_with_se(x, y, n_resamples=1)
     with pytest.raises(ValueError):
         mmd_with_se(x, y, fraction=1.0)
+    with pytest.raises(ValueError):
+        mmd_with_se(x, y, beta=0.0)
+    with pytest.raises(ValueError):
+        mmd_with_se(x[:1], y)  # within-set term needs two points
 
 
 def test_evaluate_samples_per_class(mog):

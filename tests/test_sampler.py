@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from guidefit.guidance import ConstantWeight
+from guidefit.guidance import ConstantWeight, GuidanceNet, guided_denoise
 from guidefit.rng import stream
-from guidefit.sampler import SampleConfig, sample, sample_trajectory
+from guidefit.sampler import SampleConfig, _chain_draws, sample, sample_trajectory
+from guidefit.schedule import NoiseSchedule, ddim_transition
 
 
 def test_sample_config_validation_and_grid():
@@ -87,3 +88,67 @@ def test_seed_changes_samples(exact, mog):
     x2, _ = sample(config, exact, exact, ConstantWeight(0.0),
                    class_weights=mog.weights, seed=1)
     assert not np.array_equal(x1, x2)
+
+
+class _CountingWeight:
+    """Forwards to a weight function and records the rows of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.rows = []
+
+    def weight(self, s, t, c=None):
+        self.rows.append(np.shape(c))
+        return self.fn.weight(s, t, c)
+
+
+def _per_row_sample(config, cond, uncond, fn, class_weights, seed):
+    """The sampler loop with omega evaluated on every chain's own row."""
+    schedule = NoiseSchedule()
+    grid = config.grid()
+    u, x_init, z = _chain_draws(config, cond.dim, seed)
+    c = np.minimum(np.searchsorted(np.cumsum(class_weights), u), cond.n_classes - 1)
+    x = schedule.alpha_sigma(grid[-1])[1] * x_init
+    for k in range(config.steps - 1, -1, -1):
+        s, t = grid[k], grid[k + 1]
+        guided, _ = guided_denoise(cond, uncond, x, t, c, fn.weight(s, t, c))
+        trans = ddim_transition(schedule, s, t, config.churn)
+        x = trans.mean(guided, x) + np.sqrt(trans.cov_scale) * z[:, k]
+    return x, c
+
+
+def _test_net(mog):
+    return GuidanceNet.create(mog.n_classes, stream(0, "test/sampler_net"), embed_hidden=16,
+                              embed_dim=16, trunk_hidden=8, trunk_layers=2, zero_init=False)
+
+
+def test_net_weight_is_evaluated_once_per_step_and_class(exact, mog):
+    net = _test_net(mog)
+    config = SampleConfig(steps=5, count=64, churn=0.5)
+    counting = _CountingWeight(net)
+    x, c = sample(config, exact, exact, counting, class_weights=mog.weights, seed=6)
+    assert counting.rows == [(mog.n_classes,)] * config.steps
+    # the same chains with omega evaluated row by row: the net's matmuls
+    # round differently at 4 rows than at 64, so agreement is to rounding
+    want_x, want_c = _per_row_sample(config, exact, exact, net, mog.weights, seed=6)
+    assert np.array_equal(c, want_c)
+    np.testing.assert_allclose(x, want_x, rtol=1e-12, atol=1e-12)
+
+
+def test_net_weighted_chains_reproduce_bytewise(exact, mog):
+    net = _test_net(mog)
+    config = SampleConfig(steps=5, count=24, churn=0.5)
+    x, c = sample(config, exact, exact, net, class_weights=mog.weights, seed=8)
+    x_few, c_few = sample(SampleConfig(steps=5, count=3, churn=0.5), exact, exact, net,
+                          class_weights=mog.weights, seed=8)
+    assert x_few.tobytes() == x[:3].tobytes()
+    assert np.array_equal(c_few, c[:3])
+    grid = config.grid()
+    for chain in range(config.count):
+        _, states, omegas, cls = sample_trajectory(
+            config, exact, exact, net, class_weights=mog.weights, seed=8, chain=chain)
+        assert states[-1].tobytes() == x[chain].tobytes()
+        assert cls == c[chain]
+        per_class = [net.weight(grid[k], grid[k + 1], np.arange(mog.n_classes))[cls]
+                     for k in range(config.steps - 1, -1, -1)]
+        assert omegas.tobytes() == np.array(per_class).tobytes()
