@@ -8,6 +8,10 @@ A checkpoint is a single JSON object:
 params is the flat parameter vector in canonical order (see nn.Mlp); analytic
 objects carry their defining arrays inside architecture instead. JSON floats
 round-trip exactly (repr precision), so save/load is bit-stable.
+
+A checkpoint loads only if its params are finite and exactly as many as its
+architecture declares, and the declared layer sizes fit together; anything
+else is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -55,26 +59,43 @@ def _mlp_from_arch(arch: dict, flat, offset: int):
                  arch["output_activation"], arch["dropout_rate"])
     params = net.parameters()
     size = sum(p.size for p in params)
-    nn.set_flat_params(params, np.asarray(flat[offset:offset + size]))
+    if offset + size > flat.size:
+        raise CheckpointError(f"{flat.size} params, fewer than its architecture declares")
+    nn.set_flat_params(params, flat[offset:offset + size])
     return net, offset + size
 
 
+# Params encoded per json.dumps call when a checkpoint is written.
+_PARAM_BLOCK = 4096
+
+
 def _write(path, kind: str, architecture: dict, params, metadata: dict | None):
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "architecture": architecture,
-        "params": [float(v) for v in np.asarray(params, dtype=float).ravel()],
-        "metadata": metadata or {},
-    }
+    """Write the bytes of json.dump(payload, fh, sort_keys=True) plus a newline.
+
+    json.dumps runs the C encoder, several times faster than json.dump's
+    Python one. "params" is the last key in sorted order, so the text is the
+    other fields' object without its closing brace, then the params list
+    encoded a block at a time, which keeps the whole text (megabytes for a
+    GuidanceNet) from being held in memory at once.
+    """
+    head = {"format_version": FORMAT_VERSION, "kind": kind,
+            "architecture": architecture, "metadata": metadata or {}}
+    flat = np.asarray(params, dtype=float).ravel()
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(head, sort_keys=True)[:-1] + ', "params": [')
+        for lo in range(0, flat.size, _PARAM_BLOCK):
+            fh.write((", " if lo else "") + json.dumps(flat[lo:lo + _PARAM_BLOCK].tolist())[1:-1])
+        fh.write("]}\n")
 
 
 def _read(path) -> dict:
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path} does not hold a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
@@ -82,6 +103,40 @@ def _read(path) -> dict:
         if key not in payload:
             raise CheckpointError(f"checkpoint missing field {key!r}")
     return payload
+
+
+def _load(path, builders: dict):
+    """Build the object a checkpoint declares, with builders[kind](arch, params).
+
+    A builder returns (object, number of params it used). Missing or
+    ill-typed architecture fields, params that are non-finite, too few or
+    too many, and layer sizes that do not fit are CheckpointErrors.
+    """
+    payload = _read(path)
+    kind, arch = payload["kind"], payload["architecture"]
+    if not isinstance(kind, str) or kind not in builders:
+        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    try:
+        params = np.asarray(payload["params"], dtype=float)
+        if params.ndim != 1:
+            raise CheckpointError("params must be a flat list of numbers")
+        if not np.all(np.isfinite(params)):
+            raise CheckpointError("params contain non-finite values")
+        obj, used = builders[kind](arch, params)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path} ({kind}): {exc}") from None
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CheckpointError(f"{path} ({kind}): malformed checkpoint "
+                              f"({type(exc).__name__}: {exc})") from None
+    if used != params.size:
+        raise CheckpointError(f"{path} ({kind}): {params.size} params, its "
+                              f"architecture declares {used}")
+    return obj
+
+
+def _check_sizes(ok: bool, what: str):
+    if not ok:
+        raise CheckpointError(f"layer sizes do not fit: {what}")
 
 
 def save_denoiser(path, denoiser, metadata: dict | None = None):
@@ -105,23 +160,34 @@ def save_denoiser(path, denoiser, metadata: dict | None = None):
         raise CheckpointError(f"cannot checkpoint denoiser type {type(denoiser).__name__}")
 
 
+def _corrupted_denoiser(arch, params):
+    c = arch["corruption"]
+    return CorruptedDenoiser(_mog_from_dict(arch["mog"]),
+                             CorruptionSpec(mean_shrink=c["mean_shrink"],
+                                            weight_skew=c["weight_skew"],
+                                            noise_scale=c["noise_scale"],
+                                            seed=c["seed"])), 0
+
+
+def _neural_denoiser(arch, params):
+    net, used = _mlp_from_arch(arch["net"], params, 0)
+    sizes = net.sizes
+    _check_sizes(sizes[0] == sizes[-1] + arch["time_embed_dim"] + arch["n_classes"],
+                 f"net input {sizes[0]} != output {sizes[-1]} + time_embed_dim "
+                 f"{arch['time_embed_dim']} + n_classes {arch['n_classes']}")
+    return NeuralDenoiser(net, arch["n_classes"], arch["time_embed_dim"],
+                          logsnr_clip=arch["logsnr_clip"]), used
+
+
+_DENOISERS = {
+    "denoiser/analytic": lambda arch, params: (AnalyticDenoiser(_mog_from_dict(arch["mog"])), 0),
+    "denoiser/corrupted": _corrupted_denoiser,
+    "denoiser/neural": _neural_denoiser,
+}
+
+
 def load_denoiser(path):
-    payload = _read(path)
-    kind, arch = payload["kind"], payload["architecture"]
-    if kind == "denoiser/analytic":
-        return AnalyticDenoiser(_mog_from_dict(arch["mog"]))
-    if kind == "denoiser/corrupted":
-        c = arch["corruption"]
-        return CorruptedDenoiser(_mog_from_dict(arch["mog"]),
-                                 CorruptionSpec(mean_shrink=c["mean_shrink"],
-                                                weight_skew=c["weight_skew"],
-                                                noise_scale=c["noise_scale"],
-                                                seed=c["seed"]))
-    if kind == "denoiser/neural":
-        net, _ = _mlp_from_arch(arch["net"], payload["params"], 0)
-        return NeuralDenoiser(net, arch["n_classes"], arch["time_embed_dim"],
-                              logsnr_clip=arch["logsnr_clip"])
-    raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    return _load(path, _DENOISERS)
 
 
 def save_weight_fn(path, fn, metadata: dict | None = None):
@@ -144,23 +210,35 @@ def save_weight_fn(path, fn, metadata: dict | None = None):
         raise CheckpointError(f"cannot checkpoint weight function type {type(fn).__name__}")
 
 
+def _table_weight(arch, params):
+    # reshape fails unless params has exactly the declared size
+    return TableWeight(params.reshape(arch["shape"]), zeta=arch["zeta"]), params.size
+
+
+def _guidance_net(arch, params):
+    embed, offset = _mlp_from_arch(arch["embed"], params, 0)
+    trunk, used = _mlp_from_arch(arch["trunk"], params, offset)
+    _check_sizes(embed.sizes[0] == 2, f"embed input {embed.sizes[0]} != 2 (s, t)")
+    _check_sizes(trunk.sizes[0] == embed.sizes[-1] + arch["n_classes"],
+                 f"trunk input {trunk.sizes[0]} != embed output {embed.sizes[-1]} "
+                 f"+ n_classes {arch['n_classes']}")
+    _check_sizes(trunk.sizes[-1] == 1, f"trunk output {trunk.sizes[-1]} != 1")
+    return GuidanceNet(embed, trunk, arch["n_classes"],
+                       allow_negative=arch["allow_negative"],
+                       logsnr_clip=arch["logsnr_clip"]), used
+
+
+_WEIGHT_FNS = {
+    "guidance/constant": lambda arch, params: (ConstantWeight(arch["omega"]), 0),
+    "guidance/limited_interval": lambda arch, params: (
+        LimitedIntervalWeight(arch["omega"], arch["t_lo"], arch["t_hi"]), 0),
+    "guidance/table": _table_weight,
+    "guidance/net": _guidance_net,
+}
+
+
 def load_weight_fn(path):
-    payload = _read(path)
-    kind, arch = payload["kind"], payload["architecture"]
-    if kind == "guidance/constant":
-        return ConstantWeight(arch["omega"])
-    if kind == "guidance/limited_interval":
-        return LimitedIntervalWeight(arch["omega"], arch["t_lo"], arch["t_hi"])
-    if kind == "guidance/table":
-        values = np.array(payload["params"]).reshape(arch["shape"])
-        return TableWeight(values, zeta=arch["zeta"])
-    if kind == "guidance/net":
-        embed, offset = _mlp_from_arch(arch["embed"], payload["params"], 0)
-        trunk, _ = _mlp_from_arch(arch["trunk"], payload["params"], offset)
-        return GuidanceNet(embed, trunk, arch["n_classes"],
-                           allow_negative=arch["allow_negative"],
-                           logsnr_clip=arch["logsnr_clip"])
-    raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    return _load(path, _WEIGHT_FNS)
 
 
 def read_metadata(path) -> dict:

@@ -273,6 +273,8 @@ def cmd_export_weights(args) -> int:
     weight_fn = _get_weight_fn(args, args.quiet)
     t, omegas = export_weight_grid(weight_fn, config.mog.n_classes,
                                    dt=0.01, zeta=config.sample.zeta)
+    if not np.all(np.isfinite(omegas)):
+        raise FloatingPointError("weight function produced non-finite values")
     path = os.path.join(args.out, "weights.csv")
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={config.seed} config_digest={digest}\n")

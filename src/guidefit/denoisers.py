@@ -267,10 +267,22 @@ class NeuralDenoiser:
         return self.net.sizes[-1]
 
     def _features(self, x, t, onehot):
-        snr = np.clip(self.schedule.logsnr(t), -self.logsnr_clip, self.logsnr_clip)
-        snr = np.broadcast_to(np.asarray(snr, dtype=float), (x.shape[0],))
+        """Rows [x, sinusoidal(clipped logSNR t), onehot].
+
+        The embedding is computed once per run of equal t and repeated over
+        the run: build_particles repeats each item's t over its particles and
+        the sampler passes one scalar t for all chains.
+        """
+        n, d = x.shape
+        t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+        starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]])[:n])
+        snr = np.clip(self.schedule.logsnr(t[starts]), -self.logsnr_clip, self.logsnr_clip)
         emb = nn.sinusoidal_embedding(snr, self.time_embed_dim)
-        return np.concatenate([x, emb, onehot], axis=1)
+        feats = np.empty((n, d + self.time_embed_dim + onehot.shape[1]))
+        feats[:, :d] = x
+        feats[:, d:d + self.time_embed_dim] = np.repeat(emb, np.diff(starts, append=n), axis=0)
+        feats[:, d + self.time_embed_dim:] = onehot
+        return feats
 
     def denoise(self, x_t, t, c=None):
         x_t = np.asarray(x_t, dtype=float)

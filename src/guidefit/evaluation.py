@@ -12,6 +12,10 @@ two laws agree.
 
 Error bars come from subsampling: the estimator is recomputed on half-size
 subsets and the scatter is scaled by sqrt(1/2) back to full size.
+
+A sweep scores every row against one shared reference with one subsample
+stream, so the sums over the reference's own pairs are the same for every
+row; they are computed once per sweep and reused (see _Reference).
 """
 
 from __future__ import annotations
@@ -50,30 +54,58 @@ def _pair_sums(a, b, beta: float, wa, wb):
     return total, per_resample
 
 
-def _energy(x, y, beta: float, lam: float, wx, wy):
+class _Reference:
+    """A point set that samples are scored against, keeping its within-set sums.
+
+    within() computes the sums over the set's own pairs once per (beta,
+    indicator columns) and returns the kept result after that. of_class()
+    gives the part of the set with one class label, itself a _Reference, so
+    per-class sums are kept too.
+    """
+
+    def __init__(self, points, classes=None):
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.classes = classes
+        self._sums = {}
+        self._parts = {}
+
+    def within(self, beta: float, w):
+        key = (beta, w.shape, w.tobytes())
+        if key not in self._sums:
+            self._sums[key] = _pair_sums(self.points, self.points, beta, w, w)
+        return self._sums[key]
+
+    def of_class(self, cls: int) -> "_Reference":
+        if cls not in self._parts:
+            self._parts[cls] = _Reference(self.points[self.classes == cls])
+        return self._parts[cls]
+
+
+def _energy(x, y: _Reference, beta: float, lam: float, wx, wy):
     """Energy MMD of the full sets and of each indicator-selected subset pair.
 
     Returns (full, per_resample) with per_resample of shape (r,), where r is
     the number of indicator columns (zero for a plain estimate).
     """
     nx, ny = wx.sum(axis=0), wy.sum(axis=0)
-    total, per = _pair_sums(x, y, beta, wx, wy)
-    full, sub = total / (x.shape[0] * y.shape[0]), per / (nx * ny)
+    total, per = _pair_sums(x, y.points, beta, wx, wy)
+    full, sub = total / (x.shape[0] * y.points.shape[0]), per / (nx * ny)
     if lam == 0.0:
         return full, sub
-    (tx, px), (ty, py) = (_pair_sums(p, p, beta, w, w) for p, w in ((x, wx), (y, wy)))
-    n, m = x.shape[0], y.shape[0]
+    (tx, px), (ty, py) = _pair_sums(x, x, beta, wx, wx), y.within(beta, wy)
+    n, m = x.shape[0], y.points.shape[0]
     full -= 0.5 * lam * (tx / (n * (n - 1)) + ty / (m * (m - 1)))
     sub -= 0.5 * lam * (px / (nx * (nx - 1)) + py / (ny * (ny - 1)))
     return full, sub
 
 
 def _checked_points(x, y, beta: float, lam: float):
+    """x as a 2D array and y as a _Reference (an array y is wrapped)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    y = y if isinstance(y, _Reference) else _Reference(y)
     if not 0.0 < beta <= 2.0:
         raise ValueError(f"beta must lie in (0, 2], got {beta}")
-    if lam != 0.0 and min(x.shape[0], y.shape[0]) < 2:
+    if lam != 0.0 and min(x.shape[0], y.points.shape[0]) < 2:
         raise ValueError("within-set term needs at least two points")
     return x, y
 
@@ -82,7 +114,7 @@ def energy_mmd(x, y, beta: float = 1.0, lam: float = 1.0) -> float:
     """Two-sample energy-kernel discrepancy between point sets x and y."""
     x, y = _checked_points(x, y, beta, lam)
     full, _ = _energy(x, y, beta, lam, np.zeros((x.shape[0], 0)),
-                      np.zeros((y.shape[0], 0)))
+                      np.zeros((y.points.shape[0], 0)))
     return float(full)
 
 
@@ -102,13 +134,14 @@ def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
     rng = stream(seed, "eval/subsample")
-    nx = max(2, int(round(fraction * x.shape[0])))
-    ny = max(2, int(round(fraction * y.shape[0])))
-    wx = np.zeros((x.shape[0], n_resamples))
-    wy = np.zeros((y.shape[0], n_resamples))
+    n, m = x.shape[0], y.points.shape[0]
+    nx = max(2, int(round(fraction * n)))
+    ny = max(2, int(round(fraction * m)))
+    wx = np.zeros((n, n_resamples))
+    wy = np.zeros((m, n_resamples))
     for r in range(n_resamples):
-        wx[rng.choice(x.shape[0], size=nx, replace=False), r] = 1.0
-        wy[rng.choice(y.shape[0], size=ny, replace=False), r] = 1.0
+        wx[rng.choice(n, size=nx, replace=False), r] = 1.0
+        wy[rng.choice(m, size=ny, replace=False), r] = 1.0
     full, estimates = _energy(x, y, beta, lam, wx, wy)
     se = float(np.std(estimates, ddof=1) * np.sqrt(fraction))
     return float(full), se
@@ -167,24 +200,22 @@ class EvalReport:
         raise KeyError(f"no row labeled {label!r}")
 
 
-def _per_class_mmd(x, cx, y, cy, n_classes, beta, lam):
-    out = {}
-    for cls in range(n_classes):
-        xs, ys = x[cx == cls], y[cy == cls]
-        if xs.shape[0] >= 2 and ys.shape[0] >= 2:
-            out[cls] = energy_mmd(xs, ys, beta, lam)
-    return out
-
-
 def evaluate_samples(x, cx, reference, ref_c, label: str, omega=None,
                      beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20,
                      seed: int = 0, per_class: bool = True) -> EvalRow:
-    """Score one sample set against reference draws."""
-    mmd, se = mmd_with_se(x, reference, beta, lam, n_resamples, seed=seed)
+    """Score one sample set against reference draws.
+
+    reference may be a _Reference (built with labels ref_c), whose kept
+    within-set sums are then reused.
+    """
+    ref = reference if isinstance(reference, _Reference) else _Reference(reference, ref_c)
+    mmd, se = mmd_with_se(x, ref, beta, lam, n_resamples, seed=seed)
     row = EvalRow(label=label, omega=omega, mmd=mmd, se=se, count=x.shape[0])
-    if per_class and cx is not None and ref_c is not None:
-        n_classes = int(max(cx.max(), ref_c.max())) + 1
-        row.per_class = _per_class_mmd(x, cx, reference, ref_c, n_classes, beta, lam)
+    if per_class and cx is not None and ref.classes is not None:
+        for cls in range(int(max(cx.max(), ref.classes.max())) + 1):
+            xs, ys = x[cx == cls], ref.of_class(cls)
+            if xs.shape[0] >= 2 and ys.points.shape[0] >= 2:
+                row.per_class[cls] = energy_mmd(xs, ys, beta, lam)
     return row
 
 
@@ -198,18 +229,19 @@ def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
     and scored against one shared set of fresh data draws, so differences
     between rows are not masked by chain noise. Returns an EvalReport whose
     rows are labeled "omega=<g>" for grid values and "learned" for the
-    learned function.
+    learned function. Sums over the reference's own pairs are computed at
+    the first row and reused by the others.
     """
     from .guidance import ConstantWeight  # local import keeps module layering flat
     from .sampler import sample
 
-    reference, ref_c = data.sample_joint(sample_config.count,
-                                         stream(seed, "eval/reference"))
+    ref = _Reference(*data.sample_joint(sample_config.count,
+                                        stream(seed, "eval/reference")))
     rows = []
     for g in omega_grid:
         x, cx = sample(sample_config, cond, uncond, ConstantWeight(float(g)),
                        class_weights=data.weights, seed=seed)
-        rows.append(evaluate_samples(x, cx, reference, ref_c, f"omega={g:g}",
+        rows.append(evaluate_samples(x, cx, ref, ref.classes, f"omega={g:g}",
                                      omega=float(g), beta=beta, lam=lam,
                                      n_resamples=n_resamples, seed=seed))
         if not quiet:
@@ -217,7 +249,7 @@ def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
     if learned_fn is not None:
         x, cx = sample(sample_config, cond, uncond, learned_fn,
                        class_weights=data.weights, seed=seed)
-        rows.append(evaluate_samples(x, cx, reference, ref_c, "learned",
+        rows.append(evaluate_samples(x, cx, ref, ref.classes, "learned",
                                      beta=beta, lam=lam,
                                      n_resamples=n_resamples, seed=seed))
         if not quiet:

@@ -22,13 +22,31 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(x):
-    """Exact Gaussian-error GeLU, x * Phi(x)."""
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    """Exact Gaussian-error GeLU, x * Phi(x), as (0.5 x) (1 + erf(x / sqrt 2)).
+
+    x is a float array; the result is a new array built with in-place steps.
+    """
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    out = 0.5 * x
+    out *= cdf
+    return out
 
 
 def gelu_grad(x):
-    phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+    """0.5 (1 + erf(x / sqrt 2)) + x phi(x)."""
+    phi = -0.5 * x
+    phi *= x
+    np.exp(phi, out=phi)
+    phi *= _INV_SQRT2PI
+    phi *= x
+    out = x * _INV_SQRT2
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    out += phi
+    return out
 
 
 _ACTIVATIONS = {
@@ -108,7 +126,8 @@ class Mlp:
         pre, post, masks = [], [x], []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
+            z = h @ w.T
+            z += b
             pre.append(z)
             if i == last:
                 h = out_act(z)
@@ -178,13 +197,12 @@ def clip_global_norm(grads, max_norm):
 
 @dataclass
 class AdamState:
-    """Adam with bias correction and decoupled (AdamW-style) weight decay."""
+    """Adam with bias correction."""
 
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -209,12 +227,21 @@ def adam_step(state: AdamState, params, grads):
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if state.weight_decay > 0.0:
-            update = update + state.weight_decay * p
-        p[...] = p - state.lr * update
+        # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, then
+        # p = p - lr (m / bc1) / (sqrt(v / bc2) + eps), all in place
+        m *= b1
+        m += (1.0 - b1) * g
+        gg = (1.0 - b2) * g
+        gg *= g
+        v *= b2
+        v += gg
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update = m / bc1
+        update /= denom
+        update *= state.lr
+        p -= update
 
 
 @dataclass
@@ -232,7 +259,8 @@ class EmaState:
 
     def update(self, params):
         for s, p in zip(self.shadow, params):
-            s[...] = self.decay * s + (1.0 - self.decay) * p
+            s *= self.decay
+            s += (1.0 - self.decay) * p
 
     def copy_to(self, params):
         for p, s in zip(params, self.shadow):

@@ -164,14 +164,28 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, weight_fn, churn: float,
     )
 
 
+def _dot(a, b):
+    """sum_k a[k] b[k] over the leading (coordinate) axis, one coordinate at a time.
+
+    For the few coordinates used here this is the sum np.sum(a * b, axis=-1)
+    makes on coordinate-last arrays, without the product array.
+    """
+    out = a[0] * b[0]
+    for k in range(1, a.shape[0]):
+        out += a[k] * b[k]
+    return out
+
+
 def _pow_and_factor(diff, beta):
-    """||diff||^beta and the chain factor beta ||diff||^(beta-2), 0 at diff = 0."""
-    sq = np.sum(diff * diff, axis=-1)
-    norm = np.sqrt(sq)
+    """||diff||^beta and the chain factor beta ||diff||^(beta-2), 0 at diff = 0.
+
+    diff is coordinate-first: the norm is taken over axis 0.
+    """
+    norm = np.sqrt(_dot(diff, diff))
     out_pow = norm**beta
     factor = np.zeros_like(norm)
-    nz = norm > 0.0
-    factor[nz] = beta * norm[nz] ** (beta - 2.0)
+    np.power(norm, beta - 2.0, out=factor, where=norm > 0.0)
+    factor *= beta
     return out_pow, factor
 
 
@@ -182,22 +196,23 @@ def mmd_loss(batch: ParticleBatch, params: MmdParams, omega=None):
     reused, so the map omega -> loss is smooth and exactly replayable.
     """
     m = batch.n_particles
-    props = batch.proposals(omega)
-    slope = batch.slope()
+    # coordinate-first views (d, n, m): each coordinate's pair arrays are contiguous
+    props = np.moveaxis(batch.proposals(omega), -1, 0)
+    slope = np.moveaxis(batch.slope(), -1, 0)
 
-    u = props - batch.targets
+    u = props - np.moveaxis(batch.targets, -1, 0)
     cross_pow, cross_fac = _pow_and_factor(u, params.beta)
     loss = cross_pow.mean(axis=-1)
-    dloss = (cross_fac * np.sum(u * slope, axis=-1)).mean(axis=-1)
+    dloss = (cross_fac * _dot(u, slope)).mean(axis=-1)
 
     if params.lam > 0.0 and m > 1:
-        v = props[:, :, None, :] - props[:, None, :, :]
+        v = props[..., :, None] - props[..., None, :]
         v_pow, v_fac = _pow_and_factor(v, params.beta)
-        dv = slope[:, :, None, :] - slope[:, None, :, :]
+        dv = slope[..., :, None] - slope[..., None, :]
         norm = 1.0 / (m * (m - 1))
         loss = loss - 0.5 * params.lam * v_pow.sum(axis=(-2, -1)) * norm
         dloss = dloss - 0.5 * params.lam * norm * (
-            v_fac * np.sum(v * dv, axis=-1)).sum(axis=(-2, -1))
+            v_fac * _dot(v, dv)).sum(axis=(-2, -1))
     return loss, dloss
 
 
@@ -213,17 +228,6 @@ def l2_loss(batch: ParticleBatch, omega=None):
     residual_slope = batch.slope()[:, 0, :]
     loss = np.sum(u * u, axis=-1)
     return loss, 2.0 * np.sum(u * residual_slope, axis=-1)
-
-
-def pairwise_energy(points, beta: float) -> float:
-    """Unbiased within-set energy sum (1/(m(m-1))) sum_{j != k} ||p_j - p_k||^beta."""
-    points = np.asarray(points, dtype=float)
-    m = points.shape[0]
-    if m < 2:
-        raise ValueError("need at least two points")
-    diff = points[:, None, :] - points[None, :, :]
-    pow_, _ = _pow_and_factor(diff, beta)
-    return float(pow_.sum() / (m * (m - 1)))
 
 
 class DistanceToMeanReward:

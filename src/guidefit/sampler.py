@@ -10,12 +10,15 @@ gathers by c: one row per class, and the same rows however many chains run.
 
 Randomness is per chain: chain i draws from substream (seed, "sample/chain",
 i), so results for chain i do not depend on how many chains run, and a
-trajectory recorded for one chain reproduces that chain of a full run.
+trajectory recorded for one chain reproduces that chain of a full run. The
+draws of the last call are kept, read-only: a sweep samples every row with
+the same seed, so its rows share one set of draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,17 +48,21 @@ class SampleConfig:
         return np.linspace(self.zeta, 1.0 - self.zeta, self.steps + 1)
 
 
-def _chain_draws(config: SampleConfig, dim: int, seed: int):
-    """Per-chain class uniforms, initial noise, and step noise."""
-    u = np.empty(config.count)
-    x_init = np.empty((config.count, dim))
-    z = np.empty((config.count, config.steps, dim))
-    for i in range(config.count):
+@lru_cache(maxsize=1)
+def _chain_draws(count: int, steps: int, draw_class: bool, dim: int, seed: int):
+    """Per-chain class uniforms (zeros unless draw_class), initial noise, and
+    step noise, as read-only arrays."""
+    u = np.zeros(count)
+    x_init = np.empty((count, dim))
+    z = np.empty((count, steps, dim))
+    for i in range(count):
         g = stream(seed, "sample/chain", i)
-        if config.conditioning is None:
+        if draw_class:
             u[i] = g.random()
         x_init[i] = g.standard_normal(dim)
-        z[i] = g.standard_normal((config.steps, dim))
+        z[i] = g.standard_normal((steps, dim))
+    for a in (u, x_init, z):
+        a.flags.writeable = False
     return u, x_init, z
 
 
@@ -68,7 +75,8 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
     dim = cond.dim
     grid = config.grid()
 
-    u, x_init, z = _chain_draws(config, dim, seed)
+    u, x_init, z = _chain_draws(config.count, config.steps,
+                                config.conditioning is None, dim, seed)
     if config.conditioning is None:
         c = np.searchsorted(np.cumsum(class_weights), u).astype(int)
         c = np.minimum(c, n_classes - 1)

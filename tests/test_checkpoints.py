@@ -103,3 +103,102 @@ def test_checkpoint_failure_modes(tmp_path):
         save_weight_fn(tmp_path / "c.json", object())
     with pytest.raises(CheckpointError):
         save_denoiser(tmp_path / "c.json", object())
+
+
+def _small_net(seed=5):
+    return GuidanceNet.create(4, stream(seed, "test/gn3"), embed_hidden=8, embed_dim=8,
+                              trunk_hidden=8, trunk_layers=2, zero_init=False)
+
+
+def _small_neural_denoiser(mog):
+    den, _ = train_neural_denoiser(mog, DenoiserTrainConfig(
+        iterations=1, hidden=8, layers=1, time_embed_dim=8, seed=1))
+    return den
+
+
+def _malformed(payload, arch_key):
+    """(case, payload) for each way a good checkpoint payload is broken below."""
+    params = payload["params"]
+    arch = {k: v for k, v in payload["architecture"].items() if k != arch_key}
+    return [("extra params", dict(payload, params=params + [0.0])),
+            ("truncated params", dict(payload, params=params[:-1])),
+            ("all-NaN params", dict(payload, params=[float("nan")] * len(params))),
+            ("one infinite param", dict(payload, params=[float("inf")] + params[1:])),
+            ("non-numeric params", dict(payload, params=["a"] * len(params))),
+            (f"missing architecture.{arch_key}", dict(payload, architecture=arch))]
+
+
+@pytest.mark.parametrize("kind", ["guidance", "denoiser"])
+def test_malformed_checkpoints_are_checkpoint_errors(tmp_path, mog, kind):
+    good = tmp_path / "good.json"
+    if kind == "guidance":
+        save_weight_fn(good, _small_net())
+        load, arch_key = load_weight_fn, "trunk"
+    else:
+        save_denoiser(good, _small_neural_denoiser(mog))
+        load, arch_key = load_denoiser, "net"
+    load(good)
+    payload = json.loads(good.read_text())
+    for case, bad in _malformed(payload, arch_key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(CheckpointError):
+            load(path)
+            pytest.fail(f"{kind} checkpoint with {case} loaded")
+
+
+def test_mismatched_declared_shapes_are_checkpoint_errors(tmp_path, mog):
+    path = tmp_path / "bad.json"
+    save_weight_fn(path, _small_net())
+    payload = json.loads(path.read_text())
+    payload["architecture"]["n_classes"] = 3  # the trunk is sized for 4 classes
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError):
+        load_weight_fn(path)
+    save_denoiser(path, _small_neural_denoiser(mog))
+    payload = json.loads(path.read_text())
+    payload["architecture"]["time_embed_dim"] = 16  # the net is sized for 8
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError):
+        load_denoiser(path)
+
+
+def test_table_and_analytic_params_must_match(tmp_path, exact):
+    path = tmp_path / "bad.json"
+    save_weight_fn(path, TableWeight(np.ones((2, 3, 4))))
+    payload = json.loads(path.read_text())
+    for params in (payload["params"][:-1], payload["params"] + [1.0]):
+        path.write_text(json.dumps(dict(payload, params=params)))
+        with pytest.raises(CheckpointError):
+            load_weight_fn(path)
+    save_denoiser(path, exact)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(payload, params=[1.0])))
+    with pytest.raises(CheckpointError):
+        load_denoiser(path)
+    path.write_text("[1, 2")
+    with pytest.raises(CheckpointError):
+        load_denoiser(path)
+    path.write_text(json.dumps(dict(payload, kind=["denoiser/analytic"])))
+    with pytest.raises(CheckpointError):
+        load_denoiser(path)
+
+
+def test_checkpoint_bytes_match_json_dump(tmp_path, mog):
+    """Checkpoints are written as json.dump(payload, fh, sort_keys=True) + newline."""
+    tables = [stream(6, "test/tw").standard_normal(shape)
+              for shape in ((2, 3, 4), (2, 32, 64), (4, 32, 64))]  # 4096 params per block
+    big = GuidanceNet.create(4, stream(7, "test/gn4"), embed_hidden=64, embed_dim=64,
+                             trunk_hidden=8, trunk_layers=2, zero_init=False)
+    cases = [(save_weight_fn, _small_net()), (save_weight_fn, big),
+             (save_weight_fn, ConstantWeight(0.25)),
+             *((save_weight_fn, TableWeight(v)) for v in tables),
+             (save_denoiser, _small_neural_denoiser(mog))]
+    for save, obj in cases:
+        path = tmp_path / "ckpt.json"
+        save(path, obj, {"seed": 3, "note": "x"})
+        payload = json.loads(path.read_text())
+        with open(tmp_path / "dump.json", "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()

@@ -168,3 +168,39 @@ def test_non_finite_sweep_is_numerical_failure(tmp_path, tiny_config):
     assert code == 3
     assert not (out / "sweep.csv").exists()
     assert not (out / "sweep.json").exists()
+
+
+def test_malformed_checkpoints_are_usage_errors(tmp_path, tiny_config, capsys):
+    out = str(tmp_path / "run")
+    assert run("train-guidance", "--config", tiny_config, "--out", out, "--quiet") == 0
+    payload = json.loads((tmp_path / "run" / "guidance.json").read_text())
+    arch = {k: v for k, v in payload["architecture"].items() if k != "trunk"}
+    cases = {"extra": dict(payload, params=payload["params"] + [0.0]),
+             "truncated": dict(payload, params=payload["params"][:-1]),
+             "nan": dict(payload, params=[float("nan")] * len(payload["params"])),
+             "no_trunk": dict(payload, architecture=arch)}
+    for name, bad in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        dest = tmp_path / name
+        assert run("export-weights", "--config", tiny_config, "--out", str(dest),
+                   "--quiet", "--guidance", str(path)) == 2, name
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (dest / "weights.csv").exists(), name
+
+
+def test_overflowing_weights_are_numerical_failure(tmp_path, tiny_config):
+    from guidefit import nn
+    from guidefit.config import build_guidance_net
+
+    net = build_guidance_net(load_config(tiny_config))
+    params = net.parameters()
+    nn.set_flat_params(params, np.full(nn.flatten_params(params).size, 1e300))
+    path = tmp_path / "huge.json"
+    save_weight_fn(path, net)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("export-weights", "--config", tiny_config, "--out", str(out),
+                   "--quiet", "--guidance", str(path))
+    assert code == 3
+    assert not (out / "weights.csv").exists()

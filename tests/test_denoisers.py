@@ -190,3 +190,46 @@ def test_neural_denoiser_training_is_deterministic(mog):
     assert np.array_equal(l1, l2)
     assert np.array_equal(flatten_params(m1.net.parameters()),
                           flatten_params(m2.net.parameters()))
+
+
+def _oracle_denoise(den, x_t, t, c=None):
+    """The earlier NeuralDenoiser.denoise: one embedding row per input row,
+    concatenated features, out-of-place bias add and GeLU."""
+    from scipy.special import erf
+
+    from guidefit import nn
+
+    x_t = np.asarray(x_t, dtype=float)
+    single = x_t.ndim == 1
+    x = np.atleast_2d(x_t)
+    snr = np.clip(den.schedule.logsnr(t), -den.logsnr_clip, den.logsnr_clip)
+    snr = np.broadcast_to(np.asarray(snr, dtype=float), (x.shape[0],))
+    emb = nn.sinusoidal_embedding(snr, den.time_embed_dim)
+    h = np.concatenate([x, emb, nn.class_onehot(c, den.n_classes, n=x.shape[0])], axis=1)
+    last = len(den.net.weights) - 1
+    for i, (w, b) in enumerate(zip(den.net.weights, den.net.biases)):
+        h = h @ w.T + b
+        if i < last:
+            h = 0.5 * h * (1.0 + erf(h * (1.0 / np.sqrt(2.0))))
+    return h[0] if single else h
+
+
+def test_neural_denoiser_bytes_match_per_row_embedding_oracle(mog):
+    den, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=3, seed=4))
+    rng = stream(9, "test/denoise_bytes")
+    n = 640
+    x = rng.standard_normal((n, 2)) * 6.0
+    c = rng.integers(0, mog.n_classes, n)
+    few = rng.uniform(0.01, 0.99, 5)
+    times = {"runs": np.repeat(rng.uniform(0.01, 0.99, n // 32), 32),
+             "unsorted repeats": few[rng.integers(0, 5, n)],
+             "all distinct": rng.uniform(0.01, 0.99, n),
+             "boundaries": np.repeat([0.0, 1e-9, 0.5, 1.0], n // 4),
+             "scalar": 0.37}
+    for name, t in times.items():
+        for cls in (c, None, 2):
+            got = den.denoise(x, t, cls)
+            assert got.tobytes() == _oracle_denoise(den, x, t, cls).tobytes(), name
+    assert den.denoise(x[0], 0.6, 1).tobytes() == _oracle_denoise(den, x[0], 0.6, 1).tobytes()
+    assert den.denoise(x[:1], times["all distinct"][:1], c[:1]).tobytes() == \
+        _oracle_denoise(den, x[:1], times["all distinct"][:1], c[:1]).tobytes()

@@ -178,3 +178,57 @@ def test_figure_protocol_rows_and_common_reference(exact, mog):
     # the learned function IS omega = 0 here, so the rows must agree exactly
     assert report.row("learned").mmd == report.row("omega=0").mmd
     assert report.row("omega=0.5").mmd != report.row("omega=0").mmd
+
+
+def _per_row_protocol(cond, uncond, data, config, omega_grid, learned_fn, beta, lam,
+                      n_resamples, seed):
+    """The sweep with every row scored on its own, nothing shared between rows."""
+    from guidefit.sampler import sample
+
+    reference, ref_c = data.sample_joint(config.count, stream(seed, "eval/reference"))
+    fns = [(f"omega={g:g}", float(g), ConstantWeight(float(g))) for g in omega_grid]
+    fns.append(("learned", None, learned_fn))
+    rows = []
+    for label, omega, fn in fns:
+        x, cx = sample(config, cond, uncond, fn, class_weights=data.weights, seed=seed)
+        mmd, se = mmd_with_se(x, reference, beta, lam, n_resamples, seed=seed)
+        per_class = {cls: energy_mmd(x[cx == cls], reference[ref_c == cls], beta, lam)
+                     for cls in range(data.n_classes)}
+        rows.append(EvalRow(label=label, omega=omega, mmd=mmd, se=se, count=x.shape[0],
+                            per_class=per_class))
+    return EvalReport(rows=rows, beta=beta, lam=lam, seed=seed)
+
+
+@pytest.mark.parametrize("beta,lam", [(1.0, 1.0), (1.75, 1.0), (1.0, 0.0)])
+def test_figure_protocol_matches_per_row_oracle(exact, mog, monkeypatch, beta, lam):
+    from guidefit import evaluation
+    from guidefit.sampler import SampleConfig
+
+    pairs = []
+    monkeypatch.setattr(evaluation, "cdist",
+                        lambda a, b: pairs.append(a.shape[0] * b.shape[0]) or cdist(a, b))
+    config = SampleConfig(steps=3, count=600)
+    grid = (0.0, 0.5, 2.0)
+    learned = ConstantWeight(1.0)
+    want = _per_row_protocol(exact, exact, mog, config, grid, learned, beta, lam, 5, 3)
+    oracle_pairs, pairs[:] = sum(pairs), []
+    got = run_figure_protocol(exact, exact, mog, config, grid, learned_fn=learned,
+                              beta=beta, lam=lam, n_resamples=5, seed=3)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    # the reference's own pairs (full set and per class) are summed at the
+    # first row only; with lam = 0 they are never needed
+    _, ref_c = mog.sample_joint(config.count, stream(3, "eval/reference"))
+    ref_own = config.count ** 2 + sum(int(np.sum(ref_c == k)) ** 2 for k in range(4))
+    saved = len(grid) * ref_own if lam > 0.0 else 0
+    assert oracle_pairs - sum(pairs) == saved
+
+
+def test_kept_reference_sums_match_a_fresh_reference():
+    from guidefit.evaluation import _Reference
+
+    x, y = _two_sets(300, 200)
+    ref = _Reference(y)
+    for seed, beta in ((1, 1.0), (2, 1.0), (1, 1.75), (1, 1.0)):
+        assert mmd_with_se(x, ref, beta, seed=seed) == mmd_with_se(x, y, beta, seed=seed)
+    assert energy_mmd(x, ref) == energy_mmd(x, y)

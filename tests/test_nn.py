@@ -169,3 +169,63 @@ def test_class_onehot_paths():
         nn.class_onehot(np.array([3]), 3)
     with pytest.raises(ValueError):
         nn.class_onehot(None, 3)
+
+
+# Oracles: the earlier out-of-place bodies. The in-place versions must match
+# them bit for bit.
+
+def _oracle_gelu(x):
+    return 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+
+
+def _oracle_gelu_grad(x):
+    phi = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    return 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))) + x * phi
+
+
+def _oracle_adam_step(state, params, grads):
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**state.step
+    bc2 = 1.0 - b2**state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m[...] = b1 * m + (1.0 - b1) * g
+        v[...] = b2 * v + (1.0 - b2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p[...] = p - state.lr * update
+
+
+def _oracle_ema_update(ema, params):
+    for s, p in zip(ema.shadow, params):
+        s[...] = ema.decay * s + (1.0 - ema.decay) * p
+
+
+def test_gelu_and_grad_bytes_match_oracle():
+    rng = stream(7, "test/gelu_bytes")
+    x = np.concatenate([rng.standard_normal(4096 * 16) * 4.0,
+                        [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 1e300, -1e300]])
+    for shape in ((x.size,), (8, x.size // 8)):
+        xs = x.reshape(shape)
+        assert nn.gelu(xs).tobytes() == _oracle_gelu(xs).tobytes()
+        with np.errstate(over="ignore"):  # x * x at +/-1e300
+            assert nn.gelu_grad(xs).tobytes() == _oracle_gelu_grad(xs).tobytes()
+
+
+def test_adam_and_ema_steps_bytes_match_oracle():
+    rng = stream(8, "test/adam_bytes")
+    shapes = [(16, 5), (16,), (1, 16), (1,)]
+    live = [rng.standard_normal(s) for s in shapes]
+    ref = [p.copy() for p in live]
+    state = nn.AdamState.for_params(live, lr=3e-3)
+    ref_state = nn.AdamState.for_params(ref, lr=3e-3)
+    ema = nn.EmaState.for_params(live, decay=0.99)
+    ref_ema = nn.EmaState.for_params(ref, decay=0.99)
+    for _ in range(7):
+        grads = [rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 2) for s in shapes]
+        nn.adam_step(state, live, grads)
+        _oracle_adam_step(ref_state, ref, grads)
+        ema.update(live)
+        _oracle_ema_update(ref_ema, ref)
+        for pairs in ((live, ref), (state.m, ref_state.m), (state.v, ref_state.v),
+                      (ema.shadow, ref_ema.shadow)):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(*pairs))

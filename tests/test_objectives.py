@@ -14,7 +14,7 @@ from guidefit.objectives import (DistanceToMeanReward, GsmBatch, MixtureLogDensi
                                  MmdParams, ParticleBatch, TimePairSampler,
                                  build_gsm, build_particles,
                                  guided_score_matching_loss, l2_loss, mmd_loss,
-                                 pairwise_energy, reward_loss)
+                                 reward_loss)
 from guidefit.denoisers import mixture_score
 from guidefit.rng import stream
 
@@ -127,14 +127,6 @@ def test_two_point_batch_interaction_value():
     assert grad[0] == 0.0
 
 
-def test_pairwise_energy_hand_value():
-    pts = np.array([[0.0], [1.0], [3.0]])
-    # ordered pair distances 1, 3, 2 twice -> 12 / (3*2) = 2
-    assert pairwise_energy(pts, beta=1.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        pairwise_energy(pts[:1], beta=1.0)
-
-
 def test_distance_reward_value_and_grad(mog):
     reward = DistanceToMeanReward(mog.means)
     x = stream(5, "test/reward").uniform(-12.0, 12.0, size=(10, 2))
@@ -188,3 +180,61 @@ def test_gsm_batch_and_gradient(mog, exact):
         return guided_score_matching_loss(b, w)
 
     fd_check(gsm, batch)
+
+
+def _oracle_pow_and_factor(diff, beta):
+    sq = np.sum(diff * diff, axis=-1)
+    norm = np.sqrt(sq)
+    factor = np.zeros_like(norm)
+    nz = norm > 0.0
+    factor[nz] = beta * norm[nz] ** (beta - 2.0)
+    return norm**beta, factor
+
+
+def _oracle_mmd_loss(batch, params, omega=None):
+    """The earlier mmd_loss: coordinate-last pair arrays reduced by np.sum."""
+    m = batch.n_particles
+    props = batch.proposals(omega)
+    slope = batch.slope()
+    u = props - batch.targets
+    cross_pow, cross_fac = _oracle_pow_and_factor(u, params.beta)
+    loss = cross_pow.mean(axis=-1)
+    dloss = (cross_fac * np.sum(u * slope, axis=-1)).mean(axis=-1)
+    if params.lam > 0.0 and m > 1:
+        v = props[:, :, None, :] - props[:, None, :, :]
+        v_pow, v_fac = _oracle_pow_and_factor(v, params.beta)
+        dv = slope[:, :, None, :] - slope[:, None, :, :]
+        norm = 1.0 / (m * (m - 1))
+        loss = loss - 0.5 * params.lam * v_pow.sum(axis=(-2, -1)) * norm
+        dloss = dloss - 0.5 * params.lam * norm * (
+            v_fac * np.sum(v * dv, axis=-1)).sum(axis=(-2, -1))
+    return loss, dloss
+
+
+def _random_batch(n, m, d, seed):
+    rng = stream(seed, "test/mmd_bytes")
+    draw = lambda *shape: rng.standard_normal(shape)
+    batch = ParticleBatch(
+        x0=draw(n, d), c=np.zeros(n, dtype=int), s=np.full(n, 0.3), t=np.full(n, 0.6),
+        targets=draw(n, m, d), prop_noisy=draw(n, m, d), xhat_c=draw(n, m, d),
+        delta=draw(n, m, d), coeff_xt=draw(n), coeff_x0=draw(n),
+        cov_scale=np.abs(draw(n)), trans_noise=draw(n, m, d), omega=draw(n))
+    # one item whose particles coincide: zero distances take the factor-0 branch
+    for arr in (batch.targets, batch.prop_noisy, batch.xhat_c, batch.delta,
+                batch.trans_noise):
+        arr[0] = 0.0
+    return batch
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.75, 2.0])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("m", [1, 2, 32])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mmd_loss_bytes_match_oracle(beta, lam, m, d):
+    batch = _random_batch(12, m, d, seed=100 * m + d)
+    params = MmdParams(beta=beta, lam=lam)
+    for omega in (None, 0.7):
+        got = mmd_loss(batch, params, omega)
+        want = _oracle_mmd_loss(batch, params, omega)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()

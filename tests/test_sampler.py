@@ -106,7 +106,7 @@ def _per_row_sample(config, cond, uncond, fn, class_weights, seed):
     """The sampler loop with omega evaluated on every chain's own row."""
     schedule = NoiseSchedule()
     grid = config.grid()
-    u, x_init, z = _chain_draws(config, cond.dim, seed)
+    u, x_init, z = _chain_draws(config.count, config.steps, True, cond.dim, seed)
     c = np.minimum(np.searchsorted(np.cumsum(class_weights), u), cond.n_classes - 1)
     x = schedule.alpha_sigma(grid[-1])[1] * x_init
     for k in range(config.steps - 1, -1, -1):
@@ -152,3 +152,24 @@ def test_net_weighted_chains_reproduce_bytewise(exact, mog):
         per_class = [net.weight(grid[k], grid[k + 1], np.arange(mog.n_classes))[cls]
                      for k in range(config.steps - 1, -1, -1)]
         assert omegas.tobytes() == np.array(per_class).tobytes()
+
+
+def test_chain_draws_are_kept_read_only_and_do_not_depend_on_count(exact, mog):
+    u, x_init, z = _chain_draws(40, 4, True, 2, 11)
+    assert _chain_draws(40, 4, True, 2, 11)[2] is z  # kept for the next call
+    for a in (u, x_init, z):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    few = _chain_draws(7, 4, True, 2, 11)
+    for a, b in zip(few, (u, x_init, z)):
+        assert a.tobytes() == b[:7].tobytes()
+    config = SampleConfig(steps=4, count=40)
+    x, c = sample(config, exact, exact, ConstantWeight(1.5), class_weights=mog.weights,
+                  seed=11)
+    x_few, c_few = sample(SampleConfig(steps=4, count=7), exact, exact, ConstantWeight(1.5),
+                          class_weights=mog.weights, seed=11)
+    again, _ = sample(config, exact, exact, ConstantWeight(1.5), class_weights=mog.weights,
+                      seed=11)
+    assert x_few.tobytes() == x[:7].tobytes() and np.array_equal(c_few, c[:7])
+    assert again.tobytes() == x.tobytes()
