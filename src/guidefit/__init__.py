@@ -11,12 +11,11 @@ from .denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
                         DenoiserTrainConfig, MogSpec, NeuralDenoiser,
                         posterior_mean, train_neural_denoiser)
 from .evaluation import EvalReport, EvalRow, energy_mmd, mmd_with_se, run_figure_protocol
-from .guidance import (ConstantWeight, GuidanceNet, LimitedIntervalWeight,
-                       TableWeight, guided_denoise, mean_abs_weight)
+from .guidance import ConstantWeight, GuidanceNet, guided_denoise, mean_abs_weight
 from .objectives import (MmdParams, ParticleBatch, TimePairSampler, build_particles,
                          guided_score_matching_loss, l2_loss, mmd_loss, reward_loss)
 from .sampler import SampleConfig, sample, sample_trajectory
-from .schedule import NoiseSchedule, clamp_time, ddim_transition, noise_sample
+from .schedule import NoiseSchedule, ddim_transition, noise_sample
 from .trainer import TrainConfig, TrainRecord, TrainingDiverged, train_guidance
 
 __version__ = "0.1.0"
@@ -24,10 +23,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticDenoiser", "ConstantWeight", "CorruptedDenoiser", "CorruptionSpec",
     "DenoiserTrainConfig", "EvalReport", "EvalRow", "GuidanceNet",
-    "LimitedIntervalWeight", "MmdParams", "MogSpec", "NeuralDenoiser",
-    "NoiseSchedule", "ParticleBatch", "SampleConfig", "TableWeight",
-    "TimePairSampler", "TrainConfig", "TrainRecord", "TrainingDiverged",
-    "build_particles", "clamp_time", "ddim_transition", "energy_mmd",
+    "MmdParams", "MogSpec", "NeuralDenoiser", "NoiseSchedule", "ParticleBatch",
+    "SampleConfig", "TimePairSampler", "TrainConfig", "TrainRecord",
+    "TrainingDiverged", "build_particles", "ddim_transition", "energy_mmd",
     "guided_denoise", "guided_score_matching_loss", "l2_loss", "mean_abs_weight",
     "mmd_loss", "mmd_with_se", "noise_sample", "posterior_mean", "reward_loss",
     "run_figure_protocol", "sample", "sample_trajectory", "train_guidance",

@@ -23,8 +23,7 @@ import numpy as np
 from . import nn
 from .denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
                         MogSpec, NeuralDenoiser)
-from .guidance import (ConstantWeight, GuidanceNet, LimitedIntervalWeight,
-                       TableWeight)
+from .guidance import ConstantWeight, GuidanceNet
 
 FORMAT_VERSION = 1
 
@@ -193,13 +192,6 @@ def load_denoiser(path):
 def save_weight_fn(path, fn, metadata: dict | None = None):
     if isinstance(fn, ConstantWeight):
         _write(path, "guidance/constant", {"omega": fn.omega}, [], metadata)
-    elif isinstance(fn, LimitedIntervalWeight):
-        _write(path, "guidance/limited_interval",
-               {"omega": fn.omega, "t_lo": fn.t_lo, "t_hi": fn.t_hi}, [], metadata)
-    elif isinstance(fn, TableWeight):
-        _write(path, "guidance/table",
-               {"shape": list(fn.values.shape), "zeta": fn.zeta},
-               fn.values.ravel(), metadata)
     elif isinstance(fn, GuidanceNet):
         arch = {"embed": _mlp_arch(fn.embed), "trunk": _mlp_arch(fn.trunk),
                 "n_classes": fn.n_classes, "allow_negative": fn.allow_negative,
@@ -208,11 +200,6 @@ def save_weight_fn(path, fn, metadata: dict | None = None):
                metadata)
     else:
         raise CheckpointError(f"cannot checkpoint weight function type {type(fn).__name__}")
-
-
-def _table_weight(arch, params):
-    # reshape fails unless params has exactly the declared size
-    return TableWeight(params.reshape(arch["shape"]), zeta=arch["zeta"]), params.size
 
 
 def _guidance_net(arch, params):
@@ -230,9 +217,6 @@ def _guidance_net(arch, params):
 
 _WEIGHT_FNS = {
     "guidance/constant": lambda arch, params: (ConstantWeight(arch["omega"]), 0),
-    "guidance/limited_interval": lambda arch, params: (
-        LimitedIntervalWeight(arch["omega"], arch["t_lo"], arch["t_hi"]), 0),
-    "guidance/table": _table_weight,
     "guidance/net": _guidance_net,
 }
 

@@ -170,12 +170,6 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def save_config(config: ExperimentConfig, path):
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def build_denoiser(config: ExperimentConfig, quiet: bool = True):
     """Construct (or train) the denoiser the config describes."""
     kind = config.denoiser.kind

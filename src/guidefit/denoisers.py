@@ -69,58 +69,57 @@ class MogSpec:
         return x0, c
 
 
-def _noised_component_stats(spec: MogSpec, schedule: NoiseSchedule, t):
-    """Per-component mean alpha_t mu_c and variance alpha_t^2 s_c^2 + sigma_t^2 at time t."""
+def _noised_components(spec: MogSpec, schedule: NoiseSchedule, t):
+    """(alpha_t, sigma_t, component means alpha_t mu_c, variances alpha_t^2 s_c^2 + sigma_t^2).
+
+    The means have shape (1 or n, K, d) and the variances (1 or n, K): a
+    scalar t gets a leading axis of one, an (n,) t one row per point.
+    """
     alpha, sigma = schedule.alpha_sigma(t)
     alpha = np.asarray(alpha, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    means = np.expand_dims(alpha, (-2, -1)) * spec.means          # (..., K, d)
+    means = np.expand_dims(alpha, (-2, -1)) * spec.means
     var = np.expand_dims(alpha**2, -1) * spec.variances + np.expand_dims(sigma**2, -1)
-    return means, var
+    if means.ndim == 2:
+        means, var = means[None], var[None]
+    return alpha, sigma, means, var
+
+
+def _log_joint(spec: MogSpec, x, means, var):
+    """log(w_c N(x; means_c, var_c I)) per point and component, shape (n, K)."""
+    diff = x[:, None, :] - means
+    sq = np.sum(diff * diff, axis=-1)
+    return (np.log(spec.weights) - 0.5 * sq / var
+            - 0.5 * spec.dim * np.log(2.0 * np.pi * var))
+
+
+def _log_posterior(log_joint):
+    """log p(c | x): the log-joint normalized over components."""
+    return log_joint - logsumexp(log_joint, axis=-1, keepdims=True)
 
 
 def log_responsibilities(spec: MogSpec, schedule: NoiseSchedule, x, t):
     """log p(c | x_t) for the noised mixture, shape (n, K). Stable in log space."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    comp_means, comp_var = _noised_component_stats(spec, schedule, t)
-    if comp_means.ndim == 2:
-        comp_means = comp_means[None]
-    if comp_var.ndim == 1:
-        comp_var = comp_var[None]
-    diff = x[:, None, :] - comp_means                              # (n, K, d)
-    sq = np.sum(diff * diff, axis=-1)
-    log_joint = (np.log(spec.weights) - 0.5 * sq / comp_var
-                 - 0.5 * spec.dim * np.log(2.0 * np.pi * comp_var))
-    return log_joint - logsumexp(log_joint, axis=-1, keepdims=True)
+    _, _, means, var = _noised_components(spec, schedule, t)
+    return _log_posterior(_log_joint(spec, x, means, var))
 
 
 def mixture_log_density(spec: MogSpec, x, t=0.0, schedule: NoiseSchedule | None = None):
     """log p_t(x) of the noised mixture; t = 0 gives the data density."""
     schedule = schedule or NoiseSchedule()
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    comp_means, comp_var = _noised_component_stats(spec, schedule, t)
-    if comp_means.ndim == 2:
-        comp_means = comp_means[None]
-    if comp_var.ndim == 1:
-        comp_var = comp_var[None]
-    diff = x[:, None, :] - comp_means
-    sq = np.sum(diff * diff, axis=-1)
-    log_joint = (np.log(spec.weights) - 0.5 * sq / comp_var
-                 - 0.5 * spec.dim * np.log(2.0 * np.pi * comp_var))
-    return logsumexp(log_joint, axis=-1)
+    _, _, means, var = _noised_components(spec, schedule, t)
+    return logsumexp(_log_joint(spec, x, means, var), axis=-1)
 
 
 def mixture_score(spec: MogSpec, x, t=0.0, schedule: NoiseSchedule | None = None):
     """grad_x log p_t(x): responsibility-weighted pull toward the noised means."""
     schedule = schedule or NoiseSchedule()
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    resp = np.exp(log_responsibilities(spec, schedule, x, t))      # (n, K)
-    comp_means, comp_var = _noised_component_stats(spec, schedule, t)
-    if comp_means.ndim == 2:
-        comp_means = comp_means[None]
-    if comp_var.ndim == 1:
-        comp_var = comp_var[None]
-    pull = (comp_means - x[:, None, :]) / comp_var[..., None]      # (n, K, d)
+    _, _, means, var = _noised_components(spec, schedule, t)
+    resp = np.exp(_log_posterior(_log_joint(spec, x, means, var)))  # (n, K)
+    pull = (means - x[:, None, :]) / var[..., None]                # (n, K, d)
     return np.sum(resp[..., None] * pull, axis=1)
 
 
@@ -143,17 +142,12 @@ def posterior_mean(spec: MogSpec, x_t, t, c=None, schedule: NoiseSchedule | None
     x_t = np.asarray(x_t, dtype=float)
     single = x_t.ndim == 1
     x = np.atleast_2d(x_t)
-    alpha, sigma = schedule.alpha_sigma(t)
-    alpha = np.asarray(alpha, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    comp_var = np.expand_dims(alpha**2, -1) * spec.variances + np.expand_dims(sigma**2, -1)
-    if comp_var.ndim == 1:
-        comp_var = comp_var[None]
+    alpha, sigma, means, var = _noised_components(spec, schedule, t)
     num = (np.expand_dims(sigma**2, (-2, -1)) * spec.means
            + np.expand_dims(alpha, (-2, -1)) * spec.variances[:, None] * x[:, None, :])
-    comp_post = num / comp_var[..., None]                          # (n, K, d)
+    comp_post = num / var[..., None]                               # (n, K, d)
     if c is None:
-        resp = np.exp(log_responsibilities(spec, schedule, x, t))
+        resp = np.exp(_log_posterior(_log_joint(spec, x, means, var)))
         out = np.sum(resp[..., None] * comp_post, axis=1)
     else:
         c = np.asarray(c)

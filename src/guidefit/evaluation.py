@@ -237,22 +237,16 @@ def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
 
     ref = _Reference(*data.sample_joint(sample_config.count,
                                         stream(seed, "eval/reference")))
-    rows = []
-    for g in omega_grid:
-        x, cx = sample(sample_config, cond, uncond, ConstantWeight(float(g)),
-                       class_weights=data.weights, seed=seed)
-        rows.append(evaluate_samples(x, cx, ref, ref.classes, f"omega={g:g}",
-                                     omega=float(g), beta=beta, lam=lam,
-                                     n_resamples=n_resamples, seed=seed))
-        if not quiet:
-            print(f"  omega={g:g}: mmd {rows[-1].mmd:.5f} +/- {rows[-1].se:.5f}")
+    runs = [(f"omega={g:g}", float(g), ConstantWeight(float(g))) for g in omega_grid]
     if learned_fn is not None:
-        x, cx = sample(sample_config, cond, uncond, learned_fn,
-                       class_weights=data.weights, seed=seed)
-        rows.append(evaluate_samples(x, cx, ref, ref.classes, "learned",
-                                     beta=beta, lam=lam,
-                                     n_resamples=n_resamples, seed=seed))
+        runs.append(("learned", None, learned_fn))
+    rows = []
+    for label, omega, fn in runs:
+        x, cx = sample(sample_config, cond, uncond, fn, class_weights=data.weights, seed=seed)
+        rows.append(evaluate_samples(x, cx, ref, ref.classes, label, omega=omega,
+                                     beta=beta, lam=lam, n_resamples=n_resamples,
+                                     seed=seed))
         if not quiet:
-            print(f"  learned: mmd {rows[-1].mmd:.5f} +/- {rows[-1].se:.5f}")
+            print(f"  {label}: mmd {rows[-1].mmd:.5f} +/- {rows[-1].se:.5f}")
     return EvalReport(rows=rows, beta=beta, lam=lam, seed=seed,
                       config_digest=config_digest)

@@ -6,9 +6,9 @@ The guided estimate is
 
 so omega = 0 is the conditional denoiser and omega = -1 the unconditional
 one; both endpoints are returned exactly, without arithmetic on the
-difference. Weight functions come in four flavors: constant, constant on a
-time interval, piecewise-constant on an (s, t, class) grid, and a small
-neural net over (logSNR s, logSNR t, one-hot c).
+difference. Two weight functions exist: a constant, the classifier-free
+guidance baseline, and a small neural net over (logSNR s, logSNR t, one-hot
+c), the learned weights.
 """
 
 from __future__ import annotations
@@ -46,56 +46,6 @@ class ConstantWeight:
     def weight(self, s, t, c=None):
         s_b, _, _, scalar = _broadcast_inputs(s, t, c)
         out = np.full(s_b.shape, float(self.omega))
-        return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class LimitedIntervalWeight:
-    """Constant omega while the transition's source time t lies in [t_lo, t_hi]."""
-
-    omega: float
-    t_lo: float
-    t_hi: float
-
-    def __post_init__(self):
-        if not self.t_lo <= self.t_hi:
-            raise ValueError("need t_lo <= t_hi")
-
-    def weight(self, s, t, c=None):
-        _, t_b, _, scalar = _broadcast_inputs(s, t, c)
-        out = np.where((t_b >= self.t_lo) & (t_b <= self.t_hi), float(self.omega), 0.0)
-        return float(out[0]) if scalar else out
-
-
-class TableWeight:
-    """Piecewise-constant omega on a regular (s, t, class) grid over [zeta, 1 - zeta]."""
-
-    def __init__(self, values, zeta: float = DEFAULT_CLAMP):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3:
-            raise ValueError("values must have shape (s bins, t bins, classes)")
-        self.values = values
-        self.zeta = zeta
-
-    def _bin(self, x, n_bins):
-        span = 1.0 - 2.0 * self.zeta
-        idx = np.floor((np.asarray(x) - self.zeta) / span * n_bins).astype(int)
-        return np.clip(idx, 0, n_bins - 1)
-
-    def bin_centers(self):
-        """(s centers, t centers) of the grid cells."""
-        span = 1.0 - 2.0 * self.zeta
-        ns, nt, _ = self.values.shape
-        s = self.zeta + span * (np.arange(ns) + 0.5) / ns
-        t = self.zeta + span * (np.arange(nt) + 0.5) / nt
-        return s, t
-
-    def weight(self, s, t, c=None):
-        s_b, t_b, c_b, scalar = _broadcast_inputs(s, t, c)
-        if c_b is None:
-            raise ValueError("table lookup needs a class")
-        ns, nt, _ = self.values.shape
-        out = self.values[self._bin(s_b, ns), self._bin(t_b, nt), c_b]
         return float(out[0]) if scalar else out
 
 
@@ -199,12 +149,18 @@ def weight_grid_times(dt: float = 0.01, zeta: float = DEFAULT_CLAMP):
 def export_weight_grid(fn, n_classes: int, dt: float = 0.01, zeta: float = DEFAULT_CLAMP):
     """Tabulate omega(t - dt, t, c) for every class on the standard time grid.
 
+    Each grid time is evaluated on every class at once, the rows the sampler
+    evaluates, so the table holds the exact values the sampler would apply
+    (a GuidanceNet row's last bits depend on how many rows are evaluated
+    together).
+
     Returns:
         (t, omegas) with t of shape (n,) and omegas of shape (n_classes, n).
     """
     s, t = weight_grid_times(dt, zeta)
-    omegas = np.stack([np.asarray(fn.weight(s, t, np.full(t.shape[0], c)))
-                       for c in range(n_classes)])
+    classes = np.arange(n_classes)
+    omegas = np.stack([np.asarray(fn.weight(s[j], t[j], classes))
+                       for j in range(t.shape[0])], axis=1)
     return t, omegas
 
 

@@ -262,10 +262,6 @@ class EmaState:
             s *= self.decay
             s += (1.0 - self.decay) * p
 
-    def copy_to(self, params):
-        for p, s in zip(params, self.shadow):
-            p[...] = s
-
 
 def sinusoidal_embedding(x, dim: int, max_period: float = 1e4):
     """Map scalars to dim-dimensional [sin, cos] features at geometric frequencies.

@@ -66,13 +66,18 @@ class TimePairSampler:
         return s, s + dt
 
 
+def _per_item(omega, n: int):
+    """omega as n per-item floats: a scalar is repeated, an (n,) array kept."""
+    return np.broadcast_to(np.asarray(omega, dtype=float), (n,))
+
+
 @dataclass
 class ParticleBatch:
     """Cached draws for n batch items with m particles each.
 
     All m target and m proposal particles of item i share (x0[i], c[i], s[i],
     t[i]). proposals(omega) replays the guided transition at any weight; the
-    stored omega is the one the weight function produced at build time.
+    stored omega is the one the batch was built with.
     """
 
     x0: np.ndarray          # (n, d)
@@ -98,9 +103,7 @@ class ParticleBatch:
         return self.targets.shape[1]
 
     def _omega(self, omega):
-        if omega is None:
-            return self.omega
-        return np.broadcast_to(np.asarray(omega, dtype=float), (self.n_items,))
+        return self.omega if omega is None else _per_item(omega, self.n_items)
 
     def guided_estimates(self, omega=None):
         """Guided denoiser outputs xhat_c + omega delta at the proposal points."""
@@ -118,7 +121,7 @@ class ParticleBatch:
         return self.coeff_x0[:, None, None] * self.delta
 
 
-def build_particles(x0, c, s, t, m: int, cond, uncond, weight_fn, churn: float,
+def build_particles(x0, c, s, t, m: int, cond, uncond, omega, churn: float,
                     rng, schedule: NoiseSchedule | None = None) -> ParticleBatch:
     """Draw targets, proposals, and the transition pieces for a training batch.
 
@@ -128,7 +131,7 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, weight_fn, churn: float,
         s, t: time pairs, scalars or (n,) arrays with s < t elementwise.
         m: particles per item.
         cond, uncond: denoisers evaluated at the proposal noisy points.
-        weight_fn: guidance weight function evaluated at (s, t, c).
+        omega: guidance weight, a scalar or one per item (n,).
         churn: transition noise level in [0, 1].
         rng: all draws (target noise, proposal noise, transition noise, in
             that order) come from this generator.
@@ -151,7 +154,6 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, weight_fn, churn: float,
     xc = cond.denoise(flat, t_flat, np.repeat(c, m)).reshape(n, m, d)
     xu = uncond.denoise(flat, t_flat, None).reshape(n, m, d)
 
-    omega = np.broadcast_to(np.asarray(weight_fn.weight(s, t, c), dtype=float), (n,))
     return ParticleBatch(
         x0=x0, c=c, s=s, t=t,
         targets=targets, prop_noisy=prop_noisy,
@@ -160,7 +162,7 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, weight_fn, churn: float,
         coeff_x0=np.broadcast_to(trans.mean_coeff_x0, (n,)),
         cov_scale=np.broadcast_to(trans.cov_scale, (n,)),
         trans_noise=rng.standard_normal((n, m, d)),
-        omega=np.array(omega),
+        omega=np.array(_per_item(omega, n)),
     )
 
 
@@ -281,7 +283,7 @@ class GsmBatch:
 
     The loss regresses the guided estimate onto the clean point at a single
     noised location per item: ||x0 - (xhat_c + omega delta)||^2. The s values
-    only exist so weight functions see their usual (s, t) input distribution.
+    are the other half of the (s, t) pairs the weights were evaluated at.
     """
 
     x0: np.ndarray      # (n, d)
@@ -298,14 +300,15 @@ class GsmBatch:
         return self.x0.shape[0]
 
     def _omega(self, omega):
-        if omega is None:
-            return self.omega
-        return np.broadcast_to(np.asarray(omega, dtype=float), (self.n_items,))
+        return self.omega if omega is None else _per_item(omega, self.n_items)
 
 
-def build_gsm(x0, c, s, t, cond, uncond, weight_fn, rng,
+def build_gsm(x0, c, s, t, cond, uncond, omega, rng,
               schedule: NoiseSchedule | None = None) -> GsmBatch:
-    """Noise each item to its t and cache the denoiser pair there."""
+    """Noise each item to its t and cache the denoiser pair there.
+
+    omega is the guidance weight, a scalar or one per item (n,).
+    """
     schedule = schedule or NoiseSchedule()
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     n = x0.shape[0]
@@ -315,9 +318,8 @@ def build_gsm(x0, c, s, t, cond, uncond, weight_fn, rng,
     x_t, _ = noise_sample(schedule, x0, t, rng)
     xc = cond.denoise(x_t, t, c)
     xu = uncond.denoise(x_t, t, None)
-    omega = np.broadcast_to(np.asarray(weight_fn.weight(s, t, c), dtype=float), (n,))
     return GsmBatch(x0=x0, c=c, s=s, t=t, x_t=x_t, xhat_c=xc, delta=xc - xu,
-                    omega=np.array(omega))
+                    omega=np.array(_per_item(omega, n)))
 
 
 def guided_score_matching_loss(batch: GsmBatch, omega=None):

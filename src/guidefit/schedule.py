@@ -52,13 +52,6 @@ class NoiseSchedule:
             return 2.0 * (np.log(alpha) - np.log(sigma))
 
 
-def clamp_time(t, zeta: float = DEFAULT_CLAMP):
-    """Clamp times into [zeta, 1 - zeta] before they enter a transition."""
-    if not 0.0 < zeta < 0.5:
-        raise ValueError(f"zeta must lie in (0, 0.5), got {zeta}")
-    return np.clip(np.asarray(t, dtype=float), zeta, 1.0 - zeta)
-
-
 def noise_sample(schedule: NoiseSchedule, x0, t, rng=None, noise=None):
     """Draw x_t = alpha_t x0 + sigma_t xi for xi ~ N(0, I).
 

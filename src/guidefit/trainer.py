@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .denoisers import MogSpec
-from .evaluation import energy_mmd
+from .evaluation import _Reference, energy_mmd
 from .guidance import GuidanceNet
 from .objectives import (DistanceToMeanReward, MixtureLogDensityReward, MmdParams,
                          TimePairSampler, build_gsm, build_particles,
@@ -103,16 +103,6 @@ class TrainRecord:
                                  repr(float(self.mean_abs_omega[i]))])
 
 
-@dataclass(frozen=True)
-class _FixedWeight:
-    """Wraps weights already evaluated by the net, so builders don't re-run it."""
-
-    values: np.ndarray
-
-    def weight(self, s, t, c=None):
-        return self.values
-
-
 def make_reward(name: str, spec: MogSpec):
     if name == "distance_to_mean":
         return DistanceToMeanReward(spec.means)
@@ -121,12 +111,40 @@ def make_reward(name: str, spec: MogSpec):
     raise ValueError(f"unknown reward {name!r}")
 
 
-def _probe_mmd(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainConfig) -> float:
+def _objective(config: TrainConfig, x0, c, s, t, omega, cond, uncond, reward_fn, rng):
+    """Build config.mode's batch at weights omega and score it.
+
+    Returns per-item loss and d loss / d omega, both (n,), and the batch's
+    mean raw reward (NaN when reward_fn is None or the mode has no particles).
+    The reward enters the loss only in reward mode; other modes just track it.
+    """
+    if config.mode == "guided_sm":
+        batch = build_gsm(x0, c, s, t, cond, uncond, omega, rng)
+        loss_items, grad_items = guided_score_matching_loss(batch)
+        return loss_items, grad_items, np.nan
+    batch = build_particles(x0, c, s, t, config.particles, cond, uncond,
+                            omega, config.churn, rng)
+    if config.mode == "l2":
+        loss_items, grad_items = l2_loss(batch)
+    else:
+        loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam))
+    if reward_fn is None:
+        return loss_items, grad_items, np.nan
+    r_loss, r_grad = reward_loss(batch, reward_fn, sign=config.reward_sign)
+    if config.mode == "reward":
+        loss_items = loss_items + config.gamma_reward * r_loss
+        grad_items = grad_items + config.gamma_reward * r_grad
+    # r_loss = sign * mean R, so sign * r_loss recovers the raw reward
+    return loss_items, grad_items, float(np.mean(config.reward_sign * r_loss))
+
+
+def _probe_mmd(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainConfig,
+               reference: _Reference) -> float:
+    """Energy MMD of a probe sample against the run's held-out reference draws."""
     probe = SampleConfig(steps=10, count=config.probe_size,
                          churn=0.0, zeta=config.time_sampler.zeta)
     xs, _ = sample(probe, cond, uncond, net, class_weights=data.weights, seed=config.seed)
-    ref, _ = data.sample_joint(config.probe_size, stream(config.seed, "probe/reference"))
-    return energy_mmd(xs, ref)
+    return energy_mmd(xs, reference)
 
 
 def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainConfig,
@@ -135,14 +153,16 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
 
     Returns (net, record). The net is mutated in place; its final parameters
     are the EMA shadow when ema_decay is set, and the best probe checkpoint
-    when select_best is on (final iterate included as a candidate).
+    when select_best is on (final iterate included as a candidate). The probe
+    reference is drawn once per run, so its own-pair sums are computed once.
     """
     params = net.parameters()
     adam = nn.AdamState.for_params(params, lr=config.learning_rate)
     ema = nn.EmaState.for_params(params, config.ema_decay) if config.ema_decay else None
-    mmd_params = MmdParams(config.beta, config.lam)
     reward_fn = make_reward(config.reward, data) if config.reward else None
-    track_reward = reward_fn is not None and config.mode != "guided_sm"
+    probing = config.select_best and config.mode != "guided_sm"
+    reference = _Reference(data.sample_joint(
+        config.probe_size, stream(config.seed, "probe/reference"))[0]) if probing else None
 
     data_rng = stream(config.seed, "guidance/data")
     time_rng = stream(config.seed, "guidance/time")
@@ -152,18 +172,14 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
     n = config.batch_size
     cols = {k: np.zeros(config.iterations) for k in
             ("loss", "reward", "grad_norm", "mean_abs_omega")}
-    cols["reward"][:] = np.nan
 
     def snapshot():
-        live = nn.flatten_params(params)
-        if ema is None:
-            return live
-        return nn.flatten_params(ema.shadow)
+        return nn.flatten_params(params if ema is None else ema.shadow)
 
     def probe_at(flat):
         live = nn.flatten_params(params)
         nn.set_flat_params(params, flat)
-        val = _probe_mmd(net, cond, uncond, data, config)
+        val = _probe_mmd(net, cond, uncond, data, config, reference)
         nn.set_flat_params(params, live)
         return val
 
@@ -175,25 +191,8 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
         s, t = config.time_sampler.sample(n, time_rng)
         train_fwd = net.embed.dropout_rate > 0.0 or net.trunk.dropout_rate > 0.0
         omega, tape = net.weight_with_tape(s, t, c, train=train_fwd, rng=drop_rng)
-        fixed = _FixedWeight(omega)
-
-        if config.mode == "guided_sm":
-            batch = build_gsm(x0, c, s, t, cond, uncond, fixed, noise_rng)
-            loss_items, grad_items = guided_score_matching_loss(batch)
-        else:
-            batch = build_particles(x0, c, s, t, config.particles, cond, uncond,
-                                    fixed, config.churn, noise_rng)
-            if config.mode == "l2":
-                loss_items, grad_items = l2_loss(batch)
-            else:
-                loss_items, grad_items = mmd_loss(batch, mmd_params)
-            if track_reward:
-                r_loss, r_grad = reward_loss(batch, reward_fn, sign=config.reward_sign)
-                # r_loss = sign * mean R, so sign * r_loss recovers the raw reward
-                cols["reward"][it] = float(np.mean(config.reward_sign * r_loss))
-                if config.mode == "reward":
-                    loss_items = loss_items + config.gamma_reward * r_loss
-                    grad_items = grad_items + config.gamma_reward * r_grad
+        loss_items, grad_items, cols["reward"][it] = _objective(
+            config, x0, c, s, t, omega, cond, uncond, reward_fn, noise_rng)
 
         loss = float(np.mean(loss_items))
         if not np.isfinite(loss):
@@ -214,7 +213,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
 
         if (it + 1) % config.checkpoint_every == 0:
             last_good = snapshot()
-            if config.select_best and config.mode != "guided_sm":
+            if probing:
                 candidates.append((probe_at(last_good), it + 1, last_good))
                 if not quiet:
                     print(f"  iter {it + 1}: loss {loss:.4f}, probe mmd {candidates[-1][0]:.4f}")
@@ -222,7 +221,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
             print(f"  iter {it + 1}: loss {loss:.4f}")
 
     final = snapshot()
-    if config.select_best and config.mode != "guided_sm" and config.iterations > 0:
+    if probing and config.iterations > 0:
         if not candidates or candidates[-1][1] != config.iterations:
             candidates.append((probe_at(final), config.iterations, final))
         best = min(candidates, key=lambda c: c[0])
@@ -247,24 +246,9 @@ def loss_param_grad(net: GuidanceNet, cond, uncond, data: MogSpec, x0, c, s, t,
     calls with perturbed parameters see identical randomness. Used by the
     gradient checks.
     """
-    noise_rng = stream(config.seed, "gradcheck/noise")
     omega, tape = net.weight_with_tape(s, t, c)
-    fixed = _FixedWeight(omega)
-    n = np.atleast_2d(x0).shape[0]
-    if config.mode == "guided_sm":
-        batch = build_gsm(x0, c, s, t, cond, uncond, fixed, noise_rng)
-        loss_items, grad_items = guided_score_matching_loss(batch)
-    else:
-        batch = build_particles(x0, c, s, t, config.particles, cond, uncond,
-                                fixed, config.churn, noise_rng)
-        if config.mode == "l2":
-            loss_items, grad_items = l2_loss(batch)
-        else:
-            loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam))
-        if config.mode == "reward":
-            reward_fn = make_reward(config.reward, data)
-            r_loss, r_grad = reward_loss(batch, reward_fn, sign=config.reward_sign)
-            loss_items = loss_items + config.gamma_reward * r_loss
-            grad_items = grad_items + config.gamma_reward * r_grad
-    grads = net.backward(tape, grad_items / n)
+    reward_fn = make_reward(config.reward, data) if config.reward else None
+    loss_items, grad_items, _ = _objective(config, x0, c, s, t, omega, cond, uncond,
+                                           reward_fn, stream(config.seed, "gradcheck/noise"))
+    grads = net.backward(tape, grad_items / loss_items.shape[0])
     return float(np.mean(loss_items)), nn.flatten_params(grads)

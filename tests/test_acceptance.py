@@ -18,7 +18,7 @@ from guidefit.cli import main as cli_main
 from guidefit.config import build_denoiser, build_guidance_net, load_config
 from guidefit.denoisers import mixture_score, posterior_mean
 from guidefit.evaluation import mmd_with_se
-from guidefit.guidance import ConstantWeight, GuidanceNet, mean_abs_weight
+from guidefit.guidance import GuidanceNet, mean_abs_weight
 from guidefit.objectives import (DistanceToMeanReward, MmdParams, ParticleBatch,
                                  build_gsm, build_particles,
                                  guided_score_matching_loss, l2_loss, mmd_loss,
@@ -137,9 +137,9 @@ def test_gradient_suite(mog, exact):
         x0, c = mog.sample_joint(6, rng)
         s = rng.uniform(0.7, 0.85, size=6)
         t = rng.uniform(0.9, 0.97, size=6)
-        m1 = build_particles(x0, c, s, t, 8, exact, exact, ConstantWeight(0.3), 1.0, rng)
-        single = build_particles(x0, c, s, t, 1, exact, exact, ConstantWeight(0.3), 1.0, rng)
-        gsm = build_gsm(x0, c, s, t, exact, exact, ConstantWeight(0.3), rng)
+        m1 = build_particles(x0, c, s, t, 8, exact, exact, 0.3, 1.0, rng)
+        single = build_particles(x0, c, s, t, 1, exact, exact, 0.3, 1.0, rng)
+        gsm = build_gsm(x0, c, s, t, exact, exact, 0.3, rng)
         for name, fn in omega_losses.items():
             batch = {"l2": single, "guided_sm": gsm}.get(name, m1)
             err = _omega_fd_error(fn, batch)
@@ -213,7 +213,7 @@ def test_estimator_identities(mog, exact):
     x0, c = mog.sample_joint(16, rng)
     s = rng.uniform(0.3, 0.6, size=16)
     t = rng.uniform(0.7, 0.95, size=16)
-    batch = build_particles(x0, c, s, t, 1, exact, exact, ConstantWeight(0.5), 1.0, rng)
+    batch = build_particles(x0, c, s, t, 1, exact, exact, 0.5, 1.0, rng)
     quad = MmdParams(beta=2.0, lam=0.0)
     id_err = 0.0
     for w in (None, -0.5, 1.5):

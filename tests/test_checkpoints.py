@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from guidefit import checkpoints
 from guidefit.checkpoints import (CheckpointError, load_denoiser, load_weight_fn,
                                   read_metadata, save_denoiser, save_weight_fn)
 from guidefit.denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
                                 DenoiserTrainConfig, train_neural_denoiser)
-from guidefit.guidance import (ConstantWeight, GuidanceNet, LimitedIntervalWeight,
-                               TableWeight)
+from guidefit.guidance import ConstantWeight, GuidanceNet
 from guidefit.rng import stream
 
 
@@ -47,9 +47,7 @@ def test_neural_denoiser_roundtrip(tmp_path, mog):
 
 
 def test_weight_fn_roundtrips(tmp_path):
-    fns = [ConstantWeight(0.8),
-           LimitedIntervalWeight(1.5, t_lo=0.4, t_hi=0.9),
-           TableWeight(stream(2, "test/tw").standard_normal((3, 4, 4)), zeta=0.02)]
+    fns = [ConstantWeight(0.8), ConstantWeight(-1.0), _small_net(2)]
     s = np.linspace(0.05, 0.8, 9)
     t = s + 0.1
     c = np.arange(9) % 4
@@ -163,13 +161,25 @@ def test_mismatched_declared_shapes_are_checkpoint_errors(tmp_path, mog):
         load_denoiser(path)
 
 
+# Kinds that earlier versions wrote and nothing produces any more.
+RETIRED_KINDS = [("guidance/table", {"shape": [2, 3, 4], "zeta": 0.01}, [1.0] * 24),
+                 ("guidance/limited_interval",
+                  {"omega": 1.5, "t_lo": 0.4, "t_hi": 0.9}, [])]
+
+
 def test_table_and_analytic_params_must_match(tmp_path, exact):
+    """Surplus or truncated params never load, and neither does a retired
+    table or limited-interval checkpoint, whatever its params."""
     path = tmp_path / "bad.json"
-    save_weight_fn(path, TableWeight(np.ones((2, 3, 4))))
+    save_weight_fn(path, _small_net())
     payload = json.loads(path.read_text())
     for params in (payload["params"][:-1], payload["params"] + [1.0]):
         path.write_text(json.dumps(dict(payload, params=params)))
         with pytest.raises(CheckpointError):
+            load_weight_fn(path)
+    for kind, arch, params in RETIRED_KINDS:
+        checkpoints._write(path, kind, arch, params, None)
+        with pytest.raises(CheckpointError, match="unknown checkpoint kind"):
             load_weight_fn(path)
     save_denoiser(path, exact)
     payload = json.loads(path.read_text())
@@ -184,15 +194,19 @@ def test_table_and_analytic_params_must_match(tmp_path, exact):
         load_denoiser(path)
 
 
+def _save_params(path, params, metadata):
+    checkpoints._write(path, "test/params", {"size": len(params)}, params, metadata)
+
+
 def test_checkpoint_bytes_match_json_dump(tmp_path, mog):
     """Checkpoints are written as json.dump(payload, fh, sort_keys=True) + newline."""
-    tables = [stream(6, "test/tw").standard_normal(shape)
-              for shape in ((2, 3, 4), (2, 32, 64), (4, 32, 64))]  # 4096 params per block
+    vectors = [stream(6, "test/params").standard_normal(n)
+               for n in (24, 4095, 4096, 4097, 8192)]  # 4096 params per block
     big = GuidanceNet.create(4, stream(7, "test/gn4"), embed_hidden=64, embed_dim=64,
                              trunk_hidden=8, trunk_layers=2, zero_init=False)
     cases = [(save_weight_fn, _small_net()), (save_weight_fn, big),
              (save_weight_fn, ConstantWeight(0.25)),
-             *((save_weight_fn, TableWeight(v)) for v in tables),
+             *((_save_params, v) for v in vectors),
              (save_denoiser, _small_neural_denoiser(mog))]
     for save, obj in cases:
         path = tmp_path / "ckpt.json"

@@ -189,6 +189,23 @@ def test_malformed_checkpoints_are_usage_errors(tmp_path, tiny_config, capsys):
         assert not (dest / "weights.csv").exists(), name
 
 
+def test_retired_weight_kinds_are_usage_errors(tmp_path, tiny_config, capsys):
+    from guidefit.checkpoints import _write
+
+    for kind, arch, params in (("guidance/table", {"shape": [2, 3, 4], "zeta": 0.01},
+                                [0.5] * 24),
+                               ("guidance/limited_interval",
+                                {"omega": 1.5, "t_lo": 0.4, "t_hi": 0.9}, [])):
+        path = tmp_path / "retired.json"
+        _write(path, kind, arch, params, None)
+        out = tmp_path / kind.replace("/", "_")
+        assert run("sample", "--config", tiny_config, "--out", str(out), "--quiet",
+                   "--guidance", str(path)) == 2, kind
+        err = capsys.readouterr().err
+        assert "unknown checkpoint kind" in err and "Traceback" not in err
+        assert not (out / "samples.csv").exists(), kind
+
+
 def test_overflowing_weights_are_numerical_failure(tmp_path, tiny_config):
     from guidefit import nn
     from guidefit.config import build_guidance_net

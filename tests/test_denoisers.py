@@ -233,3 +233,107 @@ def test_neural_denoiser_bytes_match_per_row_embedding_oracle(mog):
     assert den.denoise(x[0], 0.6, 1).tobytes() == _oracle_denoise(den, x[0], 0.6, 1).tobytes()
     assert den.denoise(x[:1], times["all distinct"][:1], c[:1]).tobytes() == \
         _oracle_denoise(den, x[:1], times["all distinct"][:1], c[:1]).tobytes()
+
+
+def _oracle_stats(spec, schedule, t):
+    """The earlier per-function rebuild of the noised component stats."""
+    alpha, sigma = schedule.alpha_sigma(t)
+    alpha = np.asarray(alpha, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    means = np.expand_dims(alpha, (-2, -1)) * spec.means
+    var = np.expand_dims(alpha**2, -1) * spec.variances + np.expand_dims(sigma**2, -1)
+    return means, var
+
+
+def _oracle_log_joint(spec, schedule, x, t):
+    comp_means, comp_var = _oracle_stats(spec, schedule, t)
+    if comp_means.ndim == 2:
+        comp_means = comp_means[None]
+    if comp_var.ndim == 1:
+        comp_var = comp_var[None]
+    diff = x[:, None, :] - comp_means
+    sq = np.sum(diff * diff, axis=-1)
+    log_joint = (np.log(spec.weights) - 0.5 * sq / comp_var
+                 - 0.5 * spec.dim * np.log(2.0 * np.pi * comp_var))
+    return log_joint, comp_means, comp_var
+
+
+def _oracle_log_responsibilities(spec, schedule, x, t):
+    from scipy.special import logsumexp
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    log_joint, _, _ = _oracle_log_joint(spec, schedule, x, t)
+    return log_joint - logsumexp(log_joint, axis=-1, keepdims=True)
+
+
+def _oracle_mixture_log_density(spec, x, t):
+    from scipy.special import logsumexp
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    log_joint, _, _ = _oracle_log_joint(spec, NoiseSchedule(), x, t)
+    return logsumexp(log_joint, axis=-1)
+
+
+def _oracle_mixture_score(spec, x, t):
+    schedule = NoiseSchedule()
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    resp = np.exp(_oracle_log_responsibilities(spec, schedule, x, t))
+    _, comp_means, comp_var = _oracle_log_joint(spec, schedule, x, t)
+    pull = (comp_means - x[:, None, :]) / comp_var[..., None]
+    return np.sum(resp[..., None] * pull, axis=1)
+
+
+def _oracle_posterior_mean(spec, x_t, t, c=None):
+    schedule = NoiseSchedule()
+    x_t = np.asarray(x_t, dtype=float)
+    single = x_t.ndim == 1
+    x = np.atleast_2d(x_t)
+    alpha, sigma = schedule.alpha_sigma(t)
+    alpha = np.asarray(alpha, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    comp_var = np.expand_dims(alpha**2, -1) * spec.variances + np.expand_dims(sigma**2, -1)
+    if comp_var.ndim == 1:
+        comp_var = comp_var[None]
+    num = (np.expand_dims(sigma**2, (-2, -1)) * spec.means
+           + np.expand_dims(alpha, (-2, -1)) * spec.variances[:, None] * x[:, None, :])
+    comp_post = num / comp_var[..., None]
+    if c is None:
+        resp = np.exp(_oracle_log_responsibilities(spec, schedule, x, t))
+        out = np.sum(resp[..., None] * comp_post, axis=1)
+    else:
+        c = np.asarray(c)
+        if c.ndim == 0:
+            c = np.full(x.shape[0], int(c))
+        out = comp_post[np.arange(x.shape[0]), c]
+    return out[0] if single else out
+
+
+def _same(got, want):
+    return got.shape == want.shape and np.array_equal(got, want) and \
+        got.tobytes() == want.tobytes()
+
+
+def test_mixture_functions_bytes_match_per_function_oracle(mog):
+    """One shared log-joint gives the bytes each function computed on its own."""
+    rng = stream(11, "test/mixture_bytes")
+    n = 257
+    x = rng.standard_normal((n, 2)) * 8.0
+    c = rng.integers(0, mog.n_classes, n)
+    sched = NoiseSchedule()
+    times = {"scalar": 0.43, "per row": rng.uniform(0.01, 0.99, n), "zero": 0.0,
+             "zero per row": np.zeros(n)}
+    for name, t in times.items():
+        for pts in (x, x[3]):
+            tt = t if np.ndim(t) == 0 or pts.ndim == 2 else t[3]
+            assert _same(log_responsibilities(mog, sched, pts, tt),
+                         _oracle_log_responsibilities(mog, sched, pts, tt)), name
+            assert _same(mixture_log_density(mog, pts, tt),
+                         _oracle_mixture_log_density(mog, pts, tt)), name
+            assert _same(mixture_score(mog, pts, tt),
+                         _oracle_mixture_score(mog, pts, tt)), name
+            for cls in (None, 2, c if pts.ndim == 2 else c[3]):
+                assert _same(posterior_mean(mog, pts, tt, cls),
+                             _oracle_posterior_mean(mog, pts, tt, cls)), (name, cls)
+    den = AnalyticDenoiser(mog)
+    assert _same(den.denoise(x, times["per row"], None),
+                 _oracle_posterior_mean(mog, x, times["per row"], None))

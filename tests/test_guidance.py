@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from guidefit.denoisers import AnalyticDenoiser
-from guidefit.guidance import (ConstantWeight, GuidanceNet, LimitedIntervalWeight,
-                               TableWeight, export_weight_grid, guided_denoise,
-                               mean_abs_weight, weight_grid_times)
+from guidefit.guidance import (ConstantWeight, GuidanceNet, export_weight_grid,
+                               guided_denoise, mean_abs_weight, weight_grid_times)
 from guidefit.nn import flatten_params, set_flat_params
 from guidefit.rng import stream
 
@@ -16,32 +15,6 @@ def test_constant_weight_scalar_and_batch():
     assert fn.weight(0.3, 0.8) == 0.7
     out = fn.weight(np.array([0.2, 0.3]), np.array([0.5, 0.9]), np.array([0, 1]))
     assert np.array_equal(out, np.array([0.7, 0.7]))
-
-
-def test_limited_interval_weight_window():
-    fn = LimitedIntervalWeight(2.0, t_lo=0.5, t_hi=0.8)
-    t = np.array([0.3, 0.5, 0.65, 0.8, 0.9])
-    out = fn.weight(t - 0.1, t)
-    assert np.array_equal(out, np.array([0.0, 2.0, 2.0, 2.0, 0.0]))
-    with pytest.raises(ValueError):
-        LimitedIntervalWeight(1.0, t_lo=0.9, t_hi=0.1)
-
-
-def test_table_weight_lookup_and_centers():
-    values = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
-    fn = TableWeight(values, zeta=0.0)
-    s_centers, t_centers = fn.bin_centers()
-    assert np.allclose(s_centers, [0.25, 0.75], atol=1e-15)
-    assert np.allclose(t_centers, [1 / 6, 0.5, 5 / 6], atol=1e-15)
-    # cell content comes straight back at the centers
-    for i, s in enumerate(s_centers):
-        for j, t in enumerate(t_centers):
-            for c in range(4):
-                assert fn.weight(s, t, c) == values[i, j, c]
-    with pytest.raises(ValueError):
-        fn.weight(0.1, 0.5)  # class required
-    with pytest.raises(ValueError):
-        TableWeight(np.zeros((2, 2)))
 
 
 def test_guidance_net_zero_init_outputs_zero():
@@ -141,3 +114,17 @@ def test_export_grid_and_mean_abs_weight():
     assert omegas.shape == (4, t.shape[0])
     assert np.all(omegas == -0.7)
     assert mean_abs_weight(fn, 4) == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_export_grid_bytes_match_sampler_rows(seed):
+    """Each grid column is what the sampler applies at that (s, t): the net
+    evaluated on every class at once."""
+    net = GuidanceNet.create(4, stream(seed, "test/export"), embed_hidden=16, embed_dim=16,
+                             trunk_hidden=16, trunk_layers=3, zero_init=False)
+    s, t = weight_grid_times()
+    t_out, omegas = export_weight_grid(net, 4)
+    assert np.array_equal(t_out, t)
+    for j in range(t.shape[0]):
+        assert omegas[:, j].tobytes() == net.weight(s[j], t[j], np.arange(4)).tobytes()
+    assert mean_abs_weight(net, 4) == float(np.mean(np.abs(omegas)))

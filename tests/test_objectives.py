@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from guidefit.denoisers import MogSpec
-from guidefit.guidance import ConstantWeight
 from guidefit.objectives import (DistanceToMeanReward, GsmBatch, MixtureLogDensityReward,
                                  MmdParams, ParticleBatch, TimePairSampler,
                                  build_gsm, build_particles,
@@ -24,8 +23,7 @@ def make_batch(mog, exact, m=8, n=6, churn=1.0, seed=0, omega=0.3):
     x0, c = mog.sample_joint(n, rng)
     s = rng.uniform(0.7, 0.85, size=n)
     t = rng.uniform(0.9, 0.97, size=n)
-    return build_particles(x0, c, s, t, m, exact, exact, ConstantWeight(omega),
-                           churn, rng)
+    return build_particles(x0, c, s, t, m, exact, exact, omega, churn, rng)
 
 
 def fd_check(loss_fn, batch, atol=1e-8, rtol=1e-6):
@@ -169,7 +167,7 @@ def test_gsm_batch_and_gradient(mog, exact):
     x0, c = mog.sample_joint(6, rng)
     s = rng.uniform(0.3, 0.5, size=6)
     t = rng.uniform(0.8, 0.95, size=6)
-    batch = build_gsm(x0, c, s, t, exact, exact, ConstantWeight(0.2), rng)
+    batch = build_gsm(x0, c, s, t, exact, exact, 0.2, rng)
     assert batch.n_items == 6
     assert batch.x_t.shape == (6, 2)
     loss, _ = guided_score_matching_loss(batch)

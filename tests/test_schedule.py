@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from guidefit.rng import stream
-from guidefit.schedule import (DEFAULT_CLAMP, NoiseSchedule, clamp_time,
-                               ddim_transition, noise_sample)
+from guidefit.schedule import NoiseSchedule, ddim_transition, noise_sample
 
 
 def test_alpha_sigma_endpoints_exact():
@@ -33,14 +32,6 @@ def test_logsnr_matches_definition():
 def test_unknown_schedule_kind_rejected():
     with pytest.raises(ValueError):
         NoiseSchedule(kind="cosine")
-
-
-def test_clamp_time_bounds_and_validation():
-    assert clamp_time(-3.0) == DEFAULT_CLAMP
-    assert clamp_time(2.0) == 1.0 - DEFAULT_CLAMP
-    assert clamp_time(0.4) == 0.4
-    with pytest.raises(ValueError):
-        clamp_time(0.5, zeta=0.6)
 
 
 def test_noise_sample_replay():

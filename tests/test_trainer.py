@@ -5,10 +5,15 @@ import csv
 import numpy as np
 import pytest
 
+from guidefit import evaluation, trainer
+from guidefit.evaluation import energy_mmd
 from guidefit.guidance import GuidanceNet
 from guidefit.nn import flatten_params
-from guidefit.objectives import TimePairSampler
+from guidefit.objectives import (MmdParams, TimePairSampler, build_gsm, build_particles,
+                                 guided_score_matching_loss, l2_loss, mmd_loss,
+                                 reward_loss)
 from guidefit.rng import stream
+from guidefit.sampler import SampleConfig, sample
 from guidefit.trainer import (TrainConfig, TrainingDiverged, loss_param_grad,
                               make_reward, train_guidance)
 
@@ -161,3 +166,85 @@ def test_loss_param_grad_all_modes(mog, exact):
         loss2, grad2 = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
         assert loss == loss2
         assert np.array_equal(grad, grad2)
+
+
+def _oracle_loss_param_grad(net, cond, uncond, data, x0, c, s, t, config):
+    """The earlier per-mode composition of loss_param_grad, kept as an oracle."""
+    noise_rng = stream(config.seed, "gradcheck/noise")
+    omega, tape = net.weight_with_tape(s, t, c)
+    n = np.atleast_2d(x0).shape[0]
+    if config.mode == "guided_sm":
+        batch = build_gsm(x0, c, s, t, cond, uncond, omega, noise_rng)
+        loss_items, grad_items = guided_score_matching_loss(batch)
+    else:
+        batch = build_particles(x0, c, s, t, config.particles, cond, uncond,
+                                omega, config.churn, noise_rng)
+        if config.mode == "l2":
+            loss_items, grad_items = l2_loss(batch)
+        else:
+            loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam))
+        if config.mode == "reward":
+            reward_fn = make_reward(config.reward, data)
+            r_loss, r_grad = reward_loss(batch, reward_fn, sign=config.reward_sign)
+            loss_items = loss_items + config.gamma_reward * r_loss
+            grad_items = grad_items + config.gamma_reward * r_grad
+    grads = net.backward(tape, grad_items / n)
+    return float(np.mean(loss_items)), flatten_params(grads)
+
+
+def test_loss_param_grad_bytes_match_per_mode_oracle(mog, exact):
+    rng = stream(13, "test/lpg_oracle")
+    x0, c = mog.sample_joint(6, rng)
+    s = rng.uniform(0.7, 0.85, size=6)
+    t = rng.uniform(0.9, 0.97, size=6)
+    net = fresh_net(dropout=0.0)
+    for p in net.parameters():
+        p += 0.03 * stream(14, "test/lpg_oracle_jiggle").standard_normal(p.shape)
+    reward = {"reward": "mixture_log_density", "gamma_reward": 0.3}
+    for mode, extra in (("self_consistency", {"particles": 4}),
+                        ("self_consistency", {"particles": 4, **reward}),
+                        ("l2", {"particles": 1}),
+                        ("l2", {"particles": 1, **reward}),
+                        ("reward", {"particles": 4, **reward}),
+                        ("reward", {"particles": 4, "reward": "distance_to_mean",
+                                    "gamma_reward": 0.3, "reward_sign": 1.0}),
+                        ("guided_sm", {}),
+                        ("guided_sm", reward)):
+        config = TrainConfig(mode=mode, seed=12, beta=1.5, lam=0.7, **extra)
+        loss, grad = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
+        want_loss, want_grad = _oracle_loss_param_grad(net, exact, exact, mog,
+                                                       x0, c, s, t, config)
+        assert loss == want_loss, (mode, extra)
+        assert grad.tobytes() == want_grad.tobytes(), (mode, extra)
+
+
+def test_probe_reuses_one_reference_per_run(mog, exact, monkeypatch):
+    """Every checkpoint's probe equals an energy_mmd against freshly drawn
+    reference points, and the reference's own pairs are summed once a run."""
+    config = short_config(select_best=True, iterations=12, checkpoint_every=4)
+    probes, references, own_pairs = [], [], []
+
+    def recording_probe(net, cond, uncond, data, cfg, reference):
+        references.append(reference)
+        val = probe_mmd(net, cond, uncond, data, cfg, reference)
+        xs, _ = sample(SampleConfig(steps=10, count=cfg.probe_size, churn=0.0,
+                                    zeta=cfg.time_sampler.zeta),
+                       cond, uncond, net, class_weights=data.weights, seed=cfg.seed)
+        ref, _ = data.sample_joint(cfg.probe_size, stream(cfg.seed, "probe/reference"))
+        probes.append((val, energy_mmd(xs, ref)))
+        return val
+
+    def counting_pair_sums(a, b, beta, wa, wb):
+        if a is b and a is references[-1].points:
+            own_pairs.append(a.shape[0])
+        return pair_sums(a, b, beta, wa, wb)
+
+    probe_mmd, pair_sums = trainer._probe_mmd, evaluation._pair_sums
+    monkeypatch.setattr(trainer, "_probe_mmd", recording_probe)
+    monkeypatch.setattr(evaluation, "_pair_sums", counting_pair_sums)
+    train_guidance(fresh_net(), exact, exact, mog, config)
+    assert len(probes) == 3
+    for val, fresh in probes:
+        assert val == fresh
+    assert all(ref is references[0] for ref in references)
+    assert own_pairs == [config.probe_size]
