@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,6 @@ import numpy as np
 from .denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
                         DenoiserTrainConfig, MogSpec, train_neural_denoiser)
 from .guidance import GuidanceNet
-from .objectives import TimePairSampler
 from .rng import stream
 from .sampler import SampleConfig
 from .trainer import TrainConfig
@@ -115,36 +115,20 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-_NESTED = {
-    "mog": MogSpec,
-    "denoiser": DenoiserConfig,
-    "corruption": CorruptionSpec,
-    "train": None,  # resolved by parent
-    "guidance": GuidanceArch,
-    "sample": SampleConfig,
-    "eval": EvalConfig,
-    "time_sampler": TimePairSampler,
-}
-
-
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path or 'config'}")
     kwargs = {}
     for name, value in data.items():
         sub = f"{path}.{name}" if path else name
         if isinstance(value, dict):
-            if name == "train":
-                target = DenoiserTrainConfig if "denoiser" in path else TrainConfig
-            else:
-                target = _NESTED.get(name)
-            if target is None:
+            if not dataclasses.is_dataclass(hints[name]):
                 raise ConfigError(f"{sub} does not accept an object")
-            kwargs[name] = _build(target, value, sub)
+            kwargs[name] = _build(hints[name], value, sub)
         elif name == "omega_grid":
             kwargs[name] = tuple(float(v) for v in value)
         elif name in ("means", "variances", "weights"):

@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 
 from . import nn
 from .rng import stream
-from .schedule import NoiseSchedule, noise_sample
+from .schedule import SCHEDULE, noise_sample
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,13 @@ class MogSpec:
         return x0, c
 
 
-def _noised_components(spec: MogSpec, schedule: NoiseSchedule, t):
+def _noised_components(spec: MogSpec, t):
     """(alpha_t, sigma_t, component means alpha_t mu_c, variances alpha_t^2 s_c^2 + sigma_t^2).
 
     The means have shape (1 or n, K, d) and the variances (1 or n, K): a
     scalar t gets a leading axis of one, an (n,) t one row per point.
     """
-    alpha, sigma = schedule.alpha_sigma(t)
+    alpha, sigma = SCHEDULE.alpha_sigma(t)
     alpha = np.asarray(alpha, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     means = np.expand_dims(alpha, (-2, -1)) * spec.means
@@ -98,32 +98,30 @@ def _log_posterior(log_joint):
     return log_joint - logsumexp(log_joint, axis=-1, keepdims=True)
 
 
-def log_responsibilities(spec: MogSpec, schedule: NoiseSchedule, x, t):
+def log_responsibilities(spec: MogSpec, x, t):
     """log p(c | x_t) for the noised mixture, shape (n, K). Stable in log space."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, _, means, var = _noised_components(spec, schedule, t)
+    _, _, means, var = _noised_components(spec, t)
     return _log_posterior(_log_joint(spec, x, means, var))
 
 
-def mixture_log_density(spec: MogSpec, x, t=0.0, schedule: NoiseSchedule | None = None):
+def mixture_log_density(spec: MogSpec, x, t=0.0):
     """log p_t(x) of the noised mixture; t = 0 gives the data density."""
-    schedule = schedule or NoiseSchedule()
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, _, means, var = _noised_components(spec, schedule, t)
+    _, _, means, var = _noised_components(spec, t)
     return logsumexp(_log_joint(spec, x, means, var), axis=-1)
 
 
-def mixture_score(spec: MogSpec, x, t=0.0, schedule: NoiseSchedule | None = None):
+def mixture_score(spec: MogSpec, x, t=0.0):
     """grad_x log p_t(x): responsibility-weighted pull toward the noised means."""
-    schedule = schedule or NoiseSchedule()
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, _, means, var = _noised_components(spec, schedule, t)
+    _, _, means, var = _noised_components(spec, t)
     resp = np.exp(_log_posterior(_log_joint(spec, x, means, var)))  # (n, K)
     pull = (means - x[:, None, :]) / var[..., None]                # (n, K, d)
     return np.sum(resp[..., None] * pull, axis=1)
 
 
-def posterior_mean(spec: MogSpec, x_t, t, c=None, schedule: NoiseSchedule | None = None):
+def posterior_mean(spec: MogSpec, x_t, t, c=None):
     """E[x0 | x_t, c] in closed form; c = None marginalizes over components.
 
     Per component, the posterior is the Gaussian product
@@ -138,11 +136,10 @@ def posterior_mean(spec: MogSpec, x_t, t, c=None, schedule: NoiseSchedule | None
     Returns:
         array of shape (n, d), or (d,) when a single point was given.
     """
-    schedule = schedule or NoiseSchedule()
     x_t = np.asarray(x_t, dtype=float)
     single = x_t.ndim == 1
     x = np.atleast_2d(x_t)
-    alpha, sigma, means, var = _noised_components(spec, schedule, t)
+    alpha, sigma, means, var = _noised_components(spec, t)
     num = (np.expand_dims(sigma**2, (-2, -1)) * spec.means
            + np.expand_dims(alpha, (-2, -1)) * spec.variances[:, None] * x[:, None, :])
     comp_post = num / var[..., None]                               # (n, K, d)
@@ -160,9 +157,8 @@ def posterior_mean(spec: MogSpec, x_t, t, c=None, schedule: NoiseSchedule | None
 class AnalyticDenoiser:
     """Exact posterior-mean denoiser of a Gaussian mixture."""
 
-    def __init__(self, spec: MogSpec, schedule: NoiseSchedule | None = None):
+    def __init__(self, spec: MogSpec):
         self.spec = spec
-        self.schedule = schedule or NoiseSchedule()
 
     @property
     def n_classes(self) -> int:
@@ -173,7 +169,7 @@ class AnalyticDenoiser:
         return self.spec.dim
 
     def denoise(self, x_t, t, c=None):
-        return posterior_mean(self.spec, x_t, t, c, self.schedule)
+        return posterior_mean(self.spec, x_t, t, c)
 
 
 @dataclass(frozen=True)
@@ -209,12 +205,10 @@ def corrupt_mog(spec: MogSpec, corruption: CorruptionSpec) -> MogSpec:
 class CorruptedDenoiser:
     """Analytic denoiser of the corrupted mixture plus a smooth error field."""
 
-    def __init__(self, spec: MogSpec, corruption: CorruptionSpec,
-                 schedule: NoiseSchedule | None = None):
+    def __init__(self, spec: MogSpec, corruption: CorruptionSpec):
         self.base_spec = spec
         self.corruption = corruption
         self.spec = corrupt_mog(spec, corruption)
-        self.schedule = schedule or NoiseSchedule()
         rng = stream(corruption.seed, "corruption/field")
         n_in = spec.dim + 1 + spec.n_classes
         self._proj = 0.3 * rng.standard_normal((spec.dim, n_in))
@@ -232,7 +226,7 @@ class CorruptedDenoiser:
         x_t = np.asarray(x_t, dtype=float)
         single = x_t.ndim == 1
         x = np.atleast_2d(x_t)
-        out = posterior_mean(self.spec, x, t, c, self.schedule)
+        out = posterior_mean(self.spec, x, t, c)
         if self.corruption.noise_scale > 0.0:
             t_col = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))[:, None]
             onehot = nn.class_onehot(c, self.n_classes, n=x.shape[0])
@@ -249,11 +243,10 @@ class NeuralDenoiser:
     """
 
     def __init__(self, net: nn.Mlp, n_classes: int, time_embed_dim: int = 128,
-                 schedule: NoiseSchedule | None = None, logsnr_clip: float = 13.8):
+                 logsnr_clip: float = 13.8):
         self.net = net
         self.n_classes = n_classes
         self.time_embed_dim = time_embed_dim
-        self.schedule = schedule or NoiseSchedule()
         self.logsnr_clip = logsnr_clip
 
     @property
@@ -270,7 +263,7 @@ class NeuralDenoiser:
         n, d = x.shape
         t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
         starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]])[:n])
-        snr = np.clip(self.schedule.logsnr(t[starts]), -self.logsnr_clip, self.logsnr_clip)
+        snr = np.clip(SCHEDULE.logsnr(t[starts]), -self.logsnr_clip, self.logsnr_clip)
         emb = nn.sinusoidal_embedding(snr, self.time_embed_dim)
         feats = np.empty((n, d + self.time_embed_dim + onehot.shape[1]))
         feats[:, :d] = x
@@ -307,8 +300,7 @@ class DenoiserTrainConfig:
             raise ValueError("cond_dropout must lie in [0, 1]")
 
 
-def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig,
-                          schedule: NoiseSchedule | None = None):
+def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):
     """Fit a NeuralDenoiser by denoising regression on mixture draws.
 
     Each step draws (x0, c), a time t ~ U[clamp, 1 - clamp], noises x0 to x_t,
@@ -318,12 +310,11 @@ def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig,
     Returns:
         (denoiser, losses) with one loss per iteration.
     """
-    schedule = schedule or NoiseSchedule()
     d = spec.dim
     sizes = ([d + config.time_embed_dim + spec.n_classes]
              + [config.hidden] * config.layers + [d])
     net = nn.Mlp.create(sizes, stream(config.seed, "denoiser/init"))
-    model = NeuralDenoiser(net, spec.n_classes, config.time_embed_dim, schedule)
+    model = NeuralDenoiser(net, spec.n_classes, config.time_embed_dim)
 
     data_rng = stream(config.seed, "denoiser/data")
     time_rng = stream(config.seed, "denoiser/time")
@@ -337,7 +328,7 @@ def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig,
     for it in range(config.iterations):
         x0, c = spec.sample_joint(config.batch_size, data_rng)
         t = time_rng.uniform(lo, hi, size=config.batch_size)
-        x_t, _ = noise_sample(schedule, x0, t, noise_rng)
+        x_t, _ = noise_sample(x0, t, noise_rng)
         onehot = nn.class_onehot(c, spec.n_classes)
         if config.cond_dropout > 0.0:
             onehot[drop_rng.random(config.batch_size) < config.cond_dropout] = 0.0

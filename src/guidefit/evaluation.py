@@ -202,16 +202,17 @@ class EvalReport:
 
 def evaluate_samples(x, cx, reference, ref_c, label: str, omega=None,
                      beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20,
-                     seed: int = 0, per_class: bool = True) -> EvalRow:
+                     seed: int = 0) -> EvalRow:
     """Score one sample set against reference draws.
 
     reference may be a _Reference (built with labels ref_c), whose kept
-    within-set sums are then reused.
+    within-set sums are then reused. When both sets carry class labels, each
+    class with at least two points on both sides is also scored on its own.
     """
     ref = reference if isinstance(reference, _Reference) else _Reference(reference, ref_c)
     mmd, se = mmd_with_se(x, ref, beta, lam, n_resamples, seed=seed)
     row = EvalRow(label=label, omega=omega, mmd=mmd, se=se, count=x.shape[0])
-    if per_class and cx is not None and ref.classes is not None:
+    if cx is not None and ref.classes is not None:
         for cls in range(int(max(cx.max(), ref.classes.max())) + 1):
             xs, ys = x[cx == cls], ref.of_class(cls)
             if xs.shape[0] >= 2 and ys.points.shape[0] >= 2:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .schedule import DEFAULT_CLAMP, NoiseSchedule
+from .schedule import DEFAULT_CLAMP, SCHEDULE
 
 
 def _broadcast_inputs(s, t, c):
@@ -59,35 +59,32 @@ class GuidanceNet:
     """
 
     def __init__(self, embed: nn.Mlp, trunk: nn.Mlp, n_classes: int,
-                 allow_negative: bool = True, logsnr_clip: float = 13.8,
-                 schedule: NoiseSchedule | None = None):
+                 allow_negative: bool = True, logsnr_clip: float = 13.8):
         self.embed = embed
         self.trunk = trunk
         self.n_classes = n_classes
         self.allow_negative = allow_negative
         self.logsnr_clip = logsnr_clip
-        self.schedule = schedule or NoiseSchedule()
 
     @classmethod
     def create(cls, n_classes: int, rng, embed_hidden: int = 256, embed_dim: int = 512,
                trunk_hidden: int = 64, trunk_layers: int = 6, dropout: float = 0.3,
-               allow_negative: bool = True, logsnr_clip: float = 13.8,
-               schedule: NoiseSchedule | None = None, zero_init: bool = True):
+               allow_negative: bool = True, logsnr_clip: float = 13.8, zero_init: bool = True):
         """Build the default architecture; zero_init starts the net at omega == 0."""
         embed = nn.Mlp.create([2, embed_hidden, embed_dim], rng,
                               output_activation="gelu", dropout_rate=dropout)
         head = "identity" if allow_negative else "relu"
         trunk = nn.Mlp.create([embed_dim + n_classes] + [trunk_hidden] * trunk_layers + [1],
                               rng, output_activation=head, zero_final=zero_init)
-        return cls(embed, trunk, n_classes, allow_negative, logsnr_clip, schedule)
+        return cls(embed, trunk, n_classes, allow_negative, logsnr_clip)
 
     def parameters(self):
         return self.embed.parameters() + self.trunk.parameters()
 
     def _time_features(self, s_b, t_b):
         clip = self.logsnr_clip
-        snr_s = np.clip(self.schedule.logsnr(s_b), -clip, clip)
-        snr_t = np.clip(self.schedule.logsnr(t_b), -clip, clip)
+        snr_s = np.clip(SCHEDULE.logsnr(s_b), -clip, clip)
+        snr_t = np.clip(SCHEDULE.logsnr(t_b), -clip, clip)
         return np.stack([snr_s, snr_t], axis=-1)
 
     def weight_with_tape(self, s, t, c, train=False, rng=None):

@@ -16,6 +16,8 @@ affine in omega,
 
 so every loss here reports an exact d loss / d omega alongside its value, and
 a ParticleBatch caches all draws so losses can be replayed at any omega.
+Guided score matching uses the same batch type with one particle, A = 0,
+B = 1, Sigma = 0 and the clean point as target.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import MogSpec, mixture_log_density, mixture_score
-from .schedule import NoiseSchedule, ddim_transition, noise_sample
+from .schedule import ddim_transition, noise_sample
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,8 @@ class ParticleBatch:
 
     All m target and m proposal particles of item i share (x0[i], c[i], s[i],
     t[i]). proposals(omega) replays the guided transition at any weight; the
-    stored omega is the one the batch was built with.
+    stored omega is the one the batch was built with. build_gsm's batches
+    have m = 1 and target x0 itself.
     """
 
     x0: np.ndarray          # (n, d)
@@ -122,7 +125,7 @@ class ParticleBatch:
 
 
 def build_particles(x0, c, s, t, m: int, cond, uncond, omega, churn: float,
-                    rng, schedule: NoiseSchedule | None = None) -> ParticleBatch:
+                    rng) -> ParticleBatch:
     """Draw targets, proposals, and the transition pieces for a training batch.
 
     Args:
@@ -138,16 +141,15 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, omega, churn: float,
     """
     if m < 1:
         raise ValueError("need at least one particle")
-    schedule = schedule or NoiseSchedule()
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     n, d = x0.shape
     c = np.broadcast_to(np.asarray(c), (n,))
     s = np.broadcast_to(np.asarray(s, dtype=float), (n,))
     t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
 
-    trans = ddim_transition(schedule, s, t, churn)
-    targets, _ = noise_sample(schedule, x0[:, None, :], s, noise=rng.standard_normal((n, m, d)))
-    prop_noisy, _ = noise_sample(schedule, x0[:, None, :], t, noise=rng.standard_normal((n, m, d)))
+    trans = ddim_transition(s, t, churn)
+    targets, _ = noise_sample(x0[:, None, :], s, noise=rng.standard_normal((n, m, d)))
+    prop_noisy, _ = noise_sample(x0[:, None, :], t, noise=rng.standard_normal((n, m, d)))
 
     flat = prop_noisy.reshape(n * m, d)
     t_flat = np.repeat(t, m)
@@ -277,54 +279,41 @@ def reward_loss(batch: ParticleBatch, reward_fn, omega=None, sign: float = -1.0)
     return loss, dloss
 
 
-@dataclass
-class GsmBatch:
-    """Cached pieces of the guided-score-matching objective.
+def build_gsm(x0, c, s, t, cond, uncond, omega, rng) -> ParticleBatch:
+    """Noise each item to its t once and cache the denoiser pair there.
 
-    The loss regresses the guided estimate onto the clean point at a single
-    noised location per item: ||x0 - (xhat_c + omega delta)||^2. The s values
-    are the other half of the (s, t) pairs the weights were evaluated at.
+    The guided-score-matching batch is a ParticleBatch with one particle per
+    item and the transition A = 0, B = 1, Sigma = 0: the target is x0
+    itself, so proposals() are the guided estimates and the loss regresses
+    them onto the clean points. The s values are the other half of the
+    (s, t) pairs the weights were evaluated at. omega is the guidance weight,
+    a scalar or one per item (n,).
     """
-
-    x0: np.ndarray      # (n, d)
-    c: np.ndarray       # (n,)
-    s: np.ndarray       # (n,)
-    t: np.ndarray       # (n,)
-    x_t: np.ndarray     # (n, d)
-    xhat_c: np.ndarray  # (n, d)
-    delta: np.ndarray   # (n, d)
-    omega: np.ndarray   # (n,)
-
-    @property
-    def n_items(self) -> int:
-        return self.x0.shape[0]
-
-    def _omega(self, omega):
-        return self.omega if omega is None else _per_item(omega, self.n_items)
-
-
-def build_gsm(x0, c, s, t, cond, uncond, omega, rng,
-              schedule: NoiseSchedule | None = None) -> GsmBatch:
-    """Noise each item to its t and cache the denoiser pair there.
-
-    omega is the guidance weight, a scalar or one per item (n,).
-    """
-    schedule = schedule or NoiseSchedule()
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     n = x0.shape[0]
     c = np.broadcast_to(np.asarray(c), (n,))
     s = np.broadcast_to(np.asarray(s, dtype=float), (n,))
     t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-    x_t, _ = noise_sample(schedule, x0, t, rng)
+    x_t, _ = noise_sample(x0, t, rng)
     xc = cond.denoise(x_t, t, c)
     xu = uncond.denoise(x_t, t, None)
-    return GsmBatch(x0=x0, c=c, s=s, t=t, x_t=x_t, xhat_c=xc, delta=xc - xu,
-                    omega=np.array(_per_item(omega, n)))
+    return ParticleBatch(
+        x0=x0, c=c, s=s, t=t,
+        targets=x0[:, None], prop_noisy=x_t[:, None],
+        xhat_c=xc[:, None], delta=(xc - xu)[:, None],
+        coeff_xt=np.zeros(n), coeff_x0=np.ones(n), cov_scale=np.zeros(n),
+        trans_noise=np.zeros_like(x_t[:, None]),
+        omega=np.array(_per_item(omega, n)),
+    )
 
 
-def guided_score_matching_loss(batch: GsmBatch, omega=None):
-    """Per-item ||x0 - guided estimate||^2 and d loss / d omega, shape (n,)."""
+def guided_score_matching_loss(batch: ParticleBatch, omega=None):
+    """Per-item ||x0 - guided estimate||^2 and d loss / d omega, shape (n,).
+
+    Reads particle 0 of a build_gsm batch.
+    """
     w = batch._omega(omega)[:, None]
-    u = batch.x0 - batch.xhat_c - w * batch.delta
+    delta = batch.delta[:, 0]
+    u = batch.targets[:, 0] - batch.xhat_c[:, 0] - w * delta
     loss = np.sum(u * u, axis=-1)
-    return loss, -2.0 * np.sum(u * batch.delta, axis=-1)
+    return loss, -2.0 * np.sum(u * delta, axis=-1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .guidance import guided_denoise
 from .rng import stream
-from .schedule import DEFAULT_CLAMP, NoiseSchedule, ddim_transition
+from .schedule import DEFAULT_CLAMP, SCHEDULE, ddim_transition
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def _chain_draws(count: int, steps: int, draw_class: bool, dim: int, seed: int):
 
 
 def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int,
-         schedule: NoiseSchedule, keep_trajectory: bool):
+         keep_trajectory: bool):
     n_classes = cond.n_classes
     if class_weights is None:
         class_weights = np.full(n_classes, 1.0 / n_classes)
@@ -84,7 +84,7 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
         c = np.full(config.count, int(config.conditioning))
     classes = np.arange(n_classes)
 
-    _, sigma_top = schedule.alpha_sigma(grid[-1])
+    _, sigma_top = SCHEDULE.alpha_sigma(grid[-1])
     x = sigma_top * x_init
     traj = [x.copy()] if keep_trajectory else None
     omegas = []
@@ -92,7 +92,7 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
         s, t = grid[k], grid[k + 1]
         omega = np.asarray(weight_fn.weight(s, t, classes), dtype=float)[c]
         guided, _ = guided_denoise(cond, uncond, x, t, c, omega)
-        trans = ddim_transition(schedule, s, t, config.churn)
+        trans = ddim_transition(s, t, config.churn)
         x = trans.mean(guided, x) + np.sqrt(trans.cov_scale) * z[:, k]
         if keep_trajectory:
             traj.append(x.copy())
@@ -100,23 +100,20 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
     return x, c, grid, traj, omegas
 
 
-def sample(config: SampleConfig, cond, uncond, weight_fn, class_weights=None,
-           seed: int = 0, schedule: NoiseSchedule | None = None):
+def sample(config: SampleConfig, cond, uncond, weight_fn, class_weights=None, seed: int = 0):
     """Draw config.count guided samples.
 
     Returns:
         (x, c) with x of shape (count, d) at time zeta and the class labels
         each chain was conditioned on.
     """
-    schedule = schedule or NoiseSchedule()
     x, c, _, _, _ = _run(config, cond, uncond, weight_fn, class_weights, seed,
-                         schedule, keep_trajectory=False)
+                         keep_trajectory=False)
     return x, c
 
 
 def sample_trajectory(config: SampleConfig, cond, uncond, weight_fn,
-                      class_weights=None, seed: int = 0, chain: int = 0,
-                      schedule: NoiseSchedule | None = None):
+                      class_weights=None, seed: int = 0, chain: int = 0):
     """Record every state of one chain of the corresponding sample() run.
 
     Returns:
@@ -125,10 +122,9 @@ def sample_trajectory(config: SampleConfig, cond, uncond, weight_fn,
         omegas[j] is the weight used for the step into states[j + 1]; and
         states[-1] equals the chain's row in sample() under the same seed.
     """
-    schedule = schedule or NoiseSchedule()
     one = replace(config, count=chain + 1)
     x, c, grid, traj, omegas = _run(one, cond, uncond, weight_fn, class_weights,
-                                    seed, schedule, keep_trajectory=True)
+                                    seed, keep_trajectory=True)
     times = grid[::-1]
     states = np.stack([state[chain] for state in traj])
     omega_path = np.array([w[chain] for w in omegas])

@@ -27,15 +27,8 @@ import numpy as np
 DEFAULT_CLAMP = 1e-2
 
 
-@dataclass(frozen=True)
 class NoiseSchedule:
-    """Forward-process schedule. Only the rectified-flow schedule is defined."""
-
-    kind: str = "rectified_flow"
-
-    def __post_init__(self):
-        if self.kind != "rectified_flow":
-            raise ValueError(f"unknown schedule kind: {self.kind!r}")
+    """The rectified-flow forward process, the only one defined."""
 
     def alpha_sigma(self, t):
         """Evaluate (alpha_t, sigma_t) with t clipped to [0, 1].
@@ -52,7 +45,12 @@ class NoiseSchedule:
             return 2.0 * (np.log(alpha) - np.log(sigma))
 
 
-def noise_sample(schedule: NoiseSchedule, x0, t, rng=None, noise=None):
+# The one schedule. Callers look its methods up at call time
+# (SCHEDULE.alpha_sigma(t)), so wrapping them on the class reaches every call.
+SCHEDULE = NoiseSchedule()
+
+
+def noise_sample(x0, t, rng=None, noise=None):
     """Draw x_t = alpha_t x0 + sigma_t xi for xi ~ N(0, I).
 
     Args:
@@ -66,7 +64,7 @@ def noise_sample(schedule: NoiseSchedule, x0, t, rng=None, noise=None):
         (x_t, noise) with x_t.shape == x0.shape.
     """
     x0 = np.asarray(x0, dtype=float)
-    alpha, sigma = schedule.alpha_sigma(t)
+    alpha, sigma = SCHEDULE.alpha_sigma(t)
     if noise is None:
         noise = rng.standard_normal(x0.shape)
     alpha = _align(alpha, x0.ndim)
@@ -81,9 +79,6 @@ class DdimTransition:
     Fields may be scalars or arrays (one transition per batch item).
     """
 
-    s: np.ndarray
-    t: np.ndarray
-    churn: float
     mean_coeff_xt: np.ndarray
     mean_coeff_x0: np.ndarray
     cov_scale: np.ndarray
@@ -104,11 +99,10 @@ class DdimTransition:
         return mean + std * noise, noise
 
 
-def ddim_transition(schedule: NoiseSchedule, s, t, churn: float) -> DdimTransition:
+def ddim_transition(s, t, churn: float) -> DdimTransition:
     """Build the transition from time t down to time s.
 
     Args:
-        schedule: forward-process schedule.
         s, t: scalars or equal-shape arrays with 0 <= s < t <= 1 elementwise.
         churn: noise-injection level in [0, 1]; 0 is the deterministic DDIM
             step, 1 the ancestral posterior step.
@@ -124,8 +118,8 @@ def ddim_transition(schedule: NoiseSchedule, s, t, churn: float) -> DdimTransiti
         raise ValueError(f"churn must lie in [0, 1], got {churn}")
     if np.any(s < 0.0) or np.any(t > 1.0) or np.any(s >= t):
         raise ValueError("need 0 <= s < t <= 1 elementwise")
-    alpha_s, sigma_s = schedule.alpha_sigma(s)
-    alpha_t, sigma_t = schedule.alpha_sigma(t)
+    alpha_s, sigma_s = SCHEDULE.alpha_sigma(s)
+    alpha_t, sigma_t = SCHEDULE.alpha_sigma(t)
     if np.any(sigma_t <= 0.0):
         raise ValueError("transition undefined where sigma_t = 0")
     if np.any(alpha_s <= 0.0):
@@ -139,12 +133,7 @@ def ddim_transition(schedule: NoiseSchedule, s, t, churn: float) -> DdimTransiti
     mean_coeff_x0 = alpha_s * (1.0 - e2 * r11**2 - (1.0 - e2) * r11)
     # exact zero at churn=0; clip guards rounding for churn in (0, 1)
     cov_scale = sigma_s**2 * np.maximum(0.0, 1.0 - (e2 * r11 + (1.0 - e2)) ** 2)
-    return DdimTransition(
-        s=s, t=t, churn=churn,
-        mean_coeff_xt=mean_coeff_xt,
-        mean_coeff_x0=mean_coeff_x0,
-        cov_scale=cov_scale,
-    )
+    return DdimTransition(mean_coeff_xt, mean_coeff_x0, cov_scale)
 
 
 def _align(coeff, ndim: int):

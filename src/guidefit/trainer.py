@@ -1,10 +1,10 @@
 """Training loop for guidance weight functions.
 
 One step: draw a data batch and time pairs, evaluate the net's weights with a
-tape, build the cached particle (or score-matching) batch, get per-item loss
-values and omega-gradients from the objective, chain them through the net,
-clip, and take an Adam step. The denoisers are frozen teachers; only the
-guidance net's parameters move.
+tape, build the cached particle batch (one particle per item for guided score
+matching), get per-item loss values and omega-gradients from the objective,
+chain them through the net, clip, and take an Adam step. The denoisers are
+frozen teachers; only the guidance net's parameters move.
 
 Checkpoints are taken every checkpoint_every iterations. When select_best is
 on, each checkpoint (and the final iterate) is scored by sampling a small

@@ -57,8 +57,8 @@ def test_transition_marginal_consistency():
     for churn in (0.0, 0.5, 1.0):
         for s, t in ((0.2, 0.5), (0.5, 0.8), (0.1, 0.95)):
             rng = stream(0, f"acc/marginal/{churn}/{s}/{t}")
-            x_t, _ = noise_sample(sched, np.broadcast_to(x0, (k, 2)), t, rng)
-            trans = ddim_transition(sched, s, t, churn)
+            x_t, _ = noise_sample(np.broadcast_to(x0, (k, 2)), t, rng)
+            trans = ddim_transition(s, t, churn)
             x_s, _ = trans.sample(x0, x_t, rng)
             alpha_s, sigma_s = sched.alpha_sigma(s)
             mean_se = sigma_s / np.sqrt(k)

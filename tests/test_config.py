@@ -1,0 +1,68 @@
+"""Config tree: nested sections, rejected input, and the shipped digests."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from guidefit.cli import main
+from guidefit.config import ConfigError, config_digest, config_from_dict, load_config
+from guidefit.denoisers import CorruptionSpec, DenoiserTrainConfig
+from guidefit.objectives import TimePairSampler
+from guidefit.trainer import TrainConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_nested_sections_build_their_own_classes():
+    config = config_from_dict({
+        "denoiser": {"kind": "neural", "train": {"iterations": 7},
+                     "corruption": {"seed": 4}},
+        "train": {"iterations": 9, "time_sampler": {"delta": 0.2}},
+    })
+    assert type(config.denoiser.train) is DenoiserTrainConfig
+    assert config.denoiser.train.iterations == 7
+    assert type(config.denoiser.corruption) is CorruptionSpec
+    assert type(config.train) is TrainConfig
+    assert config.train.iterations == 9
+    assert type(config.train.time_sampler) is TimePairSampler
+    assert config.train.time_sampler.delta == 0.2
+
+
+@pytest.mark.parametrize("data, section", [
+    ({"bogus": 1}, "config"),
+    ({"train": {"bogus": 1}}, "train"),
+    ({"denoiser": {"train": {"bogus": 1}}}, "denoiser.train"),
+    ({"train": {"time_sampler": {"bogus": 1}}}, "train.time_sampler"),
+])
+def test_unknown_key_names_its_section(data, section):
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['bogus'\] in {section}$"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"seed": {}}, "seed"),
+    ({"train": {"reward": {"name": "distance_to_mean"}}}, "train.reward"),
+    ({"sample": {"conditioning": {"class": 1}}}, "sample.conditioning"),
+])
+def test_object_for_a_plain_field_is_rejected(data, path):
+    with pytest.raises(ConfigError, match=rf"^{path} does not accept an object$"):
+        config_from_dict(data)
+
+
+def test_cli_rejects_object_for_plain_field(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sample": {"conditioning": {"class": 1}}}))
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "run"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "sample.conditioning does not accept an object" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "samples.csv").exists()
+
+
+def test_shipped_config_digests():
+    digests = {p.stem: config_digest(load_config(p)) for p in CONFIGS.glob("*.json")}
+    assert digests == {"guided_sm": "ff1a6d5673fd68ed", "reward": "2406f90eef095c50",
+                       "under_trained": "7b26d0a4f006fea7",
+                       "well_trained": "4dca0e4c1ec98caf"}

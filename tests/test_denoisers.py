@@ -16,7 +16,7 @@ from guidefit.denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionS
                                 train_neural_denoiser)
 from guidefit.nn import flatten_params
 from guidefit.rng import stream
-from guidefit.schedule import NoiseSchedule
+from guidefit.schedule import SCHEDULE
 
 
 def is_posterior_mean(spec, x_t, t, c, n, rng):
@@ -25,8 +25,7 @@ def is_posterior_mean(spec, x_t, t, c, n, rng):
     Proposals come from the prior (component c, or the full mixture when c is
     None), weighted by the forward likelihood N(x_t; alpha_t x0, sigma_t^2 I).
     """
-    sched = NoiseSchedule()
-    alpha, sigma = sched.alpha_sigma(t)
+    alpha, sigma = SCHEDULE.alpha_sigma(t)
     if c is None:
         x0, _ = spec.sample_joint(n, rng)
     else:
@@ -67,7 +66,7 @@ def test_sample_joint_class_frequencies(mog):
 
 def test_log_responsibilities_normalized(mog):
     x = stream(1, "test/resp").uniform(-15.0, 15.0, size=(50, 2))
-    logr = log_responsibilities(mog, NoiseSchedule(), x, 0.5)
+    logr = log_responsibilities(mog, x, 0.5)
     assert logr.shape == (50, 4)
     assert np.allclose(np.exp(logr).sum(axis=1), 1.0, atol=1e-12)
 
@@ -110,11 +109,10 @@ def test_posterior_mean_matches_importance_sampling(mog):
 
 def test_posterior_mean_score_identity(mog):
     # xhat0 = (x + sigma^2 score) / alpha on a grid of points and times
-    sched = NoiseSchedule()
     grid = np.linspace(-14.0, 14.0, 7)
     x = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-        alpha, sigma = sched.alpha_sigma(t)
+        alpha, sigma = SCHEDULE.alpha_sigma(t)
         tweedie = (x + sigma**2 * mixture_score(mog, x, t)) / alpha
         assert np.max(np.abs(posterior_mean(mog, x, t) - tweedie)) < 1e-8
 
@@ -202,7 +200,7 @@ def _oracle_denoise(den, x_t, t, c=None):
     x_t = np.asarray(x_t, dtype=float)
     single = x_t.ndim == 1
     x = np.atleast_2d(x_t)
-    snr = np.clip(den.schedule.logsnr(t), -den.logsnr_clip, den.logsnr_clip)
+    snr = np.clip(SCHEDULE.logsnr(t), -den.logsnr_clip, den.logsnr_clip)
     snr = np.broadcast_to(np.asarray(snr, dtype=float), (x.shape[0],))
     emb = nn.sinusoidal_embedding(snr, den.time_embed_dim)
     h = np.concatenate([x, emb, nn.class_onehot(c, den.n_classes, n=x.shape[0])], axis=1)
@@ -235,9 +233,9 @@ def test_neural_denoiser_bytes_match_per_row_embedding_oracle(mog):
         _oracle_denoise(den, x[:1], times["all distinct"][:1], c[:1]).tobytes()
 
 
-def _oracle_stats(spec, schedule, t):
+def _oracle_stats(spec, t):
     """The earlier per-function rebuild of the noised component stats."""
-    alpha, sigma = schedule.alpha_sigma(t)
+    alpha, sigma = SCHEDULE.alpha_sigma(t)
     alpha = np.asarray(alpha, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     means = np.expand_dims(alpha, (-2, -1)) * spec.means
@@ -245,8 +243,8 @@ def _oracle_stats(spec, schedule, t):
     return means, var
 
 
-def _oracle_log_joint(spec, schedule, x, t):
-    comp_means, comp_var = _oracle_stats(spec, schedule, t)
+def _oracle_log_joint(spec, x, t):
+    comp_means, comp_var = _oracle_stats(spec, t)
     if comp_means.ndim == 2:
         comp_means = comp_means[None]
     if comp_var.ndim == 1:
@@ -258,11 +256,11 @@ def _oracle_log_joint(spec, schedule, x, t):
     return log_joint, comp_means, comp_var
 
 
-def _oracle_log_responsibilities(spec, schedule, x, t):
+def _oracle_log_responsibilities(spec, x, t):
     from scipy.special import logsumexp
 
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    log_joint, _, _ = _oracle_log_joint(spec, schedule, x, t)
+    log_joint, _, _ = _oracle_log_joint(spec, x, t)
     return log_joint - logsumexp(log_joint, axis=-1, keepdims=True)
 
 
@@ -270,25 +268,23 @@ def _oracle_mixture_log_density(spec, x, t):
     from scipy.special import logsumexp
 
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    log_joint, _, _ = _oracle_log_joint(spec, NoiseSchedule(), x, t)
+    log_joint, _, _ = _oracle_log_joint(spec, x, t)
     return logsumexp(log_joint, axis=-1)
 
 
 def _oracle_mixture_score(spec, x, t):
-    schedule = NoiseSchedule()
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    resp = np.exp(_oracle_log_responsibilities(spec, schedule, x, t))
-    _, comp_means, comp_var = _oracle_log_joint(spec, schedule, x, t)
+    resp = np.exp(_oracle_log_responsibilities(spec, x, t))
+    _, comp_means, comp_var = _oracle_log_joint(spec, x, t)
     pull = (comp_means - x[:, None, :]) / comp_var[..., None]
     return np.sum(resp[..., None] * pull, axis=1)
 
 
 def _oracle_posterior_mean(spec, x_t, t, c=None):
-    schedule = NoiseSchedule()
     x_t = np.asarray(x_t, dtype=float)
     single = x_t.ndim == 1
     x = np.atleast_2d(x_t)
-    alpha, sigma = schedule.alpha_sigma(t)
+    alpha, sigma = SCHEDULE.alpha_sigma(t)
     alpha = np.asarray(alpha, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     comp_var = np.expand_dims(alpha**2, -1) * spec.variances + np.expand_dims(sigma**2, -1)
@@ -298,7 +294,7 @@ def _oracle_posterior_mean(spec, x_t, t, c=None):
            + np.expand_dims(alpha, (-2, -1)) * spec.variances[:, None] * x[:, None, :])
     comp_post = num / comp_var[..., None]
     if c is None:
-        resp = np.exp(_oracle_log_responsibilities(spec, schedule, x, t))
+        resp = np.exp(_oracle_log_responsibilities(spec, x, t))
         out = np.sum(resp[..., None] * comp_post, axis=1)
     else:
         c = np.asarray(c)
@@ -319,14 +315,13 @@ def test_mixture_functions_bytes_match_per_function_oracle(mog):
     n = 257
     x = rng.standard_normal((n, 2)) * 8.0
     c = rng.integers(0, mog.n_classes, n)
-    sched = NoiseSchedule()
     times = {"scalar": 0.43, "per row": rng.uniform(0.01, 0.99, n), "zero": 0.0,
              "zero per row": np.zeros(n)}
     for name, t in times.items():
         for pts in (x, x[3]):
             tt = t if np.ndim(t) == 0 or pts.ndim == 2 else t[3]
-            assert _same(log_responsibilities(mog, sched, pts, tt),
-                         _oracle_log_responsibilities(mog, sched, pts, tt)), name
+            assert _same(log_responsibilities(mog, pts, tt),
+                         _oracle_log_responsibilities(mog, pts, tt)), name
             assert _same(mixture_log_density(mog, pts, tt),
                          _oracle_mixture_log_density(mog, pts, tt)), name
             assert _same(mixture_score(mog, pts, tt),

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from guidefit.denoisers import AnalyticDenoiser
 from guidefit.guidance import (ConstantWeight, GuidanceNet, export_weight_grid,
                                guided_denoise, mean_abs_weight, weight_grid_times)
 from guidefit.nn import flatten_params, set_flat_params

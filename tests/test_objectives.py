@@ -8,8 +8,7 @@ relative error against finite differences is meaningful.
 import numpy as np
 import pytest
 
-from guidefit.denoisers import MogSpec
-from guidefit.objectives import (DistanceToMeanReward, GsmBatch, MixtureLogDensityReward,
+from guidefit.objectives import (DistanceToMeanReward, MixtureLogDensityReward,
                                  MmdParams, ParticleBatch, TimePairSampler,
                                  build_gsm, build_particles,
                                  guided_score_matching_loss, l2_loss, mmd_loss,
@@ -162,22 +161,63 @@ def test_reward_loss_acts_on_guided_estimates(mog, exact):
     assert np.allclose(flip, -loss, atol=1e-12)
 
 
-def test_gsm_batch_and_gradient(mog, exact):
+def make_gsm(mog, exact, omega=0.2):
     rng = stream(8, "test/gsm")
     x0, c = mog.sample_joint(6, rng)
     s = rng.uniform(0.3, 0.5, size=6)
     t = rng.uniform(0.8, 0.95, size=6)
-    batch = build_gsm(x0, c, s, t, exact, exact, 0.2, rng)
+    return x0, build_gsm(x0, c, s, t, exact, exact, omega, rng)
+
+
+def test_gsm_batch_and_gradient(mog, exact):
+    x0, batch = make_gsm(mog, exact)
     assert batch.n_items == 6
-    assert batch.x_t.shape == (6, 2)
+    assert batch.n_particles == 1
+    for arr in (batch.targets, batch.prop_noisy, batch.xhat_c, batch.delta,
+                batch.trans_noise):
+        assert arr.shape == (6, 1, 2)
+    assert np.array_equal(batch.targets[:, 0], x0)
     loss, _ = guided_score_matching_loss(batch)
-    manual = np.sum((x0 - batch.xhat_c - 0.2 * batch.delta) ** 2, axis=-1)
+    manual = np.sum((x0 - batch.xhat_c[:, 0] - 0.2 * batch.delta[:, 0]) ** 2, axis=-1)
     assert np.allclose(loss, manual, atol=1e-12)
 
     def gsm(b, w):
         return guided_score_matching_loss(b, w)
 
     fd_check(gsm, batch)
+
+
+def test_gsm_batch_draws_match_one_noising_per_item(mog, exact):
+    """One noise_sample on (n, d) and one denoiser pair on those rows, as a
+    direct computation from the same stream gives them."""
+    rng = stream(8, "test/gsm")
+    x0, c = mog.sample_joint(6, rng)
+    s = rng.uniform(0.3, 0.5, size=6)
+    t = rng.uniform(0.8, 0.95, size=6)
+    x_t = (1.0 - t)[:, None] * x0 + t[:, None] * rng.standard_normal((6, 2))
+    _, batch = make_gsm(mog, exact)
+    assert batch.prop_noisy[:, 0].tobytes() == x_t.tobytes()
+    xc = exact.denoise(x_t, t, c)
+    assert batch.xhat_c[:, 0].tobytes() == xc.tobytes()
+    assert batch.delta[:, 0].tobytes() == (xc - exact.denoise(x_t, t, None)).tobytes()
+    assert np.array_equal(batch.coeff_xt, np.zeros(6))
+    assert np.array_equal(batch.coeff_x0, np.ones(6))
+    assert np.array_equal(batch.cov_scale, np.zeros(6))
+    assert not batch.trans_noise.any()
+
+
+@pytest.mark.parametrize("omega", [None, 0.0, -1.0, 1.7, "per item"])
+def test_gsm_batch_is_a_one_particle_identity_transition(mog, exact, omega):
+    """proposals() are the guided estimates bit for bit, and the l2 objective
+    on the batch is guided score matching in loss and omega-gradient."""
+    _, batch = make_gsm(mog, exact, omega=stream(9, "test/gsm_w").normal(1.0, 2.0, 6))
+    if omega == "per item":
+        omega = stream(10, "test/gsm_w").normal(0.0, 3.0, 6)
+    assert batch.proposals(omega).tobytes() == batch.guided_estimates(omega).tobytes()
+    l2_val, l2_grad = l2_loss(batch, omega)
+    gsm_val, gsm_grad = guided_score_matching_loss(batch, omega)
+    np.testing.assert_allclose(l2_val, gsm_val, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(l2_grad, gsm_grad, rtol=1e-12, atol=0.0)
 
 
 def _oracle_pow_and_factor(diff, beta):

@@ -6,7 +6,7 @@ import pytest
 from guidefit.guidance import ConstantWeight, GuidanceNet, guided_denoise
 from guidefit.rng import stream
 from guidefit.sampler import SampleConfig, _chain_draws, sample, sample_trajectory
-from guidefit.schedule import NoiseSchedule, ddim_transition
+from guidefit.schedule import SCHEDULE, ddim_transition
 
 
 def test_sample_config_validation_and_grid():
@@ -104,15 +104,14 @@ class _CountingWeight:
 
 def _per_row_sample(config, cond, uncond, fn, class_weights, seed):
     """The sampler loop with omega evaluated on every chain's own row."""
-    schedule = NoiseSchedule()
     grid = config.grid()
     u, x_init, z = _chain_draws(config.count, config.steps, True, cond.dim, seed)
     c = np.minimum(np.searchsorted(np.cumsum(class_weights), u), cond.n_classes - 1)
-    x = schedule.alpha_sigma(grid[-1])[1] * x_init
+    x = SCHEDULE.alpha_sigma(grid[-1])[1] * x_init
     for k in range(config.steps - 1, -1, -1):
         s, t = grid[k], grid[k + 1]
         guided, _ = guided_denoise(cond, uncond, x, t, c, fn.weight(s, t, c))
-        trans = ddim_transition(schedule, s, t, config.churn)
+        trans = ddim_transition(s, t, config.churn)
         x = trans.mean(guided, x) + np.sqrt(trans.cov_scale) * z[:, k]
     return x, c
 
