@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import json
 import os
 import sys
 
@@ -169,9 +171,15 @@ def cmd_train_guidance(args) -> int:
     net = build_guidance_net(config)
     if not args.quiet:
         print(f"training guidance ({config.train.mode}, {config.train.iterations} iterations)")
-    net, record = train_guidance(net, denoiser, denoiser, config.mog, config.train,
-                                 quiet=args.quiet)
     header = f"seed={config.seed} config_digest={digest}"
+    try:
+        net, record = train_guidance(net, denoiser, denoiser, config.mog, config.train,
+                                     quiet=args.quiet)
+    except TrainingDiverged as exc:
+        exc.record.write_csv(os.path.join(args.out, "train_record.csv"), header)
+        with open(os.path.join(args.out, "diverged.json"), "w") as fh:
+            fh.write(json.dumps({"diverged_at": exc.iteration, "config_digest": digest}) + "\n")
+        raise
     record.write_csv(os.path.join(args.out, "train_record.csv"), header)
     path = os.path.join(args.out, "guidance.json")
     save_weight_fn(path, net, {"seed": config.seed, "config_digest": digest,
@@ -297,7 +305,24 @@ _COMMANDS = {
 }
 
 
+def _fix_malloc_thresholds() -> bool:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at twice that.
+
+    Under glibc's dynamic thresholds every large numpy temporary was mapped
+    afresh and faulted in again on each teacher call; either setting alone was
+    worse than neither. Idempotent; off glibc it returns False, changing nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return (mallopt(-3, 32 << 20) == 1  # M_MMAP_THRESHOLD
+            and mallopt(-1, 64 << 20) == 1)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

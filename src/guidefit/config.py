@@ -115,6 +115,27 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+             tuple: "a list of numbers", np.ndarray: "an array of numbers"}
+
+
+def _leaf(hint, value, path: str):
+    """value checked against its field annotation; bool is not a number here."""
+    if isinstance(value, dict):
+        raise ConfigError(f"{path} does not accept an object")
+    if value is None and type(None) in typing.get_args(hint):
+        return None
+    hint = (typing.get_args(hint) or (hint,))[0]  # X of X | None
+    if hint is tuple and isinstance(value, (list, tuple)):
+        return tuple(float(_leaf(float, v, f"{path}[{i}]")) for i, v in enumerate(value))
+    if hint is np.ndarray and np.array(value).dtype.kind in "iuf":
+        return np.array(value, dtype=float)
+    if isinstance(value, (int, float) if hint is float else hint) and \
+            (hint is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{path} must be {_EXPECTED[hint]}, got {json.dumps(value)}")
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
@@ -123,20 +144,14 @@ def _build(cls, data: dict, path: str):
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path or 'config'}")
     kwargs = {}
-    for name, value in data.items():
-        sub = f"{path}.{name}" if path else name
-        if isinstance(value, dict):
-            if not dataclasses.is_dataclass(hints[name]):
-                raise ConfigError(f"{sub} does not accept an object")
-            kwargs[name] = _build(hints[name], value, sub)
-        elif name == "omega_grid":
-            kwargs[name] = tuple(float(v) for v in value)
-        elif name in ("means", "variances", "weights"):
-            kwargs[name] = np.array(value, dtype=float)
-        else:
-            kwargs[name] = value
     try:
+        for name, value in data.items():
+            sub = f"{path}.{name}" if path else name
+            build = _build if dataclasses.is_dataclass(hints[name]) else _leaf
+            kwargs[name] = build(hints[name], value, sub)
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {path or 'config'}: {exc}") from exc
 

@@ -276,7 +276,7 @@ class NeuralDenoiser:
         single = x_t.ndim == 1
         x = np.atleast_2d(x_t)
         onehot = nn.class_onehot(c, self.n_classes, n=x.shape[0])
-        out, _ = self.net.forward(self._features(x, t, onehot))
+        out, _ = self.net.forward(self._features(x, t, onehot), tape=False)
         return out[0] if single else out
 
 

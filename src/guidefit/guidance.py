@@ -87,15 +87,15 @@ class GuidanceNet:
         snr_t = np.clip(SCHEDULE.logsnr(t_b), -clip, clip)
         return np.stack([snr_s, snr_t], axis=-1)
 
-    def weight_with_tape(self, s, t, c, train=False, rng=None):
-        """omega values (n,) plus the tape needed for backward()."""
+    def weight_with_tape(self, s, t, c, train=False, rng=None, tape=True):
+        """omega values (n,) plus the tape needed for backward() (None with tape=False)."""
         s_b, t_b, c_b, _ = _broadcast_inputs(s, t, c)
         feats = self._time_features(s_b, t_b)
-        emb, tape_e = self.embed.forward(feats, train=train, rng=rng)
+        emb, tape_e = self.embed.forward(feats, train=train, rng=rng, tape=tape)
         onehot = nn.class_onehot(c_b, self.n_classes, n=s_b.shape[0])
         out, tape_t = self.trunk.forward(np.concatenate([emb, onehot], axis=1),
-                                         train=train, rng=rng)
-        return out[:, 0], {"embed": tape_e, "trunk": tape_t}
+                                         train=train, rng=rng, tape=tape)
+        return out[:, 0], {"embed": tape_e, "trunk": tape_t} if tape else None
 
     def backward(self, tape, d_omega):
         """Parameter gradients (embed blocks then trunk blocks) for cotangent d_omega (n,)."""
@@ -105,7 +105,7 @@ class GuidanceNet:
 
     def weight(self, s, t, c=None):
         _, _, _, scalar = _broadcast_inputs(s, t, c)
-        out, _ = self.weight_with_tape(s, t, c)
+        out, _ = self.weight_with_tape(s, t, c, tape=False)
         return float(out[0]) if scalar else out
 
 

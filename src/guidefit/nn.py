@@ -5,6 +5,10 @@ whose backward pass consumes it, Adam with bias correction, global-norm
 gradient clipping, an exponential moving average of parameters, and the
 sinusoidal feature embedding used for time conditioning.
 
+Inference (teacher calls, weight evaluation) runs forward(tape=False): no
+per-layer arrays are kept and activations run in place, with bit-equal output.
+The tape keeps GeLU's 1 + erf(z / sqrt 2), so backward needs no second erf.
+
 Parameter order is canonical everywhere: [W0, b0, W1, b1, ...] with weights
 stored (out, in) and flattened row-major. Checkpoints, Adam and EMA states,
 and flat parameter vectors all follow it.
@@ -21,38 +25,37 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def gelu(x):
-    """Exact Gaussian-error GeLU, x * Phi(x), as (0.5 x) (1 + erf(x / sqrt 2)).
+def gelu(x, out=None):
+    """Exact GeLU x Phi(x) as (0.5 x) (1 + erf(x / sqrt 2)); out=x works in place.
 
-    x is a float array; the result is a new array built with in-place steps.
+    Returns (y, cdf) with cdf = 1 + erf(x / sqrt 2) = 2 Phi(x), for gelu_grad.
     """
     cdf = x * _INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
-    out = 0.5 * x
-    out *= cdf
-    return out
+    y = np.multiply(x, 0.5, out=out)
+    y *= cdf
+    return y, cdf
 
 
-def gelu_grad(x):
-    """0.5 (1 + erf(x / sqrt 2)) + x phi(x)."""
+def gelu_grad(x, cdf):
+    """0.5 cdf + x phi(x) = Phi(x) + x phi(x), with cdf from gelu (no second erf)."""
     phi = -0.5 * x
     phi *= x
     np.exp(phi, out=phi)
     phi *= _INV_SQRT2PI
     phi *= x
-    out = x * _INV_SQRT2
-    erf(out, out=out)
-    out += 1.0
-    out *= 0.5
-    out += phi
-    return out
+    grad = cdf * 0.5
+    grad += phi
+    return grad
 
 
+# name: (forward(z, out) -> (h, kept for the derivative), derivative(z, kept))
 _ACTIVATIONS = {
     "gelu": (gelu, gelu_grad),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(float)),
-    "identity": (lambda x: x, lambda x: np.ones_like(x)),
+    "relu": (lambda x, out=None: (np.maximum(x, 0.0, out=out), None),
+             lambda x, _: (x > 0.0).astype(float)),
+    "identity": (lambda x, out=None: (x, None), lambda x, _: np.ones_like(x)),
 }
 
 
@@ -108,13 +111,16 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, tape=True):
         """Run the net on x of shape (n, d_in).
 
         Returns (y, tape). Dropout (inverted, rate self.dropout_rate) is applied
         after each hidden activation only when train=True; rng is required then.
+        With tape=False the tape is None and each activation overwrites its
+        pre-activation: the same operations in the same order, so y is bit-equal.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        h = np.atleast_2d(np.asarray(x, dtype=float))
+        del x  # without a tape, the input is freed once the first layer has read it
         act, _ = _ACTIVATIONS[self.hidden_activation]
         out_act, _ = _ACTIVATIONS[self.output_activation]
         use_dropout = train and self.dropout_rate > 0.0
@@ -122,26 +128,22 @@ class Mlp:
             raise ValueError("dropout needs an rng in training mode")
         keep = 1.0 - self.dropout_rate
 
-        h = x
-        pre, post, masks = [], [x], []
+        pre, post, masks, kept = [], [h] if tape else [], [], []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w.T
             z += b
-            pre.append(z)
-            if i == last:
-                h = out_act(z)
-            else:
-                h = act(z)
-                if use_dropout:
-                    mask = (rng.random(h.shape) < keep) / keep
-                    h = h * mask
-                    masks.append(mask)
-                else:
-                    masks.append(None)
-            post.append(h)
-        tape = {"pre": pre, "post": post, "masks": masks}
-        return h, tape
+            h, k = (out_act if i == last else act)(z, out=None if tape else z)
+            mask = None
+            if i < last and use_dropout:
+                mask = (rng.random(h.shape) < keep) / keep
+                h = h * mask
+            if tape:
+                pre.append(z)
+                kept.append(k)
+                post.append(h)
+                masks.append(mask)
+        return h, {"pre": pre, "post": post, "masks": masks, "kept": kept} if tape else None
 
     def backward(self, tape, dy):
         """Backpropagate cotangent dy of shape (n, d_out) through the tape.
@@ -151,10 +153,10 @@ class Mlp:
         """
         _, act_grad = _ACTIVATIONS[self.hidden_activation]
         _, out_act_grad = _ACTIVATIONS[self.output_activation]
-        pre, post, masks = tape["pre"], tape["post"], tape["masks"]
+        pre, post, masks, kept = tape["pre"], tape["post"], tape["masks"], tape["kept"]
         last = len(self.weights) - 1
 
-        g = np.asarray(dy, dtype=float) * out_act_grad(pre[last])
+        g = np.asarray(dy, dtype=float) * out_act_grad(pre[last], kept[last])
         grads = [None] * (2 * len(self.weights))
         for i in range(last, -1, -1):
             grads[2 * i] = g.T @ post[i]      # dW, shape (out, in)
@@ -163,7 +165,7 @@ class Mlp:
             if i > 0:
                 if masks[i - 1] is not None:
                     g = g * masks[i - 1]
-                g = g * act_grad(pre[i - 1])
+                g = g * act_grad(pre[i - 1], kept[i - 1])
         return grads, g
 
 

@@ -35,11 +35,12 @@ REWARDS = ("distance_to_mean", "mixture_log_density")
 
 class TrainingDiverged(RuntimeError):
     """Raised when a loss or gradient goes non-finite; the net holds the last
-    good checkpoint when this propagates."""
+    good checkpoint when this propagates, and record the rows 0..iteration-1."""
 
-    def __init__(self, message: str, iteration: int):
+    def __init__(self, message: str, iteration: int, record: TrainRecord):
         super().__init__(message)
         self.iteration = iteration
+        self.record = record
 
 
 @dataclass(frozen=True)
@@ -183,26 +184,28 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
         nn.set_flat_params(params, live)
         return val
 
+    def record(k):  # cols holds TrainRecord's other fields, in field order
+        return TrainRecord(np.arange(k), *(col[:k] for col in cols.values()))
+
     last_good = snapshot()
     candidates = []  # (probe mmd, iteration, flat params)
 
     for it in range(config.iterations):
         x0, c = data.sample_joint(n, data_rng)
         s, t = config.time_sampler.sample(n, time_rng)
-        train_fwd = net.embed.dropout_rate > 0.0 or net.trunk.dropout_rate > 0.0
-        omega, tape = net.weight_with_tape(s, t, c, train=train_fwd, rng=drop_rng)
+        omega, tape = net.weight_with_tape(s, t, c, train=True, rng=drop_rng)
         loss_items, grad_items, cols["reward"][it] = _objective(
             config, x0, c, s, t, omega, cond, uncond, reward_fn, noise_rng)
 
         loss = float(np.mean(loss_items))
         if not np.isfinite(loss):
             nn.set_flat_params(params, last_good)
-            raise TrainingDiverged(f"non-finite loss at iteration {it}", it)
+            raise TrainingDiverged(f"non-finite loss at iteration {it}", it, record(it))
         grads = net.backward(tape, grad_items / n)
         grads, pre_norm = nn.clip_global_norm(grads, config.clip_norm)
         if not np.isfinite(pre_norm):
             nn.set_flat_params(params, last_good)
-            raise TrainingDiverged(f"non-finite gradient at iteration {it}", it)
+            raise TrainingDiverged(f"non-finite gradient at iteration {it}", it, record(it))
         nn.adam_step(adam, params, grads)
         if ema is not None:
             ema.update(params)
@@ -231,11 +234,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
     else:
         nn.set_flat_params(params, final)
 
-    record = TrainRecord(iteration=np.arange(config.iterations),
-                         loss=cols["loss"], reward=cols["reward"],
-                         grad_norm=cols["grad_norm"],
-                         mean_abs_omega=cols["mean_abs_omega"])
-    return net, record
+    return net, record(config.iterations)
 
 
 def loss_param_grad(net: GuidanceNet, cond, uncond, data: MogSpec, x0, c, s, t,

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 
 from guidefit.checkpoints import save_weight_fn
 from guidefit.cli import main
-from guidefit.config import ExperimentConfig, load_config
+from guidefit.config import ExperimentConfig, config_digest, load_config
 from guidefit.guidance import ConstantWeight
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -221,3 +224,62 @@ def test_overflowing_weights_are_numerical_failure(tmp_path, tiny_config):
                    "--quiet", "--guidance", str(path))
     assert code == 3
     assert not (out / "weights.csv").exists()
+
+
+def test_diverged_run_leaves_its_record(tmp_path):
+    # the learning_rate=1e200 set-up of test_trainer's divergence test
+    config = dict(TINY, guidance=dict(TINY["guidance"], dropout=0.0),
+                  train=dict(TINY["train"], iterations=6, checkpoint_every=4,
+                             select_best=False, learning_rate=1e200, clip_norm=1.0))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("train-guidance", "--config", str(path), "--out", str(out),
+                   "--quiet") == 3
+    assert not (out / "guidance.json").exists()
+    diverged = json.loads((out / "diverged.json").read_text())
+    it = diverged["diverged_at"]
+    assert it >= 1
+    assert diverged == {"diverged_at": it,
+                        "config_digest": config_digest(load_config(path))}
+    lines = (out / "train_record.csv").read_text().splitlines()
+    assert lines[0] == f"# seed=3 config_digest={diverged['config_digest']}"
+    assert lines[1] == "iter,loss,reward,grad_norm,mean_abs_omega"
+    assert [int(line.split(",")[0]) for line in lines[2:]] == list(range(it))
+
+
+_FAULTS = """
+import json, resource
+import numpy as np
+from guidefit import cli
+from guidefit.denoisers import DenoiserTrainConfig, MogSpec, train_neural_denoiser
+from guidefit.rng import stream
+
+applied = cli._fix_malloc_thresholds()
+mog = MogSpec.default_2d()
+den, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=0, seed=4))
+rng = stream(11, "test/faults")
+x = rng.standard_normal((4096, 2)) * 6.0
+t = np.repeat(rng.uniform(0.01, 0.99, 128), 32)
+c = rng.integers(0, mog.n_classes, 4096)
+den.denoise(x, t, c)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    den.denoise(x, t, c)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({"applied": applied, "faults": after - before}))
+"""
+
+
+def test_teacher_calls_stop_faulting_after_malloc_thresholds():
+    # a fresh process, so the heap state other tests leave cannot matter
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                          timeout=120, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if not result["applied"]:
+        pytest.skip("mallopt is not available (not glibc)")
+    # 20 calls of 4096 rows; with glibc's dynamic thresholds each faults in thousands of pages
+    assert result["faults"] < 200

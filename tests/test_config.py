@@ -61,6 +61,26 @@ def test_cli_rejects_object_for_plain_field(tmp_path, capsys):
     assert not (tmp_path / "run" / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"eval": {"omega_grid": 5}}, "eval.omega_grid must be a list of numbers, got 5"),
+    ({"eval": {"omega_grid": [0.0, True]}}, "eval.omega_grid[1] must be a number, got true"),
+    ({"mog": {"means": "x"}}, 'mog.means must be an array of numbers, got "x"'),
+    ({"sample": {"steps": 2.5}}, "sample.steps must be an integer, got 2.5"),
+    ({"sample": {"steps": 1e9}}, "sample.steps must be an integer, got 1000000000.0"),
+    ({"train": {"iterations": "abc"}}, 'train.iterations must be an integer, got "abc"'),
+    ({"train": {"learning_rate": False}}, "train.learning_rate must be a number, got false"),
+    ({"train": {"ema_decay": "0.9"}}, 'train.ema_decay must be a number, got "0.9"'),
+    ({"guidance": {"allow_negative": 1}}, "guidance.allow_negative must be true or false, got 1"),
+    ({"mog": 5}, "mog must be an object"),
+])
+def test_cli_rejects_a_leaf_of_the_wrong_type(tmp_path, capsys, data, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "run"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_shipped_config_digests():
     digests = {p.stem: config_digest(load_config(p)) for p in CONFIGS.glob("*.json")}
     assert digests == {"guided_sm": "ff1a6d5673fd68ed", "reward": "2406f90eef095c50",

@@ -33,6 +33,16 @@ def test_guidance_net_scalar_and_batch_agree():
     assert w_scalar == pytest.approx(w_batch[0], abs=1e-12)
 
 
+def test_weight_is_bit_equal_to_taped_forward():
+    net = GuidanceNet.create(4, stream(1, "test/ginit"), zero_init=False)
+    s, t = weight_grid_times()
+    for j in (0, 40, t.shape[0] - 1):
+        for c in (2, np.arange(4)):
+            omega, _ = net.weight_with_tape(s[j], t[j], c)
+            assert np.asarray(net.weight(s[j], t[j], c)).tobytes() == \
+                (omega if np.ndim(c) else omega[0]).tobytes()
+
+
 def test_guidance_net_backward_matches_finite_differences():
     net = GuidanceNet.create(4, stream(3, "test/ginit"))
     jig = stream(4, "test/jiggle")

@@ -10,14 +10,14 @@ from guidefit.rng import stream
 
 def test_gelu_matches_gaussian_cdf_form():
     x = np.linspace(-4.0, 4.0, 41)
-    assert np.allclose(nn.gelu(x), 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), atol=1e-15)
+    assert np.allclose(nn.gelu(x)[0], 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), atol=1e-15)
 
 
 def test_gelu_grad_matches_finite_differences():
     x = np.linspace(-3.0, 3.0, 25)
     h = 1e-6
-    fd = (nn.gelu(x + h) - nn.gelu(x - h)) / (2.0 * h)
-    assert np.max(np.abs(nn.gelu_grad(x) - fd)) < 1e-9
+    fd = (nn.gelu(x + h)[0] - nn.gelu(x - h)[0]) / (2.0 * h)
+    assert np.max(np.abs(nn.gelu_grad(x, nn.gelu(x)[1]) - fd)) < 1e-9
 
 
 def test_mlp_create_shapes_and_zero_final():
@@ -74,16 +74,32 @@ def test_dropout_forward_backward_consistent_with_tape_masks():
     y, tape = net.forward(x, train=True, rng=stream(8, "test/drop"))
     mask = tape["masks"][0]
     z0 = x @ net.weights[0].T + net.biases[0]
-    h = nn.gelu(z0) * mask
+    h0, cdf0 = nn.gelu(z0)
+    h = h0 * mask
     assert np.allclose(y, h @ net.weights[1].T + net.biases[1], atol=1e-12)
 
     dy = np.ones_like(y)
     grads, dx = net.backward(tape, dy)
-    g = (dy @ net.weights[1]) * mask * nn.gelu_grad(z0)
+    g = (dy @ net.weights[1]) * mask * nn.gelu_grad(z0, cdf0)
     assert np.allclose(grads[0], g.T @ x, atol=1e-12)
     assert np.allclose(grads[1], g.sum(axis=0), atol=1e-12)
     assert np.allclose(grads[2], dy.T @ h, atol=1e-12)
     assert np.allclose(dx, g @ net.weights[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4096])
+@pytest.mark.parametrize("hidden, output", [("gelu", "identity"), ("relu", "identity"),
+                                            ("identity", "identity"), ("gelu", "gelu")])
+def test_tape_free_forward_is_bit_equal(hidden, output, rows):
+    net = nn.Mlp.create([6, 32, 32, 3], stream(12, "test/init"), hidden_activation=hidden,
+                        output_activation=output)
+    net.biases = [stream(13 + i, "test/b").standard_normal(b.shape)
+                  for i, b in enumerate(net.biases)]
+    x = stream(14, "test/x").standard_normal((rows, 6)) * 3.0
+    y, _ = net.forward(x)
+    y_free, no_tape = net.forward(x, tape=False)
+    assert no_tape is None
+    assert y_free.tobytes() == y.tobytes()
 
 
 def test_dropout_needs_rng_and_is_off_at_eval():
@@ -205,9 +221,13 @@ def test_gelu_and_grad_bytes_match_oracle():
                         [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 1e300, -1e300]])
     for shape in ((x.size,), (8, x.size // 8)):
         xs = x.reshape(shape)
-        assert nn.gelu(xs).tobytes() == _oracle_gelu(xs).tobytes()
+        y, cdf = nn.gelu(xs)
+        assert y.tobytes() == _oracle_gelu(xs).tobytes()
+        z = xs.copy()
+        assert nn.gelu(z, out=z)[0] is z and z.tobytes() == y.tobytes()
+        # the derivative from the forward's cdf matches the one that recomputes erf
         with np.errstate(over="ignore"):  # x * x at +/-1e300
-            assert nn.gelu_grad(xs).tobytes() == _oracle_gelu_grad(xs).tobytes()
+            assert nn.gelu_grad(xs, cdf).tobytes() == _oracle_gelu_grad(xs).tobytes()
 
 
 def test_adam_and_ema_steps_bytes_match_oracle():

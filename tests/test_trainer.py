@@ -116,6 +116,10 @@ def test_divergence_raises_and_restores_last_checkpoint(mog, exact):
         with pytest.raises(TrainingDiverged) as info:
             train_guidance(net, exact, exact, mog, config)
     assert info.value.iteration >= 1
+    # the exception carries the record of the iterations that completed
+    record = info.value.record
+    assert np.array_equal(record.iteration, np.arange(info.value.iteration))
+    assert np.all(np.isfinite(record.loss)) and np.all(np.isfinite(record.grad_norm))
     # net holds the last good snapshot: finite, and still the zero function
     flat = flatten_params(net.parameters())
     assert np.all(np.isfinite(flat))
