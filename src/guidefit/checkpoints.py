@@ -42,26 +42,15 @@ def _mog_from_dict(d: dict) -> MogSpec:
                    weights=np.array(d["weights"]))
 
 
+_MLP_ARCH = ("sizes", "hidden_activation", "output_activation", "dropout_rate")
+
+
 def _mlp_arch(net: nn.Mlp) -> dict:
-    return {"sizes": net.sizes, "hidden_activation": net.hidden_activation,
-            "output_activation": net.output_activation,
-            "dropout_rate": net.dropout_rate}
+    return {k: getattr(net, k) for k in _MLP_ARCH}
 
 
-def _mlp_from_arch(arch: dict, flat, offset: int):
-    sizes = arch["sizes"]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(np.zeros((fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    net = nn.Mlp(weights, biases, arch["hidden_activation"],
-                 arch["output_activation"], arch["dropout_rate"])
-    params = net.parameters()
-    size = sum(p.size for p in params)
-    if offset + size > flat.size:
-        raise CheckpointError(f"{flat.size} params, fewer than its architecture declares")
-    nn.set_flat_params(params, flat[offset:offset + size])
-    return net, offset + size
+def _mlp_kwargs(arch: dict) -> dict:
+    return {k: arch[k] for k in _MLP_ARCH}
 
 
 # Params encoded per json.dumps call when a checkpoint is written.
@@ -153,8 +142,7 @@ def save_denoiser(path, denoiser, metadata: dict | None = None):
         arch = {"net": _mlp_arch(denoiser.net), "n_classes": denoiser.n_classes,
                 "time_embed_dim": denoiser.time_embed_dim,
                 "logsnr_clip": denoiser.logsnr_clip}
-        _write(path, "denoiser/neural", arch,
-               nn.flatten_params(denoiser.net.parameters()), metadata)
+        _write(path, "denoiser/neural", arch, denoiser.net.params, metadata)
     else:
         raise CheckpointError(f"cannot checkpoint denoiser type {type(denoiser).__name__}")
 
@@ -169,13 +157,13 @@ def _corrupted_denoiser(arch, params):
 
 
 def _neural_denoiser(arch, params):
-    net, used = _mlp_from_arch(arch["net"], params, 0)
+    net = nn.Mlp(params=params, **_mlp_kwargs(arch["net"]))
     sizes = net.sizes
     _check_sizes(sizes[0] == sizes[-1] + arch["time_embed_dim"] + arch["n_classes"],
                  f"net input {sizes[0]} != output {sizes[-1]} + time_embed_dim "
                  f"{arch['time_embed_dim']} + n_classes {arch['n_classes']}")
     return NeuralDenoiser(net, arch["n_classes"], arch["time_embed_dim"],
-                          logsnr_clip=arch["logsnr_clip"]), used
+                          logsnr_clip=arch["logsnr_clip"]), params.size
 
 
 _DENOISERS = {
@@ -196,23 +184,22 @@ def save_weight_fn(path, fn, metadata: dict | None = None):
         arch = {"embed": _mlp_arch(fn.embed), "trunk": _mlp_arch(fn.trunk),
                 "n_classes": fn.n_classes, "allow_negative": fn.allow_negative,
                 "logsnr_clip": fn.logsnr_clip}
-        _write(path, "guidance/net", arch, nn.flatten_params(fn.parameters()),
-               metadata)
+        _write(path, "guidance/net", arch, fn.params, metadata)
     else:
         raise CheckpointError(f"cannot checkpoint weight function type {type(fn).__name__}")
 
 
 def _guidance_net(arch, params):
-    embed, offset = _mlp_from_arch(arch["embed"], params, 0)
-    trunk, used = _mlp_from_arch(arch["trunk"], params, offset)
-    _check_sizes(embed.sizes[0] == 2, f"embed input {embed.sizes[0]} != 2 (s, t)")
-    _check_sizes(trunk.sizes[0] == embed.sizes[-1] + arch["n_classes"],
-                 f"trunk input {trunk.sizes[0]} != embed output {embed.sizes[-1]} "
+    net = GuidanceNet(_mlp_kwargs(arch["embed"]), _mlp_kwargs(arch["trunk"]),
+                      arch["n_classes"], params, allow_negative=arch["allow_negative"],
+                      logsnr_clip=arch["logsnr_clip"])
+    embed, trunk = net.embed.sizes, net.trunk.sizes
+    _check_sizes(embed[0] == 2, f"embed input {embed[0]} != 2 (s, t)")
+    _check_sizes(trunk[0] == embed[-1] + arch["n_classes"],
+                 f"trunk input {trunk[0]} != embed output {embed[-1]} "
                  f"+ n_classes {arch['n_classes']}")
-    _check_sizes(trunk.sizes[-1] == 1, f"trunk output {trunk.sizes[-1]} != 1")
-    return GuidanceNet(embed, trunk, arch["n_classes"],
-                       allow_negative=arch["allow_negative"],
-                       logsnr_clip=arch["logsnr_clip"]), used
+    _check_sizes(trunk[-1] == 1, f"trunk output {trunk[-1]} != 1")
+    return net, params.size
 
 
 _WEIGHT_FNS = {

@@ -94,12 +94,21 @@ def _load_setup(args):
     return config, config_digest(config)
 
 
+def _same_classes(obj, path, config: ExperimentConfig):
+    """obj, loaded from path, unless built for another class count than the config's."""
+    n = getattr(obj, "n_classes", config.mog.n_classes)
+    if n != config.mog.n_classes:
+        raise ConfigError(f"checkpoint {path} is for {n} classes, "
+                          f"the config's mog has {config.mog.n_classes}")
+    return obj
+
+
 def _get_denoiser(args, config: ExperimentConfig, quiet: bool):
     path = args.denoiser or os.path.join(args.out, "denoiser.json")
     if os.path.exists(path):
         if not quiet:
             print(f"loading denoiser from {path}")
-        return load_denoiser(path)
+        return _same_classes(load_denoiser(path), path, config)
     if args.denoiser is not None:
         raise ConfigError(f"denoiser checkpoint {path} not found")
     if not quiet:
@@ -107,12 +116,12 @@ def _get_denoiser(args, config: ExperimentConfig, quiet: bool):
     return build_denoiser(config, quiet=quiet)
 
 
-def _get_weight_fn(args, quiet: bool):
+def _get_weight_fn(args, config: ExperimentConfig, quiet: bool):
     path = getattr(args, "guidance", None) or os.path.join(args.out, "guidance.json")
     if os.path.exists(path):
         if not quiet:
             print(f"loading guidance weights from {path}")
-        return load_weight_fn(path)
+        return _same_classes(load_weight_fn(path), path, config)
     if getattr(args, "guidance", None) is not None:
         raise ConfigError(f"guidance checkpoint {path} not found")
     if not quiet:
@@ -205,8 +214,8 @@ def cmd_sample(args) -> int:
         if not args.quiet:
             print(f"wrote {out_path} ({x.shape[0]} data draws)")
         return 0
+    weight_fn = _get_weight_fn(args, config, args.quiet)
     denoiser = _get_denoiser(args, config, args.quiet)
-    weight_fn = _get_weight_fn(args, args.quiet)
     x, c = sample(config.sample, denoiser, denoiser, weight_fn,
                   class_weights=config.mog.weights, seed=config.seed)
     if not np.all(np.isfinite(x)):
@@ -255,10 +264,9 @@ def cmd_eval_mmd(args) -> int:
 
 def cmd_sweep(args) -> int:
     config, digest = _load_setup(args)
+    learned = (None if args.guidance is None else
+               _same_classes(load_weight_fn(args.guidance), args.guidance, config))
     denoiser = _get_denoiser(args, config, args.quiet)
-    learned = None
-    if args.guidance is not None:
-        learned = load_weight_fn(args.guidance)
     report = run_figure_protocol(
         denoiser, denoiser, config.mog, config.sample,
         config.eval.omega_grid, learned_fn=learned,
@@ -277,7 +285,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_weights(args) -> int:
     config, digest = _load_setup(args)
-    weight_fn = _get_weight_fn(args, args.quiet)
+    weight_fn = _get_weight_fn(args, config, args.quiet)
     t, omegas = export_weight_grid(weight_fn, config.mog.n_classes,
                                    dt=0.01, zeta=config.sample.zeta)
     if not np.all(np.isfinite(omegas)):

@@ -313,15 +313,15 @@ def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):
     d = spec.dim
     sizes = ([d + config.time_embed_dim + spec.n_classes]
              + [config.hidden] * config.layers + [d])
-    net = nn.Mlp.create(sizes, stream(config.seed, "denoiser/init"))
+    net = nn.Mlp(sizes).init_glorot(stream(config.seed, "denoiser/init"))
     model = NeuralDenoiser(net, spec.n_classes, config.time_embed_dim)
 
     data_rng = stream(config.seed, "denoiser/data")
     time_rng = stream(config.seed, "denoiser/time")
     noise_rng = stream(config.seed, "denoiser/noise")
     drop_rng = stream(config.seed, "denoiser/drop")
-    params = net.parameters()
-    adam = nn.AdamState.for_params(params, lr=config.learning_rate)
+    blocks = net.parameters()
+    adam = nn.AdamState.for_params(net.params, lr=config.learning_rate)
 
     losses = np.zeros(config.iterations)
     lo, hi = config.time_clamp, 1.0 - config.time_clamp
@@ -335,7 +335,7 @@ def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):
         pred, tape = net.forward(model._features(x_t, t, onehot))
         resid = pred - x0
         losses[it] = float(np.mean(np.sum(resid * resid, axis=1)))
-        grads, _ = net.backward(tape, 2.0 * resid / config.batch_size)
-        grads, _ = nn.clip_global_norm(grads, config.clip_norm)
-        nn.adam_step(adam, params, grads)
+        grad, _ = net.backward(tape, 2.0 * resid / config.batch_size)
+        nn.clip_global_norm(grad, config.clip_norm, blocks)
+        nn.adam_step(adam, net.params, grad)
     return model, losses

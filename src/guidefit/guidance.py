@@ -58,10 +58,15 @@ class GuidanceNet:
     output is passed through ReLU instead.
     """
 
-    def __init__(self, embed: nn.Mlp, trunk: nn.Mlp, n_classes: int,
+    def __init__(self, embed: dict, trunk: dict, n_classes: int, params=None,
                  allow_negative: bool = True, logsnr_clip: float = 13.8):
-        self.embed = embed
-        self.trunk = trunk
+        """embed and trunk are the nn.Mlp arguments of the two nets other than
+        params; both nets view the one vector params, embed first (zeros when None)."""
+        split = nn.n_params(embed["sizes"])
+        self.params = (np.zeros(split + nn.n_params(trunk["sizes"])) if params is None
+                       else np.asarray(params, dtype=float))
+        self.embed = nn.Mlp(params=self.params[:split], **embed)
+        self.trunk = nn.Mlp(params=self.params[split:], **trunk)
         self.n_classes = n_classes
         self.allow_negative = allow_negative
         self.logsnr_clip = logsnr_clip
@@ -71,12 +76,15 @@ class GuidanceNet:
                trunk_hidden: int = 64, trunk_layers: int = 6, dropout: float = 0.3,
                allow_negative: bool = True, logsnr_clip: float = 13.8, zero_init: bool = True):
         """Build the default architecture; zero_init starts the net at omega == 0."""
-        embed = nn.Mlp.create([2, embed_hidden, embed_dim], rng,
-                              output_activation="gelu", dropout_rate=dropout)
         head = "identity" if allow_negative else "relu"
-        trunk = nn.Mlp.create([embed_dim + n_classes] + [trunk_hidden] * trunk_layers + [1],
-                              rng, output_activation=head, zero_final=zero_init)
-        return cls(embed, trunk, n_classes, allow_negative, logsnr_clip)
+        net = cls({"sizes": [2, embed_hidden, embed_dim], "output_activation": "gelu",
+                   "dropout_rate": dropout},
+                  {"sizes": [embed_dim + n_classes] + [trunk_hidden] * trunk_layers + [1],
+                   "output_activation": head},
+                  n_classes, None, allow_negative, logsnr_clip)
+        net.embed.init_glorot(rng)
+        net.trunk.init_glorot(rng, zero_final=zero_init)
+        return net
 
     def parameters(self):
         return self.embed.parameters() + self.trunk.parameters()
@@ -98,10 +106,13 @@ class GuidanceNet:
         return out[:, 0], {"embed": tape_e, "trunk": tape_t} if tape else None
 
     def backward(self, tape, d_omega):
-        """Parameter gradients (embed blocks then trunk blocks) for cotangent d_omega (n,)."""
-        gt, d_in = self.trunk.backward(tape["trunk"], np.asarray(d_omega)[:, None])
-        ge, _ = self.embed.backward(tape["embed"], d_in[:, :-self.n_classes])
-        return ge + gt
+        """Flat parameter gradient, in the layout of params, for cotangent d_omega (n,)."""
+        grad = np.empty_like(self.params)
+        split = self.embed.params.size
+        _, d_in = self.trunk.backward(tape["trunk"], np.asarray(d_omega)[:, None],
+                                      out=grad[split:])
+        self.embed.backward(tape["embed"], d_in[:, :-self.n_classes], out=grad[:split])
+        return grad
 
     def weight(self, s, t, c=None):
         _, _, _, scalar = _broadcast_inputs(s, t, c)

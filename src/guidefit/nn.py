@@ -9,14 +9,20 @@ Inference (teacher calls, weight evaluation) runs forward(tape=False): no
 per-layer arrays are kept and activations run in place, with bit-equal output.
 The tape keeps GeLU's 1 + erf(z / sqrt 2), so backward needs no second erf.
 
-Parameter order is canonical everywhere: [W0, b0, W1, b1, ...] with weights
-stored (out, in) and flattened row-major. Checkpoints, Adam and EMA states,
-and flat parameter vectors all follow it.
+Each net's parameters are one contiguous vector in canonical order
+[W0, b0, W1, b1, ...], weights stored (out, in) row-major; weights and biases
+are views of it. Gradients, Adam's moments, the EMA shadow, training
+snapshots and checkpoints share that layout, so Adam and the EMA are one
+vector operation each. Only clip_global_norm still walks the blocks: it sums
+the squared norm block by block, because one np.sum over the whole vector
+pairs the terms differently and would round the norm, and with it every
+clipped step, differently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -59,57 +65,62 @@ _ACTIVATIONS = {
 }
 
 
+def n_params(sizes) -> int:
+    """Length of the parameter vector of an Mlp with these layer sizes."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
 class Mlp:
     """Fully connected net: affine layers with an activation after each hidden one.
 
-    forward() returns (y, tape); backward(tape, dy) returns the parameter
-    gradients in canonical order plus the gradient with respect to the input,
-    so nets can be chained.
+    It views params, a contiguous vector of n_params(sizes) floats (zeros when
+    None): weights and biases are views of it. forward() returns (y, tape);
+    backward(tape, dy) returns the parameter gradient in the layout of params
+    plus the gradient with respect to the input, so nets can be chained.
     """
 
-    def __init__(self, weights, biases, hidden_activation="gelu",
+    def __init__(self, sizes, params=None, hidden_activation="gelu",
                  output_activation="identity", dropout_rate=0.0):
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("need equally many weights and biases, at least one layer")
+        self.sizes = [operator.index(s) for s in sizes]
+        if len(self.sizes) < 2:
+            raise ValueError("sizes needs an input and an output dimension")
         for act in (hidden_activation, output_activation):
             if act not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        n = n_params(self.sizes)
+        self.params = np.zeros(n) if params is None else np.asarray(params, dtype=float)
+        if self.params.shape != (n,) or not self.params.flags.c_contiguous:
+            raise ValueError(f"sizes {self.sizes} need a contiguous vector of {n} params, "
+                             f"got shape {self.params.shape}")
+        blocks = self._blocks(self.params)
+        self.weights, self.biases = blocks[0::2], blocks[1::2]
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
         self.dropout_rate = dropout_rate
 
-    @classmethod
-    def create(cls, sizes, rng, hidden_activation="gelu", output_activation="identity",
-               dropout_rate=0.0, zero_final=False):
-        """Glorot-normal weights (var 2 / (fan_in + fan_out)), zero biases.
-
-        zero_final zeroes the last layer so the net starts as the constant 0.
-        """
-        if len(sizes) < 2:
-            raise ValueError("sizes needs an input and an output dimension")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            std = np.sqrt(2.0 / (fan_in + fan_out))
-            weights.append(std * rng.standard_normal((fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
+    def init_glorot(self, rng, zero_final=False):
+        """Draw Glorot-normal weights (var 2 / (fan_in + fan_out)) in place, layer by
+        layer, and return the net; zero_final zeroes the last layer (constant 0 net)."""
+        for w in self.weights:
+            w[...] = np.sqrt(2.0 / sum(w.shape)) * rng.standard_normal(w.shape)
         if zero_final:
-            weights[-1][:] = 0.0
-        return cls(weights, biases, hidden_activation, output_activation, dropout_rate)
+            self.weights[-1][...] = 0.0
+        return self
 
-    @property
-    def sizes(self):
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+    def _blocks(self, flat):
+        """Views of flat in canonical order [W0, b0, W1, b1, ...], W stored (out, in)."""
+        out, lo = [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            mid, hi = lo + fan_in * fan_out, lo + (fan_in + 1) * fan_out
+            out += [flat[lo:mid].reshape(fan_out, fan_in), flat[mid:hi]]
+            lo = hi
+        return out
 
     def parameters(self):
-        """Canonical parameter list [W0, b0, W1, b1, ...] (live arrays)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        """Canonical parameter blocks [W0, b0, W1, b1, ...], views of params."""
+        return self._blocks(self.params)
 
     def forward(self, x, train=False, rng=None, tape=True):
         """Run the net on x of shape (n, d_in).
@@ -145,11 +156,12 @@ class Mlp:
                 masks.append(mask)
         return h, {"pre": pre, "post": post, "masks": masks, "kept": kept} if tape else None
 
-    def backward(self, tape, dy):
+    def backward(self, tape, dy, out=None):
         """Backpropagate cotangent dy of shape (n, d_out) through the tape.
 
-        Returns (grads, dx): grads in canonical parameter order (summed over
-        the batch), dx of shape (n, d_in).
+        Returns (grad, dx): grad the parameter gradient (summed over the batch)
+        in the layout of params, written into out when given, and dx of shape
+        (n, d_in).
         """
         _, act_grad = _ACTIVATIONS[self.hidden_activation]
         _, out_act_grad = _ACTIVATIONS[self.output_activation]
@@ -157,93 +169,75 @@ class Mlp:
         last = len(self.weights) - 1
 
         g = np.asarray(dy, dtype=float) * out_act_grad(pre[last], kept[last])
-        grads = [None] * (2 * len(self.weights))
+        grad = np.empty_like(self.params) if out is None else out
+        blocks = self._blocks(grad)
         for i in range(last, -1, -1):
-            grads[2 * i] = g.T @ post[i]      # dW, shape (out, in)
-            grads[2 * i + 1] = g.sum(axis=0)  # db
+            np.matmul(g.T, post[i], out=blocks[2 * i])  # dW, shape (out, in)
+            g.sum(axis=0, out=blocks[2 * i + 1])         # db
             g = g @ self.weights[i]
             if i > 0:
                 if masks[i - 1] is not None:
                     g = g * masks[i - 1]
                 g = g * act_grad(pre[i - 1], kept[i - 1])
-        return grads, g
+        return grad, g
 
 
-def flatten_params(params) -> np.ndarray:
-    return np.concatenate([np.asarray(p, dtype=float).ravel() for p in params])
+def clip_global_norm(grad, max_norm, blocks):
+    """Scale the flat gradient grad in place so its l2 norm is at most max_norm.
 
-
-def set_flat_params(params, flat):
-    """Write a flat vector back into live parameter arrays (canonical order)."""
-    flat = np.asarray(flat, dtype=float)
-    offset = 0
-    for p in params:
-        n = p.size
-        p[...] = flat[offset:offset + n].reshape(p.shape)
-        offset += n
-    if offset != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, parameters need {offset}")
-
-
-def clip_global_norm(grads, max_norm):
-    """Scale grads so their joint l2 norm is at most max_norm.
-
-    Returns (grads, pre_clip_norm). max_norm None or <= 0 disables clipping.
+    blocks are the parameter blocks grad is laid out as (a net's
+    parameters()); the squared norm is summed block by block in their order.
+    Returns the norm before clipping. max_norm None or <= 0 disables clipping.
     """
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-    if max_norm is None or max_norm <= 0.0 or norm <= max_norm:
-        return list(grads), norm
-    scale = max_norm / norm
-    return [g * scale for g in grads], norm
+    ends = np.cumsum([b.size for b in blocks])[:-1]
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in np.split(grad, ends))))
+    if not (max_norm is None or max_norm <= 0.0 or norm <= max_norm):
+        grad *= max_norm / norm
+    return norm
 
 
 @dataclass
 class AdamState:
-    """Adam with bias correction."""
+    """Adam with bias correction; m and v are flat, in the parameters' layout."""
 
     lr: float
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params, lr, **kwargs):
-        state = cls(lr=lr, **kwargs)
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-        return state
+        return cls(lr, np.zeros_like(params), np.zeros_like(params), **kwargs)
 
 
-def adam_step(state: AdamState, params, grads):
-    """Apply one Adam update in place. Raises on non-finite gradients."""
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ValueError("params, grads, and state must be congruent")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in parameter block {i}")
+def adam_step(state: AdamState, params, grad):
+    """Apply one Adam update to the flat params in place. Raises on a non-finite gradient."""
+    if params.shape != state.m.shape or grad.shape != params.shape:
+        raise ValueError("params, grad, and state must be congruent")
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("non-finite gradient")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, then
-        # p = p - lr (m / bc1) / (sqrt(v / bc2) + eps), all in place
-        m *= b1
-        m += (1.0 - b1) * g
-        gg = (1.0 - b2) * g
-        gg *= g
-        v *= b2
-        v += gg
-        denom = v / bc2
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        update = m / bc1
-        update /= denom
-        update *= state.lr
-        p -= update
+    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, then
+    # p = p - lr (m / bc1) / (sqrt(v / bc2) + eps), all in place
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    tmp = (1.0 - b2) * grad
+    tmp *= grad
+    state.v *= b2
+    state.v += tmp
+    denom = np.divide(state.v, bc2, out=tmp)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    update = state.m / bc1
+    update /= denom
+    update *= state.lr
+    params -= update
 
 
 @dataclass
@@ -251,18 +245,17 @@ class EmaState:
     """Exponential moving average: shadow <- decay * shadow + (1 - decay) * live."""
 
     decay: float
-    shadow: list
+    shadow: np.ndarray
 
     @classmethod
     def for_params(cls, params, decay):
         if not 0.0 <= decay < 1.0:
             raise ValueError(f"decay must lie in [0, 1), got {decay}")
-        return cls(decay=decay, shadow=[np.array(p, dtype=float) for p in params])
+        return cls(decay=decay, shadow=np.array(params, dtype=float))
 
     def update(self, params):
-        for s, p in zip(self.shadow, params):
-            s *= self.decay
-            s += (1.0 - self.decay) * p
+        self.shadow *= self.decay
+        self.shadow += (1.0 - self.decay) * params
 
 
 def sinusoidal_embedding(x, dim: int, max_period: float = 1e4):

@@ -157,7 +157,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
     when select_best is on (final iterate included as a candidate). The probe
     reference is drawn once per run, so its own-pair sums are computed once.
     """
-    params = net.parameters()
+    params, blocks = net.params, net.parameters()
     adam = nn.AdamState.for_params(params, lr=config.learning_rate)
     ema = nn.EmaState.for_params(params, config.ema_decay) if config.ema_decay else None
     reward_fn = make_reward(config.reward, data) if config.reward else None
@@ -175,13 +175,13 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
             ("loss", "reward", "grad_norm", "mean_abs_omega")}
 
     def snapshot():
-        return nn.flatten_params(params if ema is None else ema.shadow)
+        return (params if ema is None else ema.shadow).copy()
 
     def probe_at(flat):
-        live = nn.flatten_params(params)
-        nn.set_flat_params(params, flat)
+        live = params.copy()
+        params[:] = flat
         val = _probe_mmd(net, cond, uncond, data, config, reference)
-        nn.set_flat_params(params, live)
+        params[:] = live
         return val
 
     def record(k):  # cols holds TrainRecord's other fields, in field order
@@ -199,14 +199,14 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
 
         loss = float(np.mean(loss_items))
         if not np.isfinite(loss):
-            nn.set_flat_params(params, last_good)
+            params[:] = last_good
             raise TrainingDiverged(f"non-finite loss at iteration {it}", it, record(it))
-        grads = net.backward(tape, grad_items / n)
-        grads, pre_norm = nn.clip_global_norm(grads, config.clip_norm)
+        grad = net.backward(tape, grad_items / n)
+        pre_norm = nn.clip_global_norm(grad, config.clip_norm, blocks)
         if not np.isfinite(pre_norm):
-            nn.set_flat_params(params, last_good)
+            params[:] = last_good
             raise TrainingDiverged(f"non-finite gradient at iteration {it}", it, record(it))
-        nn.adam_step(adam, params, grads)
+        nn.adam_step(adam, params, grad)
         if ema is not None:
             ema.update(params)
 
@@ -230,9 +230,8 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
         best = min(candidates, key=lambda c: c[0])
         if not quiet:
             print(f"  selected checkpoint at iter {best[1]} (probe mmd {best[0]:.4f})")
-        nn.set_flat_params(params, best[2])
-    else:
-        nn.set_flat_params(params, final)
+        final = best[2]
+    params[:] = final
 
     return net, record(config.iterations)
 
@@ -249,5 +248,4 @@ def loss_param_grad(net: GuidanceNet, cond, uncond, data: MogSpec, x0, c, s, t,
     reward_fn = make_reward(config.reward, data) if config.reward else None
     loss_items, grad_items, _ = _objective(config, x0, c, s, t, omega, cond, uncond,
                                            reward_fn, stream(config.seed, "gradcheck/noise"))
-    grads = net.backward(tape, grad_items / loss_items.shape[0])
-    return float(np.mean(loss_items)), nn.flatten_params(grads)
+    return float(np.mean(loss_items)), net.backward(tape, grad_items / loss_items.shape[0])

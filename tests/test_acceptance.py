@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from guidefit import nn
 from guidefit.cli import main as cli_main
 from guidefit.config import build_denoiser, build_guidance_net, load_config
 from guidefit.denoisers import mixture_score, posterior_mean
@@ -88,19 +87,18 @@ def _omega_fd_error(loss_fn, batch):
 def _param_fd_error(net, exact, mog, x0, c, s, t, config, n_coords=8):
     """Worst relative error over the largest-gradient parameter coordinates."""
     _, grad = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
-    params = net.parameters()
-    flat = nn.flatten_params(params)
+    flat = net.params.copy()
     h = 1e-6
     worst = 0.0
     for i in np.argsort(-np.abs(grad))[:n_coords]:
         fp = flat.copy()
         fp[i] += h
-        nn.set_flat_params(params, fp)
+        net.params[:] = fp
         up, _ = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
         fp[i] -= 2.0 * h
-        nn.set_flat_params(params, fp)
+        net.params[:] = fp
         down, _ = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
-        nn.set_flat_params(params, flat)
+        net.params[:] = flat
         fd = (up - down) / (2.0 * h)
         worst = max(worst, abs(fd - grad[i]) / max(abs(fd), 1e-8))
     return worst

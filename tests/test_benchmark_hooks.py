@@ -1,25 +1,55 @@
-"""The benchmark's tracer must still find every callable it wraps.
+"""The benchmark must still run on the current package.
 
-perfbench/tracing.py wraps guidefit functions and methods by name. Deleting
-or renaming one of them breaks only `perfbench/run.py --trace 1` and
-`perfbench/selftest.py`, neither of which the unit tests run, so this test
-installs the tracer in a fresh interpreter (it rebinds module attributes,
-which must not leak into this process). It reads perfbench/ and changes
-nothing there.
+perfbench/tracing.py wraps guidefit functions and methods by name, and
+perfbench/workloads.py checks the artifacts every run writes (checkpoint
+params against the declared sizes, train_record.csv's exact header, the
+sweep's rows). Breaking either marks every benchmark run failed, yet only
+`perfbench/run.py` and `perfbench/selftest.py` would notice, and the unit
+tests run neither. These tests run the benchmark's own code in a fresh
+interpreter (the tracer rebinds module attributes, which must not leak into
+this process). They read perfbench/ and change nothing there.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
 
 
 def test_tracer_installs_on_current_package():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Runs every workload's set-up and timed commands at the tiny size and prints
+# {workload: the errors workloads.check reports, plus any nonzero exit code}.
+_RUN_TINY = """
+import json, os, sys
+import workloads
+from guidefit.cli import main
+root, work = sys.argv[1:]
+errors = {}
+for name in workloads.WORKLOADS:
+    os.makedirs(os.path.join(work, name))
+    inputs = workloads.make_inputs(name, root, os.path.join(work, name), tiny=True)
+    out = os.path.join(work, name, "out")
+    setup, timed = workloads.commands(name, inputs, out, 1)
+    codes = [main(argv) for argv in setup + [timed]]
+    errors[name] = [f"exit {c}" for c in codes if c] + workloads.check(name, inputs, out)
+print(json.dumps(errors))
+"""
+
+
+def test_benchmark_artifact_checks_pass_on_tiny_workloads(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _RUN_TINY, str(ROOT), str(tmp_path)],
+                          cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    errors = json.loads(proc.stdout.splitlines()[-1])
+    assert errors == {name: [] for name in errors} and len(errors) == 3, errors

@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from guidefit import checkpoints
+from guidefit import checkpoints, nn
 from guidefit.checkpoints import (CheckpointError, load_denoiser, load_weight_fn,
                                   read_metadata, save_denoiser, save_weight_fn)
 from guidefit.denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
-                                DenoiserTrainConfig, train_neural_denoiser)
+                                DenoiserTrainConfig, NeuralDenoiser, train_neural_denoiser)
 from guidefit.guidance import ConstantWeight, GuidanceNet
 from guidefit.rng import stream
 
@@ -216,3 +218,45 @@ def test_checkpoint_bytes_match_json_dump(tmp_path, mog):
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
         assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
+
+
+def _resaved(save, load, obj, directory):
+    """The object loaded from obj's checkpoint, after checking that saving it
+    again writes the same bytes."""
+    first, second = directory / "first.json", directory / "second.json"
+    save(first, obj, {"seed": 1})
+    loaded = load(first)
+    save(second, loaded, {"seed": 1})
+    assert first.read_bytes() == second.read_bytes()
+    return loaded
+
+
+_WIDTH = st.integers(1, 12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_classes=st.integers(1, 5), embed_hidden=_WIDTH, embed_dim=_WIDTH, trunk_hidden=_WIDTH,
+       trunk_layers=st.integers(0, 3), allow_negative=st.booleans(), seed=st.integers(0, 99))
+def test_guidance_net_save_load_save_is_byte_stable(tmp_path_factory, n_classes, embed_hidden,
+                                                     embed_dim, trunk_hidden, trunk_layers,
+                                                     allow_negative, seed):
+    net = GuidanceNet.create(n_classes, stream(seed, "test/prop_gn"), embed_hidden=embed_hidden,
+                             embed_dim=embed_dim, trunk_hidden=trunk_hidden,
+                             trunk_layers=trunk_layers, allow_negative=allow_negative,
+                             zero_init=False)
+    loaded = _resaved(save_weight_fn, load_weight_fn, net, tmp_path_factory.mktemp("gn"))
+    assert loaded.params.tobytes() == net.params.tobytes()
+    assert all(np.shares_memory(p, loaded.params) for p in loaded.parameters())
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), time_embed_dim=st.sampled_from([2, 4, 8]),
+       n_classes=st.integers(1, 5), hidden=st.lists(_WIDTH, max_size=3), seed=st.integers(0, 99))
+def test_neural_denoiser_save_load_save_is_byte_stable(tmp_path_factory, dim, time_embed_dim,
+                                                       n_classes, hidden, seed):
+    sizes = [dim + time_embed_dim + n_classes] + hidden + [dim]
+    den = NeuralDenoiser(nn.Mlp(sizes).init_glorot(stream(seed, "test/prop_den")), n_classes,
+                         time_embed_dim)
+    loaded = _resaved(save_denoiser, load_denoiser, den, tmp_path_factory.mktemp("den"))
+    assert loaded.net.params.tobytes() == den.net.params.tobytes()
+    assert all(np.shares_memory(p, loaded.net.params) for p in loaded.net.parameters())

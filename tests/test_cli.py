@@ -210,12 +210,10 @@ def test_retired_weight_kinds_are_usage_errors(tmp_path, tiny_config, capsys):
 
 
 def test_overflowing_weights_are_numerical_failure(tmp_path, tiny_config):
-    from guidefit import nn
     from guidefit.config import build_guidance_net
 
     net = build_guidance_net(load_config(tiny_config))
-    params = net.parameters()
-    nn.set_flat_params(params, np.full(nn.flatten_params(params).size, 1e300))
+    net.params[:] = 1e300
     path = tmp_path / "huge.json"
     save_weight_fn(path, net)
     out = tmp_path / "o"
@@ -224,6 +222,36 @@ def test_overflowing_weights_are_numerical_failure(tmp_path, tiny_config):
                    "--quiet", "--guidance", str(path))
     assert code == 3
     assert not (out / "weights.csv").exists()
+
+
+def test_checkpoint_for_another_class_count_is_usage_error(tmp_path, tiny_config, capsys):
+    from guidefit.checkpoints import save_denoiser
+    from guidefit.config import build_denoiser, build_guidance_net
+
+    four = load_config(tiny_config)  # the default 4-class mixture
+    guidance, denoiser = tmp_path / "guidance.json", tmp_path / "denoiser.json"
+    save_weight_fn(guidance, build_guidance_net(four))
+    save_denoiser(denoiser, build_denoiser(four))
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps(dict(TINY, mog={"means": [[-2.0, 0.0], [2.0, 0.0]],
+                                              "variances": [1.0, 1.0],
+                                              "weights": [0.5, 0.5]})))
+    cases = [("sample", "--guidance", guidance, "samples.csv"),
+             ("sweep", "--guidance", guidance, "sweep.csv"),
+             ("export-weights", "--guidance", guidance, "weights.csv"),
+             ("sample", "--denoiser", denoiser, "samples.csv"),
+             ("train-guidance", "--denoiser", denoiser, "guidance.json")]
+    for i, (command, flag, path, artifact) in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        assert run(command, "--config", str(two), "--out", str(out), "--quiet",
+                   flag, str(path)) == 2, (command, flag)
+        err = capsys.readouterr().err
+        assert str(path) in err and "4 classes" in err and "mog has 2" in err, err
+        assert not (out / artifact).exists(), (command, flag)
+    # a constant weight has no class count and is accepted
+    save_weight_fn(guidance, ConstantWeight(0.5))
+    assert run("export-weights", "--config", str(two), "--out", str(tmp_path / "c"),
+               "--quiet", "--guidance", str(guidance)) == 0
 
 
 def test_diverged_run_leaves_its_record(tmp_path):

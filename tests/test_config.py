@@ -4,9 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidefit.cli import main
-from guidefit.config import ConfigError, config_digest, config_from_dict, load_config
+from guidefit.config import (ConfigError, config_digest, config_from_dict, config_to_dict,
+                             load_config)
 from guidefit.denoisers import CorruptionSpec, DenoiserTrainConfig
 from guidefit.objectives import TimePairSampler
 from guidefit.trainer import TrainConfig
@@ -86,3 +89,40 @@ def test_shipped_config_digests():
     assert digests == {"guided_sm": "ff1a6d5673fd68ed", "reward": "2406f90eef095c50",
                        "under_trained": "7b26d0a4f006fea7",
                        "well_trained": "4dca0e4c1ec98caf"}
+
+
+_NUMBERS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _config_dicts(draw):
+    k = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    return {
+        "seed": draw(st.integers(0, 2**31)),
+        "mog": {"means": draw(st.lists(st.lists(_NUMBERS, min_size=2, max_size=2),
+                                       min_size=k, max_size=k)),
+                "variances": draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)),
+                "weights": [w / sum(weights) for w in weights]},
+        "guidance": {"embed_hidden": draw(st.integers(1, 512)),
+                     "dropout": draw(st.floats(0.0, 0.9)),
+                     "allow_negative": draw(st.booleans())},
+        "train": {"iterations": draw(st.integers(0, 10**6)),
+                  "learning_rate": draw(st.floats(1e-8, 1.0)),
+                  "ema_decay": draw(st.none() | st.floats(0.0, 0.999))},
+        "sample": {"steps": draw(st.integers(1, 100)), "churn": draw(st.floats(0.0, 1.0))},
+        "eval": {"omega_grid": draw(st.lists(_NUMBERS, max_size=6)),
+                 "resamples": draw(st.integers(1, 50))},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_config_dicts())
+def test_config_dict_round_trip_is_stable(data):
+    once = config_to_dict(config_from_dict(data))
+    assert config_to_dict(config_from_dict(json.loads(json.dumps(once)))) == once
+    assert config_digest(config_from_dict(once)) == config_digest(config_from_dict(data))
+    assert once["seed"] == data["seed"]
+    for section, values in data.items():
+        if section != "seed":
+            assert {key: once[section][key] for key in values} == values, section

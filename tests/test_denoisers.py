@@ -16,7 +16,6 @@ from guidefit.denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionS
                                 log_responsibilities, mixture_log_density,
                                 mixture_score, posterior_mean,
                                 train_neural_denoiser)
-from guidefit.nn import flatten_params
 from guidefit.rng import stream
 from guidefit.schedule import SCHEDULE
 
@@ -188,8 +187,7 @@ def test_neural_denoiser_training_is_deterministic(mog):
     m1, l1 = train_neural_denoiser(mog, config)
     m2, l2 = train_neural_denoiser(mog, config)
     assert np.array_equal(l1, l2)
-    assert np.array_equal(flatten_params(m1.net.parameters()),
-                          flatten_params(m2.net.parameters()))
+    assert np.array_equal(m1.net.params, m2.net.params)
 
 
 def _oracle_denoise(den, x_t, t, c=None):

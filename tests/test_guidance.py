@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidefit.guidance import (ConstantWeight, GuidanceNet, export_weight_grid,
                                guided_denoise, mean_abs_weight, weight_grid_times)
-from guidefit.nn import flatten_params, set_flat_params
 from guidefit.rng import stream
 
 
@@ -56,23 +57,43 @@ def test_guidance_net_backward_matches_finite_differences():
         return float(np.sum(net.weight(s, t, c)))
 
     omega, tape = net.weight_with_tape(s, t, c)
-    grads = net.backward(tape, np.ones(3))
-    params = net.parameters()
-    flat = flatten_params(params)
-    gflat = flatten_params(grads)
+    gflat = net.backward(tape, np.ones(3))
+    flat = net.params.copy()
     h = 1e-6
     idx = np.argsort(-np.abs(gflat))[:12]  # largest-gradient coordinates
     for i in idx:
         fp = flat.copy()
         fp[i] += h
-        set_flat_params(params, fp)
+        net.params[:] = fp
         up = total()
         fp[i] -= 2.0 * h
-        set_flat_params(params, fp)
+        net.params[:] = fp
         down = total()
-        set_flat_params(params, flat)
+        net.params[:] = flat
         fd = (up - down) / (2.0 * h)
         assert abs(fd - gflat[i]) < 1e-6 * max(1.0, abs(fd))
+
+
+_OMEGA = st.sampled_from([0.0, -1.0]) | st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(omegas=st.lists(_OMEGA, min_size=6, max_size=6), t=st.floats(0.05, 0.95),
+       seed=st.integers(0, 99))
+def test_guided_denoise_is_affine_in_omega_exactly(exact, omegas, t, seed):
+    x_t = stream(seed, "test/gd_prop").uniform(-12.0, 12.0, size=(6, 2))
+    c = np.arange(6) % 4
+    xc, xu = exact.denoise(x_t, t, c), exact.denoise(x_t, t, None)
+    out, delta = guided_denoise(exact, exact, x_t, t, c, np.array(omegas))
+    assert delta.tobytes() == (xc - xu).tobytes()
+    for i, w in enumerate(omegas):
+        scalar, _ = guided_denoise(exact, exact, x_t, t, c, w)
+        if w in (0.0, -1.0):  # the endpoints come back exactly
+            assert scalar.tobytes() == (xc if w == 0.0 else xu).tobytes()
+        else:
+            assert scalar.tobytes() == (xc + w * delta).tobytes()
+            if len(set(omegas)) > 1:  # uniform arrays take the scalar path
+                assert out[i].tobytes() == scalar[i].tobytes()
 
 
 def test_relu_head_blocks_negative_weights():

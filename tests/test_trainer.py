@@ -8,7 +8,6 @@ import pytest
 from guidefit import evaluation, trainer
 from guidefit.evaluation import energy_mmd
 from guidefit.guidance import GuidanceNet
-from guidefit.nn import flatten_params
 from guidefit.objectives import (MmdParams, TimePairSampler, build_gsm, build_particles,
                                  guided_score_matching_loss, l2_loss, mmd_loss,
                                  reward_loss)
@@ -56,7 +55,7 @@ def test_training_is_deterministic(mog, exact):
     runs = []
     for _ in range(2):
         net, record = train_guidance(fresh_net(), exact, exact, mog, config)
-        runs.append((flatten_params(net.parameters()), record))
+        runs.append((net.params, record))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1].loss, runs[1][1].loss)
     assert np.array_equal(runs[0][1].grad_norm, runs[1][1].grad_norm)
@@ -64,9 +63,9 @@ def test_training_is_deterministic(mog, exact):
 
 def test_training_moves_parameters_and_records_trace(mog, exact):
     net = fresh_net()
-    init = flatten_params(net.parameters()).copy()
+    init = net.params.copy()
     net, record = train_guidance(net, exact, exact, mog, short_config())
-    assert not np.array_equal(flatten_params(net.parameters()), init)
+    assert not np.array_equal(net.params, init)
     assert record.iteration.shape == (8,)
     assert np.all(np.isfinite(record.loss))
     assert np.all(np.isfinite(record.grad_norm))
@@ -93,12 +92,12 @@ def test_all_modes_run(mog, exact):
 
 
 def test_ema_anchors_near_init(mog, exact):
-    init = flatten_params(fresh_net().parameters()).copy()
+    init = fresh_net().params
     live, _ = train_guidance(fresh_net(), exact, exact, mog, short_config())
     shadow, _ = train_guidance(fresh_net(), exact, exact, mog,
                                short_config(ema_decay=0.999))
-    live_move = np.linalg.norm(flatten_params(live.parameters()) - init)
-    shadow_move = np.linalg.norm(flatten_params(shadow.parameters()) - init)
+    live_move = np.linalg.norm(live.params - init)
+    shadow_move = np.linalg.norm(shadow.params - init)
     assert shadow_move < 0.1 * live_move
 
 
@@ -121,8 +120,7 @@ def test_divergence_raises_and_restores_last_checkpoint(mog, exact):
     assert np.array_equal(record.iteration, np.arange(info.value.iteration))
     assert np.all(np.isfinite(record.loss)) and np.all(np.isfinite(record.grad_norm))
     # net holds the last good snapshot: finite, and still the zero function
-    flat = flatten_params(net.parameters())
-    assert np.all(np.isfinite(flat))
+    assert np.all(np.isfinite(net.params))
     assert net.weight(0.3, 0.8, 0) == 0.0
 
 
@@ -192,8 +190,7 @@ def _oracle_loss_param_grad(net, cond, uncond, data, x0, c, s, t, config):
             r_loss, r_grad = reward_loss(batch, reward_fn, sign=config.reward_sign)
             loss_items = loss_items + config.gamma_reward * r_loss
             grad_items = grad_items + config.gamma_reward * r_grad
-    grads = net.backward(tape, grad_items / n)
-    return float(np.mean(loss_items)), flatten_params(grads)
+    return float(np.mean(loss_items)), net.backward(tape, grad_items / n)
 
 
 def test_loss_param_grad_bytes_match_per_mode_oracle(mog, exact):
