@@ -31,7 +31,8 @@ from .checkpoints import (CheckpointError, load_denoiser, load_weight_fn,
                           save_denoiser, save_weight_fn)
 from .config import (ConfigError, ExperimentConfig, build_denoiser,
                      build_guidance_net, config_digest, load_config)
-from .evaluation import EvalReport, EvalRow, mmd_with_se, run_figure_protocol
+from .evaluation import (EvalReport, EvalRow, mmd_with_se, run_figure_protocol,
+                         write_table)
 from .guidance import ConstantWeight, export_weight_grid
 from .sampler import sample, sample_trajectory
 from .trainer import TrainingDiverged, train_guidance
@@ -91,11 +92,25 @@ def _load_setup(args):
     if args.seed is not None:
         config = config.with_seed(args.seed)
     os.makedirs(args.out, exist_ok=True)
-    return config, config_digest(config)
+    digest = config_digest(config)
+    return config, digest, f"seed={config.seed} config_digest={digest}"
 
 
-def _same_classes(obj, path, config: ExperimentConfig):
-    """obj, loaded from path, unless built for another class count than the config's."""
+def _checkpoint(path, default, load, config: ExperimentConfig, quiet: bool):
+    """load(path), else load(default) when no path is given and default exists, else None.
+
+    A given path that does not exist, or a checkpoint for another class count
+    than the config's, is a ConfigError.
+    """
+    if path is None:
+        path = default if default is not None and os.path.exists(default) else None
+    elif not os.path.exists(path):
+        raise ConfigError(f"checkpoint {path} not found")
+    if path is None:
+        return None
+    if not quiet:
+        print(f"loading {path}")
+    obj = load(path)
     n = getattr(obj, "n_classes", config.mog.n_classes)
     if n != config.mog.n_classes:
         raise ConfigError(f"checkpoint {path} is for {n} classes, "
@@ -103,39 +118,18 @@ def _same_classes(obj, path, config: ExperimentConfig):
     return obj
 
 
-def _get_denoiser(args, config: ExperimentConfig, quiet: bool):
-    path = args.denoiser or os.path.join(args.out, "denoiser.json")
-    if os.path.exists(path):
-        if not quiet:
-            print(f"loading denoiser from {path}")
-        return _same_classes(load_denoiser(path), path, config)
-    if args.denoiser is not None:
-        raise ConfigError(f"denoiser checkpoint {path} not found")
-    if not quiet:
-        print("no denoiser checkpoint, building from config")
-    return build_denoiser(config, quiet=quiet)
+def _denoiser(args, config: ExperimentConfig):
+    """--denoiser, else <out>/denoiser.json, else the denoiser the config builds."""
+    return (_checkpoint(args.denoiser, os.path.join(args.out, "denoiser.json"),
+                        load_denoiser, config, args.quiet)
+            or build_denoiser(config, quiet=args.quiet))
 
 
-def _get_weight_fn(args, config: ExperimentConfig, quiet: bool):
-    path = getattr(args, "guidance", None) or os.path.join(args.out, "guidance.json")
-    if os.path.exists(path):
-        if not quiet:
-            print(f"loading guidance weights from {path}")
-        return _same_classes(load_weight_fn(path), path, config)
-    if getattr(args, "guidance", None) is not None:
-        raise ConfigError(f"guidance checkpoint {path} not found")
-    if not quiet:
-        print("no guidance checkpoint, sampling unguided (omega = 0)")
-    return ConstantWeight(0.0)
-
-
-def _write_samples(path, x, c, header: str):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {header}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["c", "x", "y"])
-        for i in range(x.shape[0]):
-            writer.writerow([int(c[i]), repr(float(x[i, 0])), repr(float(x[i, 1]))])
+def _weight_fn(args, config: ExperimentConfig):
+    """--guidance, else <out>/guidance.json, else omega = 0."""
+    return (_checkpoint(args.guidance, os.path.join(args.out, "guidance.json"),
+                        load_weight_fn, config, args.quiet)
+            or ConstantWeight(0.0))
 
 
 def _read_samples(path):
@@ -163,7 +157,7 @@ def _read_samples(path):
 
 
 def cmd_pretrain_denoiser(args) -> int:
-    config, digest = _load_setup(args)
+    config, digest, _ = _load_setup(args)
     denoiser = build_denoiser(config, quiet=args.quiet)
     path = os.path.join(args.out, "denoiser.json")
     save_denoiser(path, denoiser,
@@ -175,12 +169,11 @@ def cmd_pretrain_denoiser(args) -> int:
 
 
 def cmd_train_guidance(args) -> int:
-    config, digest = _load_setup(args)
-    denoiser = _get_denoiser(args, config, args.quiet)
+    config, digest, header = _load_setup(args)
+    denoiser = _denoiser(args, config)
     net = build_guidance_net(config)
     if not args.quiet:
         print(f"training guidance ({config.train.mode}, {config.train.iterations} iterations)")
-    header = f"seed={config.seed} config_digest={digest}"
     try:
         net, record = train_guidance(net, denoiser, denoiser, config.mog, config.train,
                                      quiet=args.quiet)
@@ -200,52 +193,45 @@ def cmd_train_guidance(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    config, digest = _load_setup(args)
+    config, _, header = _load_setup(args)
     if args.trajectory is not None and not 0 <= args.trajectory < config.sample.count:
         raise ConfigError(f"--trajectory {args.trajectory} is not a chain in "
                           f"[0, {config.sample.count})")
-    header = f"seed={config.seed} config_digest={digest}"
     out_path = args.output or os.path.join(args.out, "samples.csv")
     if args.from_data:
         from .rng import stream
         x, c = config.mog.sample_joint(config.sample.count,
                                        stream(config.seed, "sample/data"))
-        _write_samples(out_path, x, c, header + " source=data")
-        if not args.quiet:
-            print(f"wrote {out_path} ({x.shape[0]} data draws)")
-        return 0
-    weight_fn = _get_weight_fn(args, config, args.quiet)
-    denoiser = _get_denoiser(args, config, args.quiet)
-    x, c = sample(config.sample, denoiser, denoiser, weight_fn,
-                  class_weights=config.mog.weights, seed=config.seed)
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError("sampler produced non-finite values")
-    _write_samples(out_path, x, c, header + " source=model")
+        source = "data"
+    else:
+        weight_fn = _weight_fn(args, config)
+        denoiser = _denoiser(args, config)
+        x, c = sample(config.sample, denoiser, denoiser, weight_fn,
+                      class_weights=config.mog.weights, seed=config.seed)
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError("sampler produced non-finite values")
+        source = "model"
+    write_table(out_path, f"{header} source={source}", ["c", "x", "y"],
+                zip(c, x[:, 0], x[:, 1]))
     if not args.quiet:
-        print(f"wrote {out_path} ({x.shape[0]} samples)")
-    if args.trajectory is not None:
+        print(f"wrote {out_path} ({x.shape[0]} {source} draws)")
+    if args.trajectory is not None and not args.from_data:
         times, states, omegas, cls = sample_trajectory(
             config.sample, denoiser, denoiser, weight_fn,
             class_weights=config.mog.weights, seed=config.seed,
             chain=args.trajectory)
         traj_path = os.path.join(args.out, "trajectory.csv")
-        with open(traj_path, "w", newline="") as fh:
-            fh.write(f"# {header} chain={args.trajectory} class={cls}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["k", "t_k", "x", "y", "omega"])
-            n = times.shape[0] - 1
-            for j in range(times.shape[0]):
-                omega = "" if j == 0 else repr(float(omegas[j - 1]))
-                writer.writerow([n - j, repr(float(times[j])),
-                                 repr(float(states[j, 0])), repr(float(states[j, 1])),
-                                 omega])
+        write_table(traj_path, f"{header} chain={args.trajectory} class={cls}",
+                    ["k", "t_k", "x", "y", "omega"],
+                    zip(range(times.shape[0] - 1, -1, -1), times, states[:, 0],
+                        states[:, 1], [None, *omegas]))
         if not args.quiet:
             print(f"wrote {traj_path}")
     return 0
 
 
 def cmd_eval_mmd(args) -> int:
-    config, digest = _load_setup(args)
+    config, digest, _ = _load_setup(args)
     gen, _ = _read_samples(args.generated)
     ref, _ = _read_samples(args.reference)
     mmd, se = mmd_with_se(gen, ref, beta=config.eval.beta, lam=config.eval.lam,
@@ -263,10 +249,9 @@ def cmd_eval_mmd(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config, digest = _load_setup(args)
-    learned = (None if args.guidance is None else
-               _same_classes(load_weight_fn(args.guidance), args.guidance, config))
-    denoiser = _get_denoiser(args, config, args.quiet)
+    config, digest, header = _load_setup(args)
+    learned = _checkpoint(args.guidance, None, load_weight_fn, config, args.quiet)
+    denoiser = _denoiser(args, config)
     report = run_figure_protocol(
         denoiser, denoiser, config.mog, config.sample,
         config.eval.omega_grid, learned_fn=learned,
@@ -275,7 +260,6 @@ def cmd_sweep(args) -> int:
         config_digest=digest, quiet=args.quiet)
     if not all(np.isfinite([r.mmd, r.se]).all() for r in report.rows):
         raise FloatingPointError("sweep evaluation produced a non-finite value")
-    header = f"seed={config.seed} config_digest={digest}"
     report.write_csv(os.path.join(args.out, "sweep.csv"), header)
     report.write_json(os.path.join(args.out, "sweep.json"))
     if not args.quiet:
@@ -284,20 +268,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_weights(args) -> int:
-    config, digest = _load_setup(args)
-    weight_fn = _get_weight_fn(args, config, args.quiet)
+    config, _, header = _load_setup(args)
+    weight_fn = _weight_fn(args, config)
     t, omegas = export_weight_grid(weight_fn, config.mog.n_classes,
                                    dt=0.01, zeta=config.sample.zeta)
     if not np.all(np.isfinite(omegas)):
         raise FloatingPointError("weight function produced non-finite values")
     path = os.path.join(args.out, "weights.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={config.seed} config_digest={digest}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["class", "t", "omega"])
-        for cls in range(omegas.shape[0]):
-            for j in range(t.shape[0]):
-                writer.writerow([cls, repr(float(t[j])), repr(float(omegas[cls, j]))])
+    write_table(path, header, ["class", "t", "omega"],
+                ((cls, tj, w) for cls, row in enumerate(omegas) for tj, w in zip(t, row)))
     if not args.quiet:
         print(f"wrote {path} ({omegas.size} rows)")
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
                         DenoiserTrainConfig, MogSpec, train_neural_denoiser)
-from .guidance import GuidanceNet
+from .guidance import GuidanceArch, GuidanceNet
 from .rng import stream
 from .sampler import SampleConfig
 from .trainer import TrainConfig
@@ -27,18 +27,6 @@ from .trainer import TrainConfig
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class GuidanceArch:
-    embed_hidden: int = 256
-    embed_dim: int = 512
-    trunk_hidden: int = 64
-    trunk_layers: int = 6
-    dropout: float = 0.3
-    allow_negative: bool = True
-    zero_init: bool = True
-    logsnr_clip: float = 13.8
 
 
 @dataclass(frozen=True)
@@ -149,6 +137,12 @@ def _build(cls, data: dict, path: str):
             sub = f"{path}.{name}" if path else name
             build = _build if dataclasses.is_dataclass(hints[name]) else _leaf
             kwargs[name] = build(hints[name], value, sub)
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in kwargs
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise ConfigError(f"{path or 'config'} needs key(s) {missing}, "
+                              "which have no default")
         return cls(**kwargs)
     except ConfigError:
         raise
@@ -183,10 +177,5 @@ def build_denoiser(config: ExperimentConfig, quiet: bool = True):
 
 
 def build_guidance_net(config: ExperimentConfig) -> GuidanceNet:
-    arch = config.guidance
-    return GuidanceNet.create(
-        config.mog.n_classes, stream(config.seed, "guidance/init"),
-        embed_hidden=arch.embed_hidden, embed_dim=arch.embed_dim,
-        trunk_hidden=arch.trunk_hidden, trunk_layers=arch.trunk_layers,
-        dropout=arch.dropout, allow_negative=arch.allow_negative,
-        logsnr_clip=arch.logsnr_clip, zero_init=arch.zero_init)
+    return GuidanceNet.create(config.mog.n_classes, stream(config.seed, "guidance/init"),
+                              **dataclasses.asdict(config.guidance))

@@ -147,6 +147,26 @@ def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20
     return float(full), se
 
 
+def _cell(v):
+    if isinstance(v, (str, int, np.integer)):
+        return v
+    return "" if v is None or np.isnan(v) else repr(float(v))
+
+
+def write_table(path, header, columns, rows):
+    """Write an artifact table: "# header" when one is given, the column row, the rows.
+
+    ints are written as they are, floats at repr precision, None and NaN as
+    empty cells. The comment line ends in "\n", the csv rows in "\r\n".
+    """
+    with open(path, "w", newline="") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
 @dataclass
 class EvalRow:
     """One evaluated sampler configuration."""
@@ -183,15 +203,8 @@ class EvalReport:
             fh.write("\n")
 
     def write_csv(self, path, header_comment: str | None = None):
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["label", "omega", "mmd", "se", "count"])
-            for r in self.rows:
-                writer.writerow([r.label,
-                                 "" if r.omega is None else repr(float(r.omega)),
-                                 repr(float(r.mmd)), repr(float(r.se)), r.count])
+        write_table(path, header_comment, ["label", "omega", "mmd", "se", "count"],
+                    [(r.label, r.omega, r.mmd, r.se, r.count) for r in self.rows])
 
     def row(self, label: str) -> EvalRow:
         for r in self.rows:

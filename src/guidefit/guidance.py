@@ -49,6 +49,20 @@ class ConstantWeight:
         return float(out[0]) if scalar else out
 
 
+@dataclass(frozen=True)
+class GuidanceArch:
+    """The architecture GuidanceNet.create builds; the config's guidance section."""
+
+    embed_hidden: int = 256
+    embed_dim: int = 512
+    trunk_hidden: int = 64
+    trunk_layers: int = 6
+    dropout: float = 0.3
+    allow_negative: bool = True
+    zero_init: bool = True
+    logsnr_clip: float = 13.8
+
+
 class GuidanceNet:
     """Neural omega(s, t, c).
 
@@ -72,18 +86,17 @@ class GuidanceNet:
         self.logsnr_clip = logsnr_clip
 
     @classmethod
-    def create(cls, n_classes: int, rng, embed_hidden: int = 256, embed_dim: int = 512,
-               trunk_hidden: int = 64, trunk_layers: int = 6, dropout: float = 0.3,
-               allow_negative: bool = True, logsnr_clip: float = 13.8, zero_init: bool = True):
-        """Build the default architecture; zero_init starts the net at omega == 0."""
-        head = "identity" if allow_negative else "relu"
-        net = cls({"sizes": [2, embed_hidden, embed_dim], "output_activation": "gelu",
-                   "dropout_rate": dropout},
-                  {"sizes": [embed_dim + n_classes] + [trunk_hidden] * trunk_layers + [1],
+    def create(cls, n_classes: int, rng, **arch):
+        """Build GuidanceArch(**arch); zero_init starts the net at omega == 0."""
+        a = GuidanceArch(**arch)
+        head = "identity" if a.allow_negative else "relu"
+        net = cls({"sizes": [2, a.embed_hidden, a.embed_dim], "output_activation": "gelu",
+                   "dropout_rate": a.dropout},
+                  {"sizes": [a.embed_dim + n_classes] + [a.trunk_hidden] * a.trunk_layers + [1],
                    "output_activation": head},
-                  n_classes, None, allow_negative, logsnr_clip)
+                  n_classes, None, a.allow_negative, a.logsnr_clip)
         net.embed.init_glorot(rng)
-        net.trunk.init_glorot(rng, zero_final=zero_init)
+        net.trunk.init_glorot(rng, zero_final=a.zero_init)
         return net
 
     def parameters(self):

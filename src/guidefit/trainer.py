@@ -14,14 +14,13 @@ stream; the best-scoring parameters are restored at the end.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
 from .denoisers import MogSpec
-from .evaluation import _Reference, energy_mmd
+from .evaluation import _Reference, energy_mmd, write_table
 from .guidance import GuidanceNet
 from .objectives import (DistanceToMeanReward, MixtureLogDensityReward, MmdParams,
                          TimePairSampler, build_gsm, build_particles,
@@ -91,17 +90,10 @@ class TrainRecord:
     mean_abs_omega: np.ndarray
 
     def write_csv(self, path, header_comment: str | None = None):
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "loss", "reward", "grad_norm", "mean_abs_omega"])
-            for i in range(self.iteration.shape[0]):
-                r = self.reward[i]
-                writer.writerow([int(self.iteration[i]), repr(float(self.loss[i])),
-                                 "" if np.isnan(r) else repr(float(r)),
-                                 repr(float(self.grad_norm[i])),
-                                 repr(float(self.mean_abs_omega[i]))])
+        write_table(path, header_comment,
+                    ["iter", "loss", "reward", "grad_norm", "mean_abs_omega"],
+                    zip(self.iteration, self.loss, self.reward, self.grad_norm,
+                        self.mean_abs_omega))
 
 
 def make_reward(name: str, spec: MogSpec):

@@ -29,10 +29,12 @@ def test_tracer_installs_on_current_package():
 
 
 # Runs every workload's set-up and timed commands at the tiny size and prints
-# {workload: the errors workloads.check reports, plus any nonzero exit code}.
+# {workload: the errors workloads.check reports, plus any nonzero exit code and a
+# quality metric (worker._quality, which calls the sampler and energy_mmd
+# directly) that is not a finite float}.
 _RUN_TINY = """
-import json, os, sys
-import workloads
+import json, math, os, sys
+import worker, workloads
 from guidefit.cli import main
 root, work = sys.argv[1:]
 errors = {}
@@ -43,6 +45,9 @@ for name in workloads.WORKLOADS:
     setup, timed = workloads.commands(name, inputs, out, 1)
     codes = [main(argv) for argv in setup + [timed]]
     errors[name] = [f"exit {c}" for c in codes if c] + workloads.check(name, inputs, out)
+    quality = worker._quality(name, inputs, out)
+    if not (isinstance(quality, float) and math.isfinite(quality)):
+        errors[name].append(f"quality_mmd {quality!r}")
 print(json.dumps(errors))
 """
 

@@ -5,14 +5,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from guidefit.checkpoints import save_weight_fn
-from guidefit.cli import main
+from guidefit.cli import _read_samples, main
 from guidefit.config import ExperimentConfig, config_digest, load_config
+from guidefit.evaluation import write_table
 from guidefit.guidance import ConstantWeight
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -106,9 +111,34 @@ def test_invalid_json_is_usage_error(tmp_path):
                "--quiet") == 2
 
 
-def test_missing_named_checkpoint_is_usage_error(tmp_path, tiny_config):
-    assert run("sample", "--config", tiny_config, "--out", str(tmp_path / "o"),
-               "--quiet", "--denoiser", str(tmp_path / "nope.json")) == 2
+@pytest.mark.parametrize("command, flag", [
+    ("sample", "--guidance"), ("sample", "--denoiser"), ("export-weights", "--guidance"),
+    ("sweep", "--guidance"), ("train-guidance", "--denoiser"),
+], ids=lambda v: v.strip("-"))
+def test_missing_named_checkpoint_is_usage_error(tmp_path, tiny_config, capsys, command,
+                                                 flag):
+    missing = str(tmp_path / "nope.json")
+    assert run(command, "--config", tiny_config, "--out", str(tmp_path / "o"), "--quiet",
+               flag, missing) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {missing} not found" in err
+    assert "Traceback" not in err
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.just(2)), elements=_FINITE),
+       st.integers(0, 2**63 - 1))
+def test_samples_round_trip_bit_equal(x, class_seed):
+    c = np.random.default_rng(class_seed).integers(0, 1000, size=x.shape[0])
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "samples.csv")
+        write_table(path, "seed=0", ["c", "x", "y"], zip(c, x[:, 0], x[:, 1]))
+        x_read, c_read = _read_samples(path)
+    assert x_read.tobytes() == x.tobytes()
+    assert c_read.tobytes() == c.tobytes()
 
 
 def test_non_finite_weights_are_numerical_failure(tmp_path, tiny_config):

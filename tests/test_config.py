@@ -75,6 +75,8 @@ def test_cli_rejects_object_for_plain_field(tmp_path, capsys):
     ({"train": {"ema_decay": "0.9"}}, 'train.ema_decay must be a number, got "0.9"'),
     ({"guidance": {"allow_negative": 1}}, "guidance.allow_negative must be true or false, got 1"),
     ({"mog": 5}, "mog must be an object"),
+    ({"mog": {"variances": [1.0, 2.0]}},
+     "mog needs key(s) ['means', 'weights'], which have no default"),
 ])
 def test_cli_rejects_a_leaf_of_the_wrong_type(tmp_path, capsys, data, message):
     path = tmp_path / "config.json"

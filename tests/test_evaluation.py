@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from guidefit.evaluation import (BLOCK_ROWS, EvalReport, EvalRow, energy_mmd,
-                                 evaluate_samples, mmd_with_se, run_figure_protocol)
+                                 evaluate_samples, mmd_with_se, run_figure_protocol,
+                                 write_table)
 from guidefit.guidance import ConstantWeight
 from guidefit.rng import stream
 
@@ -165,6 +166,21 @@ def test_report_lookup_and_serialization(tmp_path):
     assert lines[1] == "label,omega,mmd,se,count"
     assert lines[2].startswith("omega=0,0.0,")
     assert lines[3].startswith("learned,,")
+
+
+def test_write_table_bytes(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, "seed=1 config_digest=ab", ["label", "k", "v", "w"],
+                [("a", 1, -0.0, None),
+                 ("b", np.int64(-2), 5e-324, float("nan")),
+                 ("c", 3, 1.7976931348623157e308, np.float64(0.1))])
+    assert path.read_bytes() == (b"# seed=1 config_digest=ab\n"
+                                 b"label,k,v,w\r\n"
+                                 b"a,1,-0.0,\r\n"
+                                 b"b,-2,5e-324,\r\n"
+                                 b"c,3,1.7976931348623157e+308,0.1\r\n")
+    write_table(path, None, ["k", "v"], [(np.nan, 7)])
+    assert path.read_bytes() == b"k,v\r\n,7\r\n"
 
 
 def test_figure_protocol_rows_and_common_reference(exact, mog):
