@@ -93,17 +93,37 @@ def _read(path) -> dict:
     return payload
 
 
-def _load(path, builders: dict):
+def _check_sections(path, metadata, sections: dict):
+    """A CheckpointError naming the first of sections (config section name ->
+    digest) for which the checkpoint's metadata records another digest."""
+    recorded = metadata.get("section_digests") if isinstance(metadata, dict) else None
+    if recorded is None:
+        return
+    if not isinstance(recorded, dict):
+        raise CheckpointError(f"{path}: section_digests must be an object")
+    for name, digest in sections.items():
+        if recorded.get(name, digest) != digest:
+            raise CheckpointError(f"{path} was built from another {name!r} config section "
+                                  f"than the config's (digest {recorded[name]!r}, "
+                                  f"the config's {digest!r})")
+
+
+def _load(path, builders: dict, sections: dict | None):
     """Build the object a checkpoint declares, with builders[kind](arch, params).
 
     A builder returns (object, number of params it used). Missing or
     ill-typed architecture fields, params that are non-finite, too few or
-    too many, and layer sizes that do not fit are CheckpointErrors.
+    too many, and layer sizes that do not fit are CheckpointErrors. So is a
+    digest in the checkpoint's metadata that differs from the one sections
+    gives for the same config section; a checkpoint that records no digests
+    is not checked.
     """
     payload = _read(path)
     kind, arch = payload["kind"], payload["architecture"]
     if not isinstance(kind, str) or kind not in builders:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    if sections:
+        _check_sections(path, payload.get("metadata"), sections)
     try:
         params = np.asarray(payload["params"], dtype=float)
         if params.ndim != 1:
@@ -173,8 +193,9 @@ _DENOISERS = {
 }
 
 
-def load_denoiser(path):
-    return _load(path, _DENOISERS)
+def load_denoiser(path, sections: dict | None = None):
+    """The denoiser a checkpoint holds; sections as in _load (config.section_digests)."""
+    return _load(path, _DENOISERS, sections)
 
 
 def save_weight_fn(path, fn, metadata: dict | None = None):
@@ -208,8 +229,9 @@ _WEIGHT_FNS = {
 }
 
 
-def load_weight_fn(path):
-    return _load(path, _WEIGHT_FNS)
+def load_weight_fn(path, sections: dict | None = None):
+    """The weight function a checkpoint holds; sections as in _load."""
+    return _load(path, _WEIGHT_FNS, sections)
 
 
 def read_metadata(path) -> dict:

@@ -30,7 +30,8 @@ import numpy as np
 from .checkpoints import (CheckpointError, load_denoiser, load_weight_fn,
                           save_denoiser, save_weight_fn)
 from .config import (ConfigError, ExperimentConfig, build_denoiser,
-                     build_guidance_net, config_digest, load_config)
+                     build_guidance_net, config_digest, load_config,
+                     section_digests)
 from .evaluation import (EvalReport, EvalRow, mmd_with_se, run_figure_protocol,
                          write_table)
 from .guidance import ConstantWeight, export_weight_grid
@@ -100,7 +101,8 @@ def _checkpoint(path, default, load, config: ExperimentConfig, quiet: bool):
     """load(path), else load(default) when no path is given and default exists, else None.
 
     A given path that does not exist, or a checkpoint for another class count
-    than the config's, is a ConfigError.
+    than the config's, is a ConfigError. A checkpoint that records another
+    digest for one of the config's sections is a CheckpointError naming it.
     """
     if path is None:
         path = default if default is not None and os.path.exists(default) else None
@@ -110,7 +112,7 @@ def _checkpoint(path, default, load, config: ExperimentConfig, quiet: bool):
         return None
     if not quiet:
         print(f"loading {path}")
-    obj = load(path)
+    obj = load(path, sections=section_digests(config))
     n = getattr(obj, "n_classes", config.mog.n_classes)
     if n != config.mog.n_classes:
         raise ConfigError(f"checkpoint {path} is for {n} classes, "
@@ -162,7 +164,8 @@ def cmd_pretrain_denoiser(args) -> int:
     path = os.path.join(args.out, "denoiser.json")
     save_denoiser(path, denoiser,
                   {"seed": config.seed, "config_digest": digest,
-                   "kind": config.denoiser.kind})
+                   "kind": config.denoiser.kind,
+                   "section_digests": section_digests(config, ("mog", "denoiser"))})
     if not args.quiet:
         print(f"wrote {path}")
     return 0
@@ -186,13 +189,16 @@ def cmd_train_guidance(args) -> int:
     path = os.path.join(args.out, "guidance.json")
     save_weight_fn(path, net, {"seed": config.seed, "config_digest": digest,
                                "mode": config.train.mode,
-                               "iterations": config.train.iterations})
+                               "iterations": config.train.iterations,
+                               "section_digests": section_digests(config)})
     if not args.quiet:
         print(f"wrote {path} and train_record.csv")
     return 0
 
 
 def cmd_sample(args) -> int:
+    if args.from_data and args.trajectory is not None:
+        raise ConfigError("--trajectory records a sampler chain; --from-data draws have none")
     config, _, header = _load_setup(args)
     if args.trajectory is not None and not 0 <= args.trajectory < config.sample.count:
         raise ConfigError(f"--trajectory {args.trajectory} is not a chain in "
@@ -215,7 +221,7 @@ def cmd_sample(args) -> int:
                 zip(c, x[:, 0], x[:, 1]))
     if not args.quiet:
         print(f"wrote {out_path} ({x.shape[0]} {source} draws)")
-    if args.trajectory is not None and not args.from_data:
+    if args.trajectory is not None:
         times, states, omegas, cls = sample_trajectory(
             config.sample, denoiser, denoiser, weight_fn,
             class_weights=config.mog.weights, seed=config.seed,

@@ -97,10 +97,31 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return _to_jsonable(config)
 
 
-def config_digest(config: ExperimentConfig) -> str:
-    canonical = json.dumps(config_to_dict(config), sort_keys=True,
-                           separators=(",", ":"))
+def _digest(data) -> str:
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def config_digest(config: ExperimentConfig) -> str:
+    return _digest(config_to_dict(config))
+
+
+def _without_seeds(data):
+    if isinstance(data, dict):
+        return {k: _without_seeds(v) for k, v in data.items() if k != "seed"}
+    return data
+
+
+def section_digests(config: ExperimentConfig, names=("mog", "denoiser", "guidance")) -> dict:
+    """Digest of each named config section, every field named seed left out.
+
+    A checkpoint records the digests of the sections it was built from, so a
+    config whose sections differ is caught when it loads the checkpoint. Seeds
+    are left out because --seed overrides them all: a denoiser pretrained at
+    the config's seed serves guidance training at any other.
+    """
+    data = config_to_dict(config)
+    return {name: _digest(_without_seeds(data[name])) for name in names}
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "true or false",

@@ -253,30 +253,39 @@ class NeuralDenoiser:
     def dim(self) -> int:
         return self.net.sizes[-1]
 
-    def _features(self, x, t, onehot):
-        """Rows [x, sinusoidal(clipped logSNR t), onehot].
+    def _embedding(self, t):
+        """sinusoidal(logSNR t clipped to +-logsnr_clip), one row per entry of t."""
+        snr = np.clip(SCHEDULE.logsnr(t), -self.logsnr_clip, self.logsnr_clip)
+        return nn.sinusoidal_embedding(snr, self.time_embed_dim)
 
-        The embedding is computed once per run of equal t and repeated over
-        the run: build_particles repeats each item's t over its particles and
-        the sampler passes one scalar t for all chains.
-        """
+    def _features(self, x, t, onehot):
+        """Rows [x, time embedding, onehot]: the net's input in pretraining, where t
+        is drawn per row."""
+        return np.concatenate([x, self._embedding(t), onehot], axis=1)
+
+    def _layer0(self, x, t, c):
+        """Layer 0's pre-activation at rows [x, time embedding, one-hot c], split by
+        its weight columns [x | embedding | class]: x W_x^T on every row, plus
+        emb W_e^T + b0 once per run of equal t (build_particles repeats each
+        item's t over its particles, the sampler passes one t for all chains),
+        plus the class column gathered per row (none for the null token)."""
         n, d = x.shape
+        w_x, w_e, w_c = np.split(self.net.weights[0], [d, d + self.time_embed_dim], axis=1)
         t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
         starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]])[:n])
-        snr = np.clip(SCHEDULE.logsnr(t[starts]), -self.logsnr_clip, self.logsnr_clip)
-        emb = nn.sinusoidal_embedding(snr, self.time_embed_dim)
-        feats = np.empty((n, d + self.time_embed_dim + onehot.shape[1]))
-        feats[:, :d] = x
-        feats[:, d:d + self.time_embed_dim] = np.repeat(emb, np.diff(starts, append=n), axis=0)
-        feats[:, d + self.time_embed_dim:] = onehot
-        return feats
+        shared = self._embedding(t[starts]) @ w_e.T
+        shared += self.net.biases[0]
+        pre0 = x @ w_x.T
+        pre0 += np.repeat(shared, np.diff(starts, append=n), axis=0)
+        if c is not None:
+            pre0 += w_c.T[nn.class_labels(c, self.n_classes, n)]
+        return pre0
 
     def denoise(self, x_t, t, c=None):
         x_t = np.asarray(x_t, dtype=float)
         single = x_t.ndim == 1
         x = np.atleast_2d(x_t)
-        onehot = nn.class_onehot(c, self.n_classes, n=x.shape[0])
-        out, _ = self.net.forward(self._features(x, t, onehot), tape=False)
+        out, _ = self.net.forward(x, tape=False, pre0=self._layer0(x, t, c))
         return out[0] if single else out
 
 

@@ -122,16 +122,22 @@ class Mlp:
         """Canonical parameter blocks [W0, b0, W1, b1, ...], views of params."""
         return self._blocks(self.params)
 
-    def forward(self, x, train=False, rng=None, tape=True):
+    def forward(self, x, train=False, rng=None, tape=True, pre0=None):
         """Run the net on x of shape (n, d_in).
 
         Returns (y, tape). Dropout (inverted, rate self.dropout_rate) is applied
         after each hidden activation only when train=True; rng is required then.
         With tape=False the tape is None and each activation overwrites its
         pre-activation: the same operations in the same order, so y is bit-equal.
+
+        pre0, shape (n, sizes[1]), replaces layer 0's affine map x W0^T + b0 for
+        a caller that computes it in parts; x is then not read, and pre0 is
+        overwritten. It needs tape=False.
         """
         h = np.atleast_2d(np.asarray(x, dtype=float))
         del x  # without a tape, the input is freed once the first layer has read it
+        if pre0 is not None and (tape or pre0.shape != (h.shape[0], self.sizes[1])):
+            raise ValueError(f"pre0 needs tape=False and shape {(h.shape[0], self.sizes[1])}")
         act, _ = _ACTIVATIONS[self.hidden_activation]
         out_act, _ = _ACTIVATIONS[self.output_activation]
         use_dropout = train and self.dropout_rate > 0.0
@@ -142,8 +148,11 @@ class Mlp:
         pre, post, masks, kept = [], [h] if tape else [], [], []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T
-            z += b
+            if i == 0 and pre0 is not None:
+                z, pre0 = pre0, None  # held by z alone, so freed with it
+            else:
+                z = h @ w.T
+                z += b
             h, k = (out_act if i == last else act)(z, out=None if tape else z)
             mask = None
             if i < last and use_dropout:
@@ -154,6 +163,7 @@ class Mlp:
                 kept.append(k)
                 post.append(h)
                 masks.append(mask)
+            del k  # without a tape, GeLU's cdf is freed before the next layer's product
         return h, {"pre": pre, "post": post, "masks": masks, "kept": kept} if tape else None
 
     def backward(self, tape, dy, out=None):
@@ -277,6 +287,20 @@ def sinusoidal_embedding(x, dim: int, max_period: float = 1e4):
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
+def class_labels(c, n_classes: int, n: int | None = None):
+    """Class labels as an int array, checked to lie in [0, n_classes).
+
+    Args:
+        c: an int, repeated over n rows (1 when n is None), or an int array.
+    """
+    c = np.asarray(c)
+    if c.ndim == 0:
+        c = np.full(n if n is not None else 1, int(c))
+    if np.any((c < 0) | (c >= n_classes)):
+        raise ValueError("class label out of range")
+    return c
+
+
 def class_onehot(c, n_classes: int, n: int | None = None):
     """One-hot rows for class labels; c = None is the null token (all zeros).
 
@@ -289,11 +313,7 @@ def class_onehot(c, n_classes: int, n: int | None = None):
         if n is None:
             raise ValueError("need n to build null-token rows")
         return np.zeros((n, n_classes))
-    c = np.asarray(c)
-    if c.ndim == 0:
-        c = np.full(n if n is not None else 1, int(c))
-    if np.any((c < 0) | (c >= n_classes)):
-        raise ValueError("class label out of range")
+    c = class_labels(c, n_classes, n)
     out = np.zeros((c.shape[0], n_classes))
     out[np.arange(c.shape[0]), c] = 1.0
     return out

@@ -23,6 +23,7 @@ B = 1, Sigma = 0 and the clean point as target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,24 +181,30 @@ def _dot(a, b):
     return out
 
 
-def _pow_and_factor(diff, beta):
-    """||diff||^beta and the chain factor beta ||diff||^(beta-2), 0 at diff = 0.
-
-    diff is coordinate-first: the norm is taken over axis 0.
-    """
-    norm = np.sqrt(_dot(diff, diff))
-    out_pow = norm**beta
-    factor = np.zeros_like(norm)
-    np.power(norm, beta - 2.0, out=factor, where=norm > 0.0)
-    factor *= beta
+def _pow_and_factor(sq, beta):
+    """||diff||^beta and the chain factor beta ||diff||^(beta-2), 0 at diff = 0,
+    from the squared norm sq: one power, factor = beta ||diff||^beta / sq."""
+    out_pow = sq ** (0.5 * beta)
+    factor = beta * out_pow
+    np.divide(factor, sq, out=factor, where=sq > 0.0)
     return out_pow, factor
+
+
+@lru_cache(maxsize=8)
+def _pairs(m: int):
+    """Indices (j, k) of the m (m - 1) / 2 particle pairs with j < k, read-only."""
+    j, k = np.triu_indices(m, 1)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
 
 
 def mmd_loss(batch: ParticleBatch, params: MmdParams, omega=None):
     """Per-item self-consistency loss and d loss / d omega, both shape (n,).
 
     omega overrides the stored weights (scalar or (n,)); the cached draws are
-    reused, so the map omega -> loss is smooth and exactly replayable.
+    reused, so the map omega -> loss is smooth and exactly replayable. The
+    repulsion kernel is symmetric, so its sum over j != k is taken as twice
+    the sum over j < k.
     """
     m = batch.n_particles
     # coordinate-first views (d, n, m): each coordinate's pair arrays are contiguous
@@ -205,18 +212,18 @@ def mmd_loss(batch: ParticleBatch, params: MmdParams, omega=None):
     slope = np.moveaxis(batch.slope(), -1, 0)
 
     u = props - np.moveaxis(batch.targets, -1, 0)
-    cross_pow, cross_fac = _pow_and_factor(u, params.beta)
+    cross_pow, cross_fac = _pow_and_factor(_dot(u, u), params.beta)
     loss = cross_pow.mean(axis=-1)
     dloss = (cross_fac * _dot(u, slope)).mean(axis=-1)
 
     if params.lam > 0.0 and m > 1:
-        v = props[..., :, None] - props[..., None, :]
-        v_pow, v_fac = _pow_and_factor(v, params.beta)
-        dv = slope[..., :, None] - slope[..., None, :]
+        j, k = _pairs(m)
+        v = np.take(props, j, axis=-1) - np.take(props, k, axis=-1)
+        dv = np.take(slope, j, axis=-1) - np.take(slope, k, axis=-1)
+        v_pow, v_fac = _pow_and_factor(_dot(v, v), params.beta)
         norm = 1.0 / (m * (m - 1))
-        loss = loss - 0.5 * params.lam * v_pow.sum(axis=(-2, -1)) * norm
-        dloss = dloss - 0.5 * params.lam * norm * (
-            v_fac * _dot(v, dv)).sum(axis=(-2, -1))
+        loss = loss - params.lam * v_pow.sum(axis=-1) * norm
+        dloss = dloss - params.lam * norm * (v_fac * _dot(v, dv)).sum(axis=-1)
     return loss, dloss
 
 

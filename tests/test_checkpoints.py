@@ -260,3 +260,21 @@ def test_neural_denoiser_save_load_save_is_byte_stable(tmp_path_factory, dim, ti
     loaded = _resaved(save_denoiser, load_denoiser, den, tmp_path_factory.mktemp("den"))
     assert loaded.net.params.tobytes() == den.net.params.tobytes()
     assert all(np.shares_memory(p, loaded.net.params) for p in loaded.net.parameters())
+
+
+def test_section_digests_are_checked_when_recorded(tmp_path, exact):
+    path = tmp_path / "denoiser.json"
+    sections = {"mog": "aaaa", "denoiser": "bbbb"}
+    save_denoiser(path, exact, {"section_digests": sections})
+    assert isinstance(load_denoiser(path, sections=dict(sections, guidance="cccc")),
+                      AnalyticDenoiser)
+    with pytest.raises(CheckpointError, match="another 'denoiser' config section"):
+        load_denoiser(path, sections=dict(sections, denoiser="dddd"))
+    # a checkpoint that records no digests loads as before
+    for metadata in ({"seed": 0}, ["aaaa"]):
+        save_denoiser(path, exact, metadata)
+        assert isinstance(load_denoiser(path, sections=sections), AnalyticDenoiser)
+    save_denoiser(path, exact, {"section_digests": ["aaaa"]})
+    with pytest.raises(CheckpointError, match="section_digests must be an object"):
+        load_denoiser(path, sections=sections)
+

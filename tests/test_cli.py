@@ -178,6 +178,17 @@ def test_trajectory_chain_out_of_range_is_usage_error(tmp_path, tiny_config, cha
     assert not (out / "samples.csv").exists()
 
 
+def test_trajectory_from_data_is_usage_error(tmp_path, tiny_config, capsys):
+    # data draws have no sampler chain to record
+    out = tmp_path / "o"
+    assert run("sample", "--config", tiny_config, "--out", str(out), "--quiet",
+               "--from-data", "--trajectory", "0") == 2
+    err = capsys.readouterr().err
+    assert "--trajectory" in err and "--from-data" in err, err
+    assert not (out / "samples.csv").exists()
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("bad_row", ["1,0.5", "1,0.5,abc", "x,0.5,0.5", "1,0.5,0.5,0.5"])
 def test_malformed_sample_row_is_usage_error(tmp_path, tiny_config, bad_row, capsys):
     good = tmp_path / "good.csv"
@@ -282,6 +293,40 @@ def test_checkpoint_for_another_class_count_is_usage_error(tmp_path, tiny_config
     save_weight_fn(guidance, ConstantWeight(0.5))
     assert run("export-weights", "--config", str(two), "--out", str(tmp_path / "c"),
                "--quiet", "--guidance", str(guidance)) == 0
+
+
+def test_checkpoint_from_another_config_section_is_usage_error(tmp_path, capsys):
+    wide = dict(TINY, guidance=dict(TINY["guidance"], trunk_hidden=64))
+    narrow = dict(wide, guidance=dict(wide["guidance"], trunk_hidden=32))
+    near = dict(wide, mog={"means": [[5.0, 5.0], [-5.0, 5.0], [5.0, -5.0], [-5.0, -5.0]],
+                           "variances": [5.0, 1.0, 1.0, 1.0], "weights": [0.25] * 4})
+    paths = {}
+    for name, data in (("wide", wide), ("narrow", narrow), ("near", near)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    made = tmp_path / "made"
+    for command in ("pretrain-denoiser", "train-guidance"):
+        assert run(command, "--config", str(paths["wide"]), "--out", str(made), "--quiet") == 0
+    guidance, denoiser = str(made / "guidance.json"), str(made / "denoiser.json")
+    cases = [("narrow", "guidance", "sample", "--guidance", guidance, "samples.csv"),
+             ("narrow", "guidance", "sweep", "--guidance", guidance, "sweep.csv"),
+             ("narrow", "guidance", "export-weights", "--guidance", guidance, "weights.csv"),
+             ("near", "mog", "sample", "--guidance", guidance, "samples.csv"),
+             ("near", "mog", "sample", "--denoiser", denoiser, "samples.csv"),
+             ("near", "mog", "train-guidance", "--denoiser", denoiser, "guidance.json")]
+    for i, (config, section, command, flag, path, artifact) in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        assert run(command, "--config", str(paths[config]), "--out", str(out), "--quiet",
+                   flag, path) == 2, (config, command, flag)
+        err = capsys.readouterr().err
+        assert path in err and f"another '{section}' config section" in err, err
+        assert not (out / artifact).exists(), (config, command, flag)
+    # the narrow config still takes the denoiser, which its guidance section does
+    # not shape, and every seed may differ from the checkpoints' own
+    assert run("sample", "--config", str(paths["narrow"]), "--out", str(tmp_path / "d"),
+               "--quiet", "--denoiser", denoiser) == 0
+    assert run("sample", "--config", str(paths["wide"]), "--out", str(tmp_path / "s"),
+               "--quiet", "--seed", "11", "--guidance", guidance, "--denoiser", denoiser) == 0
 
 
 def test_diverged_run_leaves_its_record(tmp_path):

@@ -1,5 +1,6 @@
 """Config tree: nested sections, rejected input, and the shipped digests."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from guidefit.cli import main
 from guidefit.config import (ConfigError, config_digest, config_from_dict, config_to_dict,
-                             load_config)
+                             load_config, section_digests)
 from guidefit.denoisers import CorruptionSpec, DenoiserTrainConfig
 from guidefit.objectives import TimePairSampler
 from guidefit.trainer import TrainConfig
@@ -91,6 +92,19 @@ def test_shipped_config_digests():
     assert digests == {"guided_sm": "ff1a6d5673fd68ed", "reward": "2406f90eef095c50",
                        "under_trained": "7b26d0a4f006fea7",
                        "well_trained": "4dca0e4c1ec98caf"}
+
+
+def test_section_digests_leave_out_seeds_only():
+    config = load_config(CONFIGS / "under_trained.json")
+    digests = section_digests(config)
+    assert set(digests) == {"mog", "denoiser", "guidance"}
+    assert section_digests(config.with_seed(9)) == digests
+    assert config_digest(config.with_seed(9)) != config_digest(config)
+    train = dataclasses.replace(config.denoiser.train, iterations=7)
+    changed = dataclasses.replace(config, denoiser=dataclasses.replace(config.denoiser,
+                                                                       train=train))
+    assert section_digests(changed) == dict(digests, denoiser=section_digests(changed)["denoiser"])
+    assert section_digests(changed)["denoiser"] != digests["denoiser"]
 
 
 _NUMBERS = st.floats(-1e6, 1e6, allow_nan=False)

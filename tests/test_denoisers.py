@@ -190,11 +190,15 @@ def test_neural_denoiser_training_is_deterministic(mog):
     assert np.array_equal(m1.net.params, m2.net.params)
 
 
-def _oracle_denoise(den, x_t, t, c=None):
-    """The earlier NeuralDenoiser.denoise: one embedding row per input row,
-    concatenated features, out-of-place bias add and GeLU."""
+def _gelu(h):
     from scipy.special import erf
 
+    return 0.5 * h * (1.0 + erf(h * (1.0 / np.sqrt(2.0))))
+
+
+def _prebreak_denoise(den, x_t, t, c=None):
+    """NeuralDenoiser.denoise before its first layer was split: one embedding
+    row per input row, concatenated features, out-of-place bias add and GeLU."""
     from guidefit import nn
 
     x_t = np.asarray(x_t, dtype=float)
@@ -208,12 +212,42 @@ def _oracle_denoise(den, x_t, t, c=None):
     for i, (w, b) in enumerate(zip(den.net.weights, den.net.biases)):
         h = h @ w.T + b
         if i < last:
-            h = 0.5 * h * (1.0 + erf(h * (1.0 / np.sqrt(2.0))))
+            h = _gelu(h)
     return h[0] if single else h
 
 
-def test_neural_denoiser_bytes_match_per_row_embedding_oracle(mog):
-    den, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=3, seed=4))
+def _oracle_denoise(den, x_t, t, c=None):
+    """NeuralDenoiser.denoise written out: layer 0 as x W_x^T, plus the time term
+    emb W_e^T + b0 of each row's run of equal t (runs found by walking the
+    rows), plus the class column; then out-of-place GeLU layers."""
+    from guidefit import nn
+
+    x_t = np.asarray(x_t, dtype=float)
+    single = x_t.ndim == 1
+    x = np.atleast_2d(x_t)
+    n, d = x.shape
+    width = den.time_embed_dim
+    w0 = den.net.weights[0]
+    run_times, run_of_row = [], []
+    for ti in np.broadcast_to(np.asarray(t, dtype=float), (n,)):
+        if not run_times or ti != run_times[-1]:
+            run_times.append(ti)
+        run_of_row.append(len(run_times) - 1)
+    snr = np.clip(SCHEDULE.logsnr(np.array(run_times)), -den.logsnr_clip, den.logsnr_clip)
+    time_term = nn.sinusoidal_embedding(snr, width) @ w0[:, d:d + width].T + den.net.biases[0]
+    h = x @ w0[:, :d].T + time_term[run_of_row]
+    if c is not None:
+        h = h + w0[:, d + width:].T[np.broadcast_to(c, (n,))]
+    h = _gelu(h)
+    last = len(den.net.weights) - 1
+    for i in range(1, last + 1):
+        h = h @ den.net.weights[i].T + den.net.biases[i]
+        if i < last:
+            h = _gelu(h)
+    return h[0] if single else h
+
+
+def _denoise_cases(mog):
     rng = stream(9, "test/denoise_bytes")
     n = 640
     x = rng.standard_normal((n, 2)) * 6.0
@@ -224,30 +258,43 @@ def test_neural_denoiser_bytes_match_per_row_embedding_oracle(mog):
              "all distinct": rng.uniform(0.01, 0.99, n),
              "boundaries": np.repeat([0.0, 1e-9, 0.5, 1.0], n // 4),
              "scalar": 0.37}
-    for name, t in times.items():
-        for cls in (c, None, 2):
-            got = den.denoise(x, t, cls)
-            assert got.tobytes() == _oracle_denoise(den, x, t, cls).tobytes(), name
-    assert den.denoise(x[0], 0.6, 1).tobytes() == _oracle_denoise(den, x[0], 0.6, 1).tobytes()
-    assert den.denoise(x[:1], times["all distinct"][:1], c[:1]).tobytes() == \
-        _oracle_denoise(den, x[:1], times["all distinct"][:1], c[:1]).tobytes()
+    cases = [(name, x, t, cls) for name, t in times.items() for cls in (c, None, 2)]
+    return cases + [("single point", x[0], 0.6, 1),
+                    ("single row", x[:1], times["all distinct"][:1], c[:1])]
+
+
+def test_neural_denoiser_bytes_match_split_layer_oracle(mog):
+    den, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=3, seed=4))
+    for name, x, t, cls in _denoise_cases(mog):
+        got = den.denoise(x, t, cls)
+        assert got.tobytes() == _oracle_denoise(den, x, t, cls).tobytes(), name
+
+
+def test_neural_denoiser_matches_per_row_embedding_form(mog):
+    # splitting layer 0 reorders its float sums only
+    den, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=3, seed=4))
+    for name, x, t, cls in _denoise_cases(mog):
+        np.testing.assert_allclose(den.denoise(x, t, cls), _prebreak_denoise(den, x, t, cls),
+                                   rtol=1e-10, atol=0.0, err_msg=name)
 
 
 def test_neural_denoiser_keeps_no_tape(mog):
-    # a training-step teacher call: 128 items x 32 particles, t repeated per item.
-    # With the forward's tape kept it peaks at 23 MB, without it at 9 MB.
+    # A training-step teacher call: 128 items x 32 particles, t repeated per
+    # item; then the same rows with every t distinct. With the forward's tape
+    # kept the first peaks at 23 MB; before layer 0 was split, 8.9 and 13.0 MB.
     den, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=0, seed=4))
     rng = stream(10, "test/denoise_peak")
     x = rng.standard_normal((4096, 2)) * 6.0
-    t = np.repeat(rng.uniform(0.01, 0.99, 128), 32)
     c = rng.integers(0, mog.n_classes, 4096)
-    tracemalloc.start()
-    try:
-        den.denoise(x, t, c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 14e6
+    for t, limit in ((np.repeat(rng.uniform(0.01, 0.99, 128), 32), 6.9e6),
+                     (rng.uniform(0.01, 0.99, 4096), 11.6e6)):
+        tracemalloc.start()
+        try:
+            den.denoise(x, t, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 def _oracle_stats(spec, t):

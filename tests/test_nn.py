@@ -106,6 +106,19 @@ def test_tape_free_forward_is_bit_equal(hidden, output, rows):
     assert y_free.tobytes() == y.tobytes()
 
 
+def test_forward_from_a_given_first_pre_activation():
+    net = nn.Mlp([6, 32, 32, 3]).init_glorot(stream(12, "test/init"))
+    x = stream(14, "test/x").standard_normal((5, 6)) * 3.0
+    pre0 = x @ net.weights[0].T
+    pre0 += net.biases[0]
+    y, _ = net.forward(x, tape=False)
+    assert net.forward(x, tape=False, pre0=pre0.copy())[0].tobytes() == y.tobytes()
+    for bad in ({"pre0": pre0}, {"pre0": pre0[:4], "tape": False},
+                {"pre0": pre0[:, :31], "tape": False}):
+        with pytest.raises(ValueError):
+            net.forward(x, **bad)
+
+
 def test_dropout_needs_rng_and_is_off_at_eval():
     net = nn.Mlp([2, 8, 1], dropout_rate=0.5).init_glorot(stream(9, "test/init"))
     x = stream(10, "test/x").standard_normal((3, 2))

@@ -220,27 +220,55 @@ def test_gsm_batch_is_a_one_particle_identity_transition(mog, exact, omega):
     np.testing.assert_allclose(l2_grad, gsm_grad, rtol=1e-12, atol=0.0)
 
 
-def _oracle_pow_and_factor(diff, beta):
-    sq = np.sum(diff * diff, axis=-1)
-    norm = np.sqrt(sq)
-    factor = np.zeros_like(norm)
-    nz = norm > 0.0
-    factor[nz] = beta * norm[nz] ** (beta - 2.0)
-    return norm**beta, factor
-
-
 def _oracle_mmd_loss(batch, params, omega=None):
-    """The earlier mmd_loss: coordinate-last pair arrays reduced by np.sum."""
+    """mmd_loss written out: coordinate-last arrays, the j < k pairs listed in
+    row-major order by a loop, one power per distance, factor = beta pow / sq."""
+    def pow_and_factor(diff):
+        sq = np.sum(diff * diff, axis=-1)
+        pw = sq ** (params.beta / 2.0)
+        factor = np.zeros_like(sq)
+        nz = sq > 0.0
+        factor[nz] = params.beta * pw[nz] / sq[nz]
+        return pw, factor
+
     m = batch.n_particles
     props = batch.proposals(omega)
     slope = batch.slope()
     u = props - batch.targets
-    cross_pow, cross_fac = _oracle_pow_and_factor(u, params.beta)
+    cross_pow, cross_fac = pow_and_factor(u)
+    loss = cross_pow.mean(axis=-1)
+    dloss = (cross_fac * np.sum(u * slope, axis=-1)).mean(axis=-1)
+    if params.lam > 0.0 and m > 1:
+        pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+        v = np.stack([props[:, j] - props[:, k] for j, k in pairs], axis=1)
+        v_pow, v_fac = pow_and_factor(v)
+        dv = np.stack([slope[:, j] - slope[:, k] for j, k in pairs], axis=1)
+        norm = 1.0 / (m * (m - 1))
+        loss = loss - params.lam * v_pow.sum(axis=-1) * norm
+        dloss = dloss - params.lam * norm * (v_fac * np.sum(v * dv, axis=-1)).sum(axis=-1)
+    return loss, dloss
+
+
+def _all_pairs_mmd_loss(batch, params, omega=None):
+    """The all-pairs form mmd_loss had before it summed j < k only: half the sum
+    over j != k, with norm^beta and beta norm^(beta - 2) as two powers."""
+    def pow_and_factor(diff):
+        norm = np.sqrt(np.sum(diff * diff, axis=-1))
+        factor = np.zeros_like(norm)
+        nz = norm > 0.0
+        factor[nz] = params.beta * norm[nz] ** (params.beta - 2.0)
+        return norm**params.beta, factor
+
+    m = batch.n_particles
+    props = batch.proposals(omega)
+    slope = batch.slope()
+    u = props - batch.targets
+    cross_pow, cross_fac = pow_and_factor(u)
     loss = cross_pow.mean(axis=-1)
     dloss = (cross_fac * np.sum(u * slope, axis=-1)).mean(axis=-1)
     if params.lam > 0.0 and m > 1:
         v = props[:, :, None, :] - props[:, None, :, :]
-        v_pow, v_fac = _oracle_pow_and_factor(v, params.beta)
+        v_pow, v_fac = pow_and_factor(v)
         dv = slope[:, :, None, :] - slope[:, None, :, :]
         norm = 1.0 / (m * (m - 1))
         loss = loss - 0.5 * params.lam * v_pow.sum(axis=(-2, -1)) * norm
@@ -276,3 +304,19 @@ def test_mmd_loss_bytes_match_oracle(beta, lam, m, d):
         want = _oracle_mmd_loss(batch, params, omega)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.75, 2.0])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("m", [1, 2, 32])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mmd_loss_matches_all_pairs_form(beta, lam, m, d):
+    # The j < k sum and the single power reorder float operations only. The
+    # error is relative to the batch's largest value: where the cross and
+    # repulsion terms cancel, an item's loss is rounding noise in both forms.
+    batch = _random_batch(12, m, d, seed=100 * m + d)
+    params = MmdParams(beta=beta, lam=lam)
+    for omega in (None, 0.7):
+        for got, want in zip(mmd_loss(batch, params, omega),
+                             _all_pairs_mmd_loss(batch, params, omega)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
