@@ -16,6 +16,7 @@ else is a CheckpointError.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -35,11 +36,6 @@ class CheckpointError(ValueError):
 def _mog_to_dict(spec: MogSpec) -> dict:
     return {"means": spec.means.tolist(), "variances": spec.variances.tolist(),
             "weights": spec.weights.tolist()}
-
-
-def _mog_from_dict(d: dict) -> MogSpec:
-    return MogSpec(means=np.array(d["means"]), variances=np.array(d["variances"]),
-                   weights=np.array(d["weights"]))
 
 
 _MLP_ARCH = ("sizes", "hidden_activation", "output_activation", "dropout_rate")
@@ -142,21 +138,13 @@ def _load(path, builders: dict, sections: dict | None):
     return obj
 
 
-def _check_sizes(ok: bool, what: str):
-    if not ok:
-        raise CheckpointError(f"layer sizes do not fit: {what}")
-
-
 def save_denoiser(path, denoiser, metadata: dict | None = None):
     if isinstance(denoiser, AnalyticDenoiser):
         _write(path, "denoiser/analytic", {"mog": _mog_to_dict(denoiser.spec)},
                [], metadata)
     elif isinstance(denoiser, CorruptedDenoiser):
-        corr = denoiser.corruption
         arch = {"mog": _mog_to_dict(denoiser.base_spec),
-                "corruption": {"mean_shrink": corr.mean_shrink,
-                               "weight_skew": corr.weight_skew,
-                               "noise_scale": corr.noise_scale, "seed": corr.seed}}
+                "corruption": dataclasses.asdict(denoiser.corruption)}
         _write(path, "denoiser/corrupted", arch, [], metadata)
     elif isinstance(denoiser, NeuralDenoiser):
         arch = {"net": _mlp_arch(denoiser.net), "n_classes": denoiser.n_classes,
@@ -167,29 +155,13 @@ def save_denoiser(path, denoiser, metadata: dict | None = None):
         raise CheckpointError(f"cannot checkpoint denoiser type {type(denoiser).__name__}")
 
 
-def _corrupted_denoiser(arch, params):
-    c = arch["corruption"]
-    return CorruptedDenoiser(_mog_from_dict(arch["mog"]),
-                             CorruptionSpec(mean_shrink=c["mean_shrink"],
-                                            weight_skew=c["weight_skew"],
-                                            noise_scale=c["noise_scale"],
-                                            seed=c["seed"])), 0
-
-
-def _neural_denoiser(arch, params):
-    net = nn.Mlp(params=params, **_mlp_kwargs(arch["net"]))
-    sizes = net.sizes
-    _check_sizes(sizes[0] == sizes[-1] + arch["time_embed_dim"] + arch["n_classes"],
-                 f"net input {sizes[0]} != output {sizes[-1]} + time_embed_dim "
-                 f"{arch['time_embed_dim']} + n_classes {arch['n_classes']}")
-    return NeuralDenoiser(net, arch["n_classes"], arch["time_embed_dim"],
-                          logsnr_clip=arch["logsnr_clip"]), params.size
-
-
 _DENOISERS = {
-    "denoiser/analytic": lambda arch, params: (AnalyticDenoiser(_mog_from_dict(arch["mog"])), 0),
-    "denoiser/corrupted": _corrupted_denoiser,
-    "denoiser/neural": _neural_denoiser,
+    "denoiser/analytic": lambda arch, params: (AnalyticDenoiser(MogSpec(**arch["mog"])), 0),
+    "denoiser/corrupted": lambda arch, params: (
+        CorruptedDenoiser(MogSpec(**arch["mog"]), CorruptionSpec(**arch["corruption"])), 0),
+    "denoiser/neural": lambda arch, params: (
+        NeuralDenoiser(nn.Mlp(params=params, **_mlp_kwargs(arch["net"])), arch["n_classes"],
+                       arch["time_embed_dim"], logsnr_clip=arch["logsnr_clip"]), params.size),
 }
 
 
@@ -210,22 +182,12 @@ def save_weight_fn(path, fn, metadata: dict | None = None):
         raise CheckpointError(f"cannot checkpoint weight function type {type(fn).__name__}")
 
 
-def _guidance_net(arch, params):
-    net = GuidanceNet(_mlp_kwargs(arch["embed"]), _mlp_kwargs(arch["trunk"]),
-                      arch["n_classes"], params, allow_negative=arch["allow_negative"],
-                      logsnr_clip=arch["logsnr_clip"])
-    embed, trunk = net.embed.sizes, net.trunk.sizes
-    _check_sizes(embed[0] == 2, f"embed input {embed[0]} != 2 (s, t)")
-    _check_sizes(trunk[0] == embed[-1] + arch["n_classes"],
-                 f"trunk input {trunk[0]} != embed output {embed[-1]} "
-                 f"+ n_classes {arch['n_classes']}")
-    _check_sizes(trunk[-1] == 1, f"trunk output {trunk[-1]} != 1")
-    return net, params.size
-
-
 _WEIGHT_FNS = {
     "guidance/constant": lambda arch, params: (ConstantWeight(arch["omega"]), 0),
-    "guidance/net": _guidance_net,
+    "guidance/net": lambda arch, params: (
+        GuidanceNet(_mlp_kwargs(arch["embed"]), _mlp_kwargs(arch["trunk"]), arch["n_classes"],
+                    params, allow_negative=arch["allow_negative"],
+                    logsnr_clip=arch["logsnr_clip"]), params.size),
 }
 
 

@@ -212,8 +212,11 @@ def cmd_sample(args) -> int:
     else:
         weight_fn = _weight_fn(args, config)
         denoiser = _denoiser(args, config)
-        x, c = sample(config.sample, denoiser, denoiser, weight_fn,
-                      class_weights=config.mog.weights, seed=config.seed)
+        run = (config.sample, denoiser, denoiser, weight_fn, config.mog.weights, config.seed)
+        if args.trajectory is None:
+            x, c = sample(*run)
+        else:
+            x, c, times, states, omegas = sample_trajectory(*run, chain=args.trajectory)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("sampler produced non-finite values")
         source = "model"
@@ -222,12 +225,8 @@ def cmd_sample(args) -> int:
     if not args.quiet:
         print(f"wrote {out_path} ({x.shape[0]} {source} draws)")
     if args.trajectory is not None:
-        times, states, omegas, cls = sample_trajectory(
-            config.sample, denoiser, denoiser, weight_fn,
-            class_weights=config.mog.weights, seed=config.seed,
-            chain=args.trajectory)
         traj_path = os.path.join(args.out, "trajectory.csv")
-        write_table(traj_path, f"{header} chain={args.trajectory} class={cls}",
+        write_table(traj_path, f"{header} chain={args.trajectory} class={c[args.trajectory]}",
                     ["k", "t_k", "x", "y", "omega"],
                     zip(range(times.shape[0] - 1, -1, -1), times, states[:, 0],
                         states[:, 1], [None, *omegas]))
@@ -240,6 +239,9 @@ def cmd_eval_mmd(args) -> int:
     config, digest, _ = _load_setup(args)
     gen, _ = _read_samples(args.generated)
     ref, _ = _read_samples(args.reference)
+    for path, x in ((args.generated, gen), (args.reference, ref)):
+        if x.shape[0] < 2:
+            raise ConfigError(f"{path} holds one sample; the MMD needs at least two")
     mmd, se = mmd_with_se(gen, ref, beta=config.eval.beta, lam=config.eval.lam,
                           n_resamples=config.eval.resamples, seed=config.seed)
     if not np.isfinite(mmd):

@@ -20,6 +20,7 @@ import numpy as np
 from .denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
                         DenoiserTrainConfig, MogSpec, train_neural_denoiser)
 from .guidance import GuidanceArch, GuidanceNet
+from .objectives import MmdParams
 from .rng import stream
 from .sampler import SampleConfig
 from .trainer import TrainConfig
@@ -38,6 +39,8 @@ class DenoiserConfig:
     def __post_init__(self):
         if self.kind not in ("analytic", "corrupted", "neural"):
             raise ConfigError(f"unknown denoiser kind {self.kind!r}")
+        if self.kind == "neural" and self.train.time_embed_dim % 2:
+            raise ValueError(f"train.time_embed_dim must be even, got {self.train.time_embed_dim}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,11 @@ class EvalConfig:
     lam: float = 1.0
     omega_grid: tuple = (0.0, 0.5, 1.0, 2.0, 4.0)
     resamples: int = 20
+
+    def __post_init__(self):
+        MmdParams(self.beta, self.lam)  # validates the pair
+        if self.resamples < 2:
+            raise ValueError(f"resamples must be at least 2, got {self.resamples}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,11 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     sample: SampleConfig = field(default_factory=SampleConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
+
+    def __post_init__(self):
+        cond = self.sample.conditioning
+        if cond is not None and not 0 <= cond < self.mog.n_classes:
+            raise ValueError(f"sample.conditioning {cond} is not in [0, {self.mog.n_classes})")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """Override every seed in the config tree (the CLI --seed flag)."""

@@ -244,6 +244,10 @@ class NeuralDenoiser:
 
     def __init__(self, net: nn.Mlp, n_classes: int, time_embed_dim: int = 128,
                  logsnr_clip: float = 13.8):
+        if net.sizes[0] != net.sizes[-1] + time_embed_dim + n_classes:
+            raise ValueError(f"layer sizes do not fit: net input {net.sizes[0]} != output "
+                             f"{net.sizes[-1]} + time_embed_dim {time_embed_dim} "
+                             f"+ n_classes {n_classes}")
         self.net = net
         self.n_classes = n_classes
         self.time_embed_dim = time_embed_dim

@@ -62,6 +62,10 @@ class GuidanceArch:
     zero_init: bool = True
     logsnr_clip: float = 13.8
 
+    def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+
 
 class GuidanceNet:
     """Neural omega(s, t, c).
@@ -81,6 +85,9 @@ class GuidanceNet:
                        else np.asarray(params, dtype=float))
         self.embed = nn.Mlp(params=self.params[:split], **embed)
         self.trunk = nn.Mlp(params=self.params[split:], **trunk)
+        e, t = self.embed.sizes, self.trunk.sizes
+        if (e[0], t[0], t[-1]) != (2, e[-1] + n_classes, 1):
+            raise ValueError(f"layer sizes do not fit: embed {e}, trunk {t}, n_classes {n_classes}")
         self.n_classes = n_classes
         self.allow_negative = allow_negative
         self.logsnr_clip = logsnr_clip

@@ -9,15 +9,18 @@ class, so each step evaluates the weight function once on every class and
 gathers by c: one row per class, and the same rows however many chains run.
 
 Randomness is per chain: chain i draws from substream (seed, "sample/chain",
-i), so results for chain i do not depend on how many chains run, and a
-trajectory recorded for one chain reproduces that chain of a full run. The
-draws of the last call are kept, read-only: a sweep samples every row with
-the same seed, so its rows share one set of draws.
+i), so its draws do not depend on how many chains run. Neither do its
+results with the analytic teacher; a neural teacher's matrix products round
+a row differently by how many rows share the call, so there chain i of a
+3-chain run and of a 4096-chain run can differ in the last bits. A trajectory
+is therefore recorded inside the run it belongs to. The draws of the last
+call are kept, read-only: a sweep samples every row with the same seed, so
+its rows share one set of draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -67,7 +70,9 @@ def _chain_draws(count: int, steps: int, draw_class: bool, dim: int, seed: int):
 
 
 def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int,
-         keep_trajectory: bool):
+         chain: int | None):
+    """(x, c, states, omegas): every chain's final state and class, and chain's
+    state before and after each step with each step's weight (none if chain is None)."""
     n_classes = cond.n_classes
     if class_weights is None:
         class_weights = np.full(n_classes, 1.0 / n_classes)
@@ -86,7 +91,7 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
 
     _, sigma_top = SCHEDULE.alpha_sigma(grid[-1])
     x = sigma_top * x_init
-    traj = [x.copy()] if keep_trajectory else None
+    states = [] if chain is None else [x[chain].copy()]
     omegas = []
     for k in range(config.steps - 1, -1, -1):
         s, t = grid[k], grid[k + 1]
@@ -94,10 +99,10 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
         guided, _ = guided_denoise(cond, uncond, x, t, c, omega)
         trans = ddim_transition(s, t, config.churn)
         x = trans.mean(guided, x) + np.sqrt(trans.cov_scale) * z[:, k]
-        if keep_trajectory:
-            traj.append(x.copy())
-            omegas.append(omega)
-    return x, c, grid, traj, omegas
+        if chain is not None:
+            states.append(x[chain].copy())
+            omegas.append(omega[chain])
+    return x, c, states, omegas
 
 
 def sample(config: SampleConfig, cond, uncond, weight_fn, class_weights=None, seed: int = 0):
@@ -107,25 +112,20 @@ def sample(config: SampleConfig, cond, uncond, weight_fn, class_weights=None, se
         (x, c) with x of shape (count, d) at time zeta and the class labels
         each chain was conditioned on.
     """
-    x, c, _, _, _ = _run(config, cond, uncond, weight_fn, class_weights, seed,
-                         keep_trajectory=False)
+    x, c, _, _ = _run(config, cond, uncond, weight_fn, class_weights, seed, None)
     return x, c
 
 
 def sample_trajectory(config: SampleConfig, cond, uncond, weight_fn,
                       class_weights=None, seed: int = 0, chain: int = 0):
-    """Record every state of one chain of the corresponding sample() run.
+    """The sample() run, with every state of one of its chains recorded.
 
     Returns:
-        (times, states, omegas, c): times is the grid in visit order, from
-        1 - zeta down to zeta; states[j] is the chain's point at times[j];
-        omegas[j] is the weight used for the step into states[j + 1]; and
-        states[-1] equals the chain's row in sample() under the same seed.
+        (x, c, times, states, omegas): x and c as sample() returns them;
+        times is the grid in visit order, from 1 - zeta down to zeta;
+        states[j] is the chain's point at times[j], so states[-1] is
+        x[chain] and c[chain] its class; omegas[j] is the weight used for the
+        step into states[j + 1].
     """
-    one = replace(config, count=chain + 1)
-    x, c, grid, traj, omegas = _run(one, cond, uncond, weight_fn, class_weights,
-                                    seed, keep_trajectory=True)
-    times = grid[::-1]
-    states = np.stack([state[chain] for state in traj])
-    omega_path = np.array([w[chain] for w in omegas])
-    return times, states, omega_path, int(c[chain])
+    x, c, states, omegas = _run(config, cond, uncond, weight_fn, class_weights, seed, chain)
+    return x, c, config.grid()[::-1], np.stack(states), np.array(omegas)

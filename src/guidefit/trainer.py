@@ -77,6 +77,17 @@ class TrainConfig:
         if self.iterations < 0 or self.batch_size <= 0 or self.particles <= 0:
             raise ValueError("iterations >= 0, batch_size > 0, particles > 0 required")
         MmdParams(self.beta, self.lam)  # validates the pair
+        if self.checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
+        if self.probing and self.probe_size < 2:
+            raise ValueError(f"probe_size must be at least 2 to probe, got {self.probe_size}")
+        if self.ema_decay is not None and not 0.0 <= self.ema_decay < 1.0:
+            raise ValueError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
+
+    @property
+    def probing(self) -> bool:
+        """Whether checkpoints are scored by a probe sample (guided_sm has no probe)."""
+        return self.select_best and self.mode != "guided_sm"
 
 
 @dataclass
@@ -153,9 +164,8 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
     adam = nn.AdamState.for_params(params, lr=config.learning_rate)
     ema = nn.EmaState.for_params(params, config.ema_decay) if config.ema_decay else None
     reward_fn = make_reward(config.reward, data) if config.reward else None
-    probing = config.select_best and config.mode != "guided_sm"
     reference = _Reference(data.sample_joint(
-        config.probe_size, stream(config.seed, "probe/reference"))[0]) if probing else None
+        config.probe_size, stream(config.seed, "probe/reference"))[0]) if config.probing else None
 
     data_rng = stream(config.seed, "guidance/data")
     time_rng = stream(config.seed, "guidance/time")
@@ -208,7 +218,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
 
         if (it + 1) % config.checkpoint_every == 0:
             last_good = snapshot()
-            if probing:
+            if config.probing:
                 candidates.append((probe_at(last_good), it + 1, last_good))
                 if not quiet:
                     print(f"  iter {it + 1}: loss {loss:.4f}, probe mmd {candidates[-1][0]:.4f}")
@@ -216,7 +226,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
             print(f"  iter {it + 1}: loss {loss:.4f}")
 
     final = snapshot()
-    if probing and config.iterations > 0:
+    if config.probing and config.iterations > 0:
         if not candidates or candidates[-1][1] != config.iterations:
             candidates.append((probe_at(final), config.iterations, final))
         best = min(candidates, key=lambda c: c[0])

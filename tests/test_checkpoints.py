@@ -153,13 +153,13 @@ def test_mismatched_declared_shapes_are_checkpoint_errors(tmp_path, mog):
     payload = json.loads(path.read_text())
     payload["architecture"]["n_classes"] = 3  # the trunk is sized for 4 classes
     path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="layer sizes do not fit"):
         load_weight_fn(path)
     save_denoiser(path, _small_neural_denoiser(mog))
     payload = json.loads(path.read_text())
     payload["architecture"]["time_embed_dim"] = 16  # the net is sized for 8
     path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="layer sizes do not fit"):
         load_denoiser(path)
 
 

@@ -386,3 +386,76 @@ def test_teacher_calls_stop_faulting_after_malloc_thresholds():
         pytest.skip("mallopt is not available (not glibc)")
     # 20 calls of 4096 rows; with glibc's dynamic thresholds each faults in thousands of pages
     assert result["faults"] < 200
+
+
+def _with(base, **sections):
+    """base with each named section's keys updated (one level deep)."""
+    return dict(base, **{k: dict(base.get(k, {}), **v) for k, v in sections.items()})
+
+
+@pytest.mark.parametrize("command, sections, rows, named", [
+    ("sweep", {"eval": {"resamples": 1}}, 3, "invalid eval: resamples "),
+    ("eval-mmd", {"eval": {"resamples": 1}}, 3, "invalid eval: resamples "),
+    ("sweep", {"eval": {"beta": 3}}, 3, "invalid eval: beta "),
+    ("sweep", {"eval": {"lam": -1}}, 3, "invalid eval: lam "),
+    ("eval-mmd", {}, 1, "{generated} holds one sample"),
+    ("train-guidance", {"train": {"checkpoint_every": 0}}, 3, "invalid train: checkpoint_every "),
+    ("train-guidance", {"train": {"probe_size": 1}}, 3, "invalid train: probe_size "),
+    ("train-guidance", {"train": {"ema_decay": 1.5}}, 3, "invalid train: ema_decay "),
+    ("train-guidance", {"guidance": {"dropout": 1.5}}, 3, "invalid guidance: dropout "),
+    ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
+                                                                    "time_embed_dim": 3}}},
+     3, "invalid denoiser: train.time_embed_dim "),
+    ("sample", {"sample": {"conditioning": 7}}, 3, "invalid config: sample.conditioning "),
+], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
+        "one-row-csv", "train.checkpoint_every", "train.probe_size", "train.ema_decay",
+        "guidance.dropout", "denoiser.train.time_embed_dim", "sample.conditioning"])
+def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_with(TINY, **sections)))
+    generated, reference = tmp_path / "generated.csv", tmp_path / "reference.csv"
+    write_table(generated, None, ["c", "x", "y"], [(0, 0.1 * i, 0.2) for i in range(rows)])
+    write_table(reference, None, ["c", "x", "y"], [(1, 0.3, 0.1 * i) for i in range(3)])
+    extra = ["--generated", str(generated), "--reference", str(reference)] \
+        if command == "eval-mmd" else []
+    out = tmp_path / "o"
+    assert run(command, "--config", str(path), "--out", str(out), "--quiet", *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named.format(generated=generated) in err, err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+NEURAL = _with(TINY, denoiser={"kind": "neural", "train": {"iterations": 30}},
+               sample={"steps": 5, "count": 64})
+
+
+def test_trajectory_is_a_row_of_the_one_sampler_run(tmp_path, monkeypatch):
+    from guidefit import sampler
+
+    counts, real = [], sampler._run
+
+    def counting(config, *args, **kwargs):
+        counts.append(config.count)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(sampler, "_run", counting)
+    path = tmp_path / "neural.json"
+    path.write_text(json.dumps(NEURAL))
+    out = tmp_path / "run"
+    assert run("pretrain-denoiser", "--config", str(path), "--out", str(out), "--quiet") == 0
+    first = None
+    for chain in (None, 5, 63):
+        flags = [] if chain is None else ["--trajectory", str(chain)]
+        assert run("sample", "--config", str(path), "--out", str(out), "--quiet", *flags) == 0
+        assert counts == [NEURAL["sample"]["count"]], chain
+        counts.clear()
+        lines = (out / "samples.csv").read_text().splitlines()
+        first = first or lines
+        assert lines == first  # --trajectory leaves samples.csv as it was
+        if chain is not None:
+            cls, x, y = lines[2 + chain].split(",")
+            traj = (out / "trajectory.csv").read_text().splitlines()
+            assert traj[0].endswith(f" chain={chain} class={cls}")
+            k, _, traj_x, traj_y, _ = traj[-1].split(",")
+            assert (k, traj_x, traj_y) == ("0", x, y), chain

@@ -87,6 +87,14 @@ def test_cli_rejects_a_leaf_of_the_wrong_type(tmp_path, capsys, data, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_range_checks_skip_what_the_run_does_not_use():
+    config = config_from_dict({"denoiser": {"kind": "analytic", "train": {"time_embed_dim": 3}},
+                               "train": {"select_best": False, "probe_size": 1}})
+    assert config.denoiser.train.time_embed_dim == 3 and config.train.probe_size == 1
+    with pytest.raises(ConfigError, match=r"^invalid denoiser: train.time_embed_dim must be even"):
+        config_from_dict({"denoiser": {"kind": "neural", "train": {"time_embed_dim": 3}}})
+
+
 def test_shipped_config_digests():
     digests = {p.stem: config_digest(load_config(p)) for p in CONFIGS.glob("*.json")}
     assert digests == {"guided_sm": "ff1a6d5673fd68ed", "reward": "2406f90eef095c50",
@@ -128,7 +136,7 @@ def _config_dicts(draw):
                   "ema_decay": draw(st.none() | st.floats(0.0, 0.999))},
         "sample": {"steps": draw(st.integers(1, 100)), "churn": draw(st.floats(0.0, 1.0))},
         "eval": {"omega_grid": draw(st.lists(_NUMBERS, max_size=6)),
-                 "resamples": draw(st.integers(1, 50))},
+                 "resamples": draw(st.integers(2, 50))},
     }
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from guidefit.denoisers import DenoiserTrainConfig, train_neural_denoiser
 from guidefit.guidance import ConstantWeight, GuidanceNet, guided_denoise
 from guidefit.rng import stream
 from guidefit.sampler import SampleConfig, _chain_draws, sample, sample_trajectory
@@ -36,14 +37,28 @@ def test_trajectory_matches_full_run(exact, mog):
     config = SampleConfig(steps=6, count=4, churn=0.5)
     fn = ConstantWeight(0.7)
     x, c = sample(config, exact, exact, fn, class_weights=mog.weights, seed=9)
-    times, states, omegas, cls = sample_trajectory(
+    x_run, c_run, times, states, omegas = sample_trajectory(
         config, exact, exact, fn, class_weights=mog.weights, seed=9, chain=2)
+    assert x_run.tobytes() == x.tobytes() and np.array_equal(c_run, c)
     assert times.shape == (7,)
     assert times[0] == 0.99 and times[-1] == 0.01
     assert states.shape == (7, 2)
     assert np.array_equal(states[-1], x[2])
-    assert cls == c[2]
     assert np.array_equal(omegas, np.full(6, 0.7))
+
+
+def test_neural_trajectory_is_the_sampled_row(mog):
+    # the neural teacher rounds a row differently by how many rows share a
+    # call, so the trajectory has to come from the full run itself
+    den, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=30, seed=1))
+    config = SampleConfig(steps=5, count=256)
+    fn = ConstantWeight(1.0)
+    x, c = sample(config, den, den, fn, class_weights=mog.weights, seed=2)
+    for chain in (1, 2, 100, 254, 255):
+        x_run, c_run, _, states, _ = sample_trajectory(
+            config, den, den, fn, class_weights=mog.weights, seed=2, chain=chain)
+        assert x_run.tobytes() == x.tobytes() and np.array_equal(c_run, c)
+        assert states[-1].tobytes() == x[chain].tobytes(), chain
 
 
 def test_conditioning_fixes_class(exact):
@@ -144,9 +159,10 @@ def test_net_weighted_chains_reproduce_bytewise(exact, mog):
     assert np.array_equal(c_few, c[:3])
     grid = config.grid()
     for chain in range(config.count):
-        _, states, omegas, cls = sample_trajectory(
+        _, c_run, _, states, omegas = sample_trajectory(
             config, exact, exact, net, class_weights=mog.weights, seed=8, chain=chain)
         assert states[-1].tobytes() == x[chain].tobytes()
+        cls = c_run[chain]
         assert cls == c[chain]
         per_class = [net.weight(grid[k], grid[k + 1], np.arange(mog.n_classes))[cls]
                      for k in range(config.steps - 1, -1, -1)]
