@@ -7,8 +7,7 @@ the data directly. Everything runs on a 2D Gaussian-mixture test bed with
 closed-form denoisers, so claims are checkable against exact math.
 """
 
-from .denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
-                        DenoiserTrainConfig, MogSpec, NeuralDenoiser,
+from .denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec, NeuralDenoiser,
                         posterior_mean, train_neural_denoiser)
 from .evaluation import EvalReport, EvalRow, energy_mmd, mmd_with_se, run_figure_protocol
 from .guidance import ConstantWeight, GuidanceNet, guided_denoise, mean_abs_weight
@@ -21,9 +20,8 @@ from .trainer import TrainConfig, TrainRecord, TrainingDiverged, train_guidance
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticDenoiser", "ConstantWeight", "CorruptedDenoiser", "CorruptionSpec",
-    "DenoiserTrainConfig", "EvalReport", "EvalRow", "GuidanceNet",
-    "MmdParams", "MogSpec", "NeuralDenoiser", "NoiseSchedule", "ParticleBatch",
+    "AnalyticDenoiser", "ConstantWeight", "DenoiserTrainConfig", "EvalReport", "EvalRow",
+    "GuidanceNet", "MmdParams", "MogSpec", "NeuralDenoiser", "NoiseSchedule", "ParticleBatch",
     "SampleConfig", "TimePairSampler", "TrainConfig", "TrainRecord",
     "TrainingDiverged", "build_particles", "ddim_transition", "energy_mmd",
     "guided_denoise", "guided_score_matching_loss", "l2_loss", "mean_abs_weight",

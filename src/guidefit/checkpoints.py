@@ -16,14 +16,12 @@ else is a CheckpointError.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
 
 from . import nn
-from .denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
-                        MogSpec, NeuralDenoiser)
+from .denoisers import AnalyticDenoiser, MogSpec, NeuralDenoiser
 from .guidance import ConstantWeight, GuidanceNet
 
 FORMAT_VERSION = 1
@@ -142,10 +140,6 @@ def save_denoiser(path, denoiser, metadata: dict | None = None):
     if isinstance(denoiser, AnalyticDenoiser):
         _write(path, "denoiser/analytic", {"mog": _mog_to_dict(denoiser.spec)},
                [], metadata)
-    elif isinstance(denoiser, CorruptedDenoiser):
-        arch = {"mog": _mog_to_dict(denoiser.base_spec),
-                "corruption": dataclasses.asdict(denoiser.corruption)}
-        _write(path, "denoiser/corrupted", arch, [], metadata)
     elif isinstance(denoiser, NeuralDenoiser):
         arch = {"net": _mlp_arch(denoiser.net), "n_classes": denoiser.n_classes,
                 "time_embed_dim": denoiser.time_embed_dim,
@@ -157,8 +151,6 @@ def save_denoiser(path, denoiser, metadata: dict | None = None):
 
 _DENOISERS = {
     "denoiser/analytic": lambda arch, params: (AnalyticDenoiser(MogSpec(**arch["mog"])), 0),
-    "denoiser/corrupted": lambda arch, params: (
-        CorruptedDenoiser(MogSpec(**arch["mog"]), CorruptionSpec(**arch["corruption"])), 0),
     "denoiser/neural": lambda arch, params: (
         NeuralDenoiser(nn.Mlp(params=params, **_mlp_kwargs(arch["net"])), arch["n_classes"],
                        arch["time_embed_dim"], logsnr_clip=arch["logsnr_clip"]), params.size),

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
-                        DenoiserTrainConfig, MogSpec, train_neural_denoiser)
+from .denoisers import AnalyticDenoiser, DenoiserTrainConfig, MogSpec, train_neural_denoiser
 from .guidance import GuidanceArch, GuidanceNet
 from .objectives import MmdParams
 from .rng import stream
@@ -32,12 +31,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DenoiserConfig:
-    kind: str = "analytic"  # analytic | corrupted | neural
-    corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
+    kind: str = "analytic"  # analytic | neural
     train: DenoiserTrainConfig = field(default_factory=DenoiserTrainConfig)
 
     def __post_init__(self):
-        if self.kind not in ("analytic", "corrupted", "neural"):
+        if self.kind not in ("analytic", "neural"):
             raise ConfigError(f"unknown denoiser kind {self.kind!r}")
         if self.kind == "neural" and self.train.time_embed_dim % 2:
             raise ValueError(f"train.time_embed_dim must be even, got {self.train.time_embed_dim}")
@@ -67,6 +65,8 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
+        if self.mog.dim != 2:  # every artifact's columns are x,y
+            raise ValueError(f"mog.means must hold 2-D points, got {self.mog.dim}-D")
         cond = self.sample.conditioning
         if cond is not None and not 0 <= cond < self.mog.n_classes:
             raise ValueError(f"sample.conditioning {cond} is not in [0, {self.mog.n_classes})")
@@ -202,8 +202,6 @@ def build_denoiser(config: ExperimentConfig, quiet: bool = True):
     kind = config.denoiser.kind
     if kind == "analytic":
         return AnalyticDenoiser(config.mog)
-    if kind == "corrupted":
-        return CorruptedDenoiser(config.mog, config.denoiser.corruption)
     if not quiet:
         print(f"pretraining neural denoiser ({config.denoiser.train.iterations} iterations)")
     model, _ = train_neural_denoiser(config.mog, config.denoiser.train)

@@ -1,12 +1,10 @@
 """Gaussian-mixture test bed and the denoisers defined on it.
 
-A denoiser estimates E[x0 | x_t, c] (or E[x0 | x_t] when c is None). Three
+A denoiser estimates E[x0 | x_t, c] (or E[x0 | x_t] when c is None). Two
 implementations share that interface:
 
   * AnalyticDenoiser: the exact posterior mean of an isotropic Gaussian
     mixture under the forward process, conditional or marginal.
-  * CorruptedDenoiser: the analytic denoiser of a deliberately perturbed
-    mixture plus a smooth error field, standing in for an under-trained model.
   * NeuralDenoiser: a small MLP trained by denoising score matching with
     conditioning dropout, so one net serves both conditional and
     unconditional queries.
@@ -14,7 +12,7 @@ implementations share that interface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -172,69 +170,6 @@ class AnalyticDenoiser:
         return posterior_mean(self.spec, x_t, t, c)
 
 
-@dataclass(frozen=True)
-class CorruptionSpec:
-    """Controlled damage applied to an analytic denoiser.
-
-    mean_shrink pulls component means toward the origin, weight_skew tilts the
-    mixture weights by exp(weight_skew * u_c) with u_c drawn once from seed,
-    and noise_scale adds a smooth class-dependent sinusoidal error field.
-    """
-
-    mean_shrink: float = 1.0
-    weight_skew: float = 0.0
-    noise_scale: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mean_shrink <= 0.0:
-            raise ValueError("mean_shrink must be positive")
-        if self.noise_scale < 0.0:
-            raise ValueError("noise_scale must be nonnegative")
-
-
-def corrupt_mog(spec: MogSpec, corruption: CorruptionSpec) -> MogSpec:
-    """The damaged mixture the corrupted denoiser believes in."""
-    rng = stream(corruption.seed, "corruption/weights")
-    u = rng.standard_normal(spec.n_classes)
-    weights = spec.weights * np.exp(corruption.weight_skew * u)
-    weights = weights / weights.sum()
-    return replace(spec, means=corruption.mean_shrink * spec.means, weights=weights)
-
-
-class CorruptedDenoiser:
-    """Analytic denoiser of the corrupted mixture plus a smooth error field."""
-
-    def __init__(self, spec: MogSpec, corruption: CorruptionSpec):
-        self.base_spec = spec
-        self.corruption = corruption
-        self.spec = corrupt_mog(spec, corruption)
-        rng = stream(corruption.seed, "corruption/field")
-        n_in = spec.dim + 1 + spec.n_classes
-        self._proj = 0.3 * rng.standard_normal((spec.dim, n_in))
-        self._phase = rng.uniform(0.0, 2.0 * np.pi, size=spec.dim)
-
-    @property
-    def n_classes(self) -> int:
-        return self.base_spec.n_classes
-
-    @property
-    def dim(self) -> int:
-        return self.base_spec.dim
-
-    def denoise(self, x_t, t, c=None):
-        x_t = np.asarray(x_t, dtype=float)
-        single = x_t.ndim == 1
-        x = np.atleast_2d(x_t)
-        out = posterior_mean(self.spec, x, t, c)
-        if self.corruption.noise_scale > 0.0:
-            t_col = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))[:, None]
-            onehot = nn.class_onehot(c, self.n_classes, n=x.shape[0])
-            feats = np.concatenate([x, t_col, onehot], axis=1)
-            out = out + self.corruption.noise_scale * np.sin(feats @ self._proj.T + self._phase)
-        return out[0] if single else out
-
-
 class NeuralDenoiser:
     """MLP denoiser: input [x_t, sinusoidal(logSNR t), one-hot c], output xhat0.
 
@@ -311,6 +246,10 @@ class DenoiserTrainConfig:
             raise ValueError("iterations must be >= 0 and batch_size > 0")
         if not 0.0 <= self.cond_dropout <= 1.0:
             raise ValueError("cond_dropout must lie in [0, 1]")
+        if not 0.0 < self.time_clamp < 0.5:
+            raise ValueError(f"time_clamp must lie in (0, 0.5), got {self.time_clamp}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be at least 1, got {self.hidden}")
 
 
 def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):

@@ -65,6 +65,9 @@ class GuidanceArch:
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        for name in ("embed_hidden", "embed_dim", "trunk_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class GuidanceNet:

@@ -77,6 +77,8 @@ class TrainConfig:
         if self.iterations < 0 or self.batch_size <= 0 or self.particles <= 0:
             raise ValueError("iterations >= 0, batch_size > 0, particles > 0 required")
         MmdParams(self.beta, self.lam)  # validates the pair
+        if not 0.0 <= self.churn <= 1.0:
+            raise ValueError(f"churn must lie in [0, 1], got {self.churn}")
         if self.checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
         if self.probing and self.probe_size < 2:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from guidefit import checkpoints, nn
 from guidefit.checkpoints import (CheckpointError, load_denoiser, load_weight_fn,
                                   read_metadata, save_denoiser, save_weight_fn)
-from guidefit.denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
-                                DenoiserTrainConfig, NeuralDenoiser, train_neural_denoiser)
+from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, NeuralDenoiser,
+                                train_neural_denoiser)
 from guidefit.guidance import ConstantWeight, GuidanceNet
 from guidefit.rng import stream
 
@@ -24,18 +24,6 @@ def test_analytic_denoiser_roundtrip(tmp_path, mog, exact):
     assert np.array_equal(loaded.spec.means, mog.means)
     assert np.array_equal(loaded.spec.variances, mog.variances)
     assert read_metadata(path) == {"seed": 0}
-
-
-def test_corrupted_denoiser_roundtrip(tmp_path, mog):
-    corr = CorruptionSpec(mean_shrink=0.7, weight_skew=0.2, noise_scale=0.3, seed=5)
-    den = CorruptedDenoiser(mog, corr)
-    path = tmp_path / "denoiser.json"
-    save_denoiser(path, den)
-    loaded = load_denoiser(path)
-    x = stream(0, "test/ckpt").uniform(-10.0, 10.0, size=(20, 2))
-    c = np.arange(20) % 4
-    assert np.array_equal(loaded.denoise(x, 0.6, c), den.denoise(x, 0.6, c))
-    assert np.array_equal(loaded.denoise(x, 0.6, None), den.denoise(x, 0.6, None))
 
 
 def test_neural_denoiser_roundtrip(tmp_path, mog):
@@ -164,14 +152,19 @@ def test_mismatched_declared_shapes_are_checkpoint_errors(tmp_path, mog):
 
 
 # Kinds that earlier versions wrote and nothing produces any more.
-RETIRED_KINDS = [("guidance/table", {"shape": [2, 3, 4], "zeta": 0.01}, [1.0] * 24),
-                 ("guidance/limited_interval",
-                  {"omega": 1.5, "t_lo": 0.4, "t_hi": 0.9}, [])]
+RETIRED_KINDS = [(load_weight_fn, "guidance/table", {"shape": [2, 3, 4], "zeta": 0.01},
+                  [1.0] * 24),
+                 (load_weight_fn, "guidance/limited_interval",
+                  {"omega": 1.5, "t_lo": 0.4, "t_hi": 0.9}, []),
+                 (load_denoiser, "denoiser/corrupted",
+                  {"mog": {"means": [[1.0, 0.0]], "variances": [1.0], "weights": [1.0]},
+                   "corruption": {"mean_shrink": 0.7, "weight_skew": 0.2,
+                                  "noise_scale": 0.3, "seed": 5}}, [])]
 
 
 def test_table_and_analytic_params_must_match(tmp_path, exact):
     """Surplus or truncated params never load, and neither does a retired
-    table or limited-interval checkpoint, whatever its params."""
+    table, limited-interval or corrupted-denoiser checkpoint, whatever its params."""
     path = tmp_path / "bad.json"
     save_weight_fn(path, _small_net())
     payload = json.loads(path.read_text())
@@ -179,10 +172,10 @@ def test_table_and_analytic_params_must_match(tmp_path, exact):
         path.write_text(json.dumps(dict(payload, params=params)))
         with pytest.raises(CheckpointError):
             load_weight_fn(path)
-    for kind, arch, params in RETIRED_KINDS:
+    for load, kind, arch, params in RETIRED_KINDS:
         checkpoints._write(path, kind, arch, params, None)
         with pytest.raises(CheckpointError, match="unknown checkpoint kind"):
-            load_weight_fn(path)
+            load(path)
     save_denoiser(path, exact)
     payload = json.loads(path.read_text())
     path.write_text(json.dumps(dict(payload, params=[1.0])))

@@ -166,7 +166,7 @@ def test_with_seed_overrides_every_seed():
     configs = [ExperimentConfig()] + [load_config(p) for p in sorted(CONFIGS.glob("*.json"))]
     for config in configs:
         seeds = _seeds(config.with_seed(42))
-        assert "config.denoiser.corruption.seed" in dict(seeds)
+        assert "config.denoiser.train.seed" in dict(seeds)
         assert all(value == 42 for _, value in seeds), seeds
 
 
@@ -393,6 +393,11 @@ def _with(base, **sections):
     return dict(base, **{k: dict(base.get(k, {}), **v) for k, v in sections.items()})
 
 
+MOG_1D = {"means": [[0.0], [5.0]], "variances": [1.0, 1.0], "weights": [0.5, 0.5]}
+MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
+          "weights": [0.5, 0.5]}
+
+
 @pytest.mark.parametrize("command, sections, rows, named", [
     ("sweep", {"eval": {"resamples": 1}}, 3, "invalid eval: resamples "),
     ("eval-mmd", {"eval": {"resamples": 1}}, 3, "invalid eval: resamples "),
@@ -407,9 +412,33 @@ def _with(base, **sections):
                                                                     "time_embed_dim": 3}}},
      3, "invalid denoiser: train.time_embed_dim "),
     ("sample", {"sample": {"conditioning": 7}}, 3, "invalid config: sample.conditioning "),
+    ("train-guidance", {"train": {"churn": 2}}, 3, "invalid train: churn "),
+    ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
+                                                                    "time_clamp": 0.7}}},
+     3, "invalid denoiser.train: time_clamp "),
+    ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
+                                                                    "hidden": 0}}},
+     3, "invalid denoiser.train: hidden "),
+    ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
+                                                                    "hidden": -1}}},
+     3, "invalid denoiser.train: hidden "),
+    ("train-guidance", {"guidance": {"embed_hidden": -1}}, 3, "invalid guidance: embed_hidden "),
+    ("train-guidance", {"guidance": {"embed_dim": -1}}, 3, "invalid guidance: embed_dim "),
+    ("train-guidance", {"guidance": {"trunk_hidden": 0}}, 3, "invalid guidance: trunk_hidden "),
+    ("train-guidance", {"guidance": {"trunk_hidden": -1}}, 3, "invalid guidance: trunk_hidden "),
+    ("sample", {"mog": MOG_1D}, 3, "invalid config: mog.means "),
+    ("sample", {"mog": MOG_3D}, 3, "invalid config: mog.means "),
+    ("pretrain-denoiser", {"denoiser": {"kind": "corrupted"}}, 3,
+     "unknown denoiser kind 'corrupted'"),
+    ("pretrain-denoiser", {"denoiser": {"corruption": {"seed": 4}}}, 3,
+     "unknown key(s) ['corruption'] in denoiser"),
 ], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
         "one-row-csv", "train.checkpoint_every", "train.probe_size", "train.ema_decay",
-        "guidance.dropout", "denoiser.train.time_embed_dim", "sample.conditioning"])
+        "guidance.dropout", "denoiser.train.time_embed_dim", "sample.conditioning",
+        "train.churn", "denoiser.train.time_clamp", "denoiser.train.hidden-0",
+        "denoiser.train.hidden-neg", "guidance.embed_hidden", "guidance.embed_dim",
+        "guidance.trunk_hidden-0", "guidance.trunk_hidden-neg", "mog-1d", "mog-3d",
+        "denoiser.kind-corrupted", "denoiser.corruption"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_with(TINY, **sections)))

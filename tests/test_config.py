@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from guidefit.cli import main
 from guidefit.config import (ConfigError, config_digest, config_from_dict, config_to_dict,
                              load_config, section_digests)
-from guidefit.denoisers import CorruptionSpec, DenoiserTrainConfig
+from guidefit.denoisers import DenoiserTrainConfig
 from guidefit.objectives import TimePairSampler
 from guidefit.trainer import TrainConfig
 
@@ -20,13 +20,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def test_nested_sections_build_their_own_classes():
     config = config_from_dict({
-        "denoiser": {"kind": "neural", "train": {"iterations": 7},
-                     "corruption": {"seed": 4}},
+        "denoiser": {"kind": "neural", "train": {"iterations": 7}},
         "train": {"iterations": 9, "time_sampler": {"delta": 0.2}},
     })
     assert type(config.denoiser.train) is DenoiserTrainConfig
     assert config.denoiser.train.iterations == 7
-    assert type(config.denoiser.corruption) is CorruptionSpec
     assert type(config.train) is TrainConfig
     assert config.train.iterations == 9
     assert type(config.train.time_sampler) is TimePairSampler
@@ -97,9 +95,9 @@ def test_range_checks_skip_what_the_run_does_not_use():
 
 def test_shipped_config_digests():
     digests = {p.stem: config_digest(load_config(p)) for p in CONFIGS.glob("*.json")}
-    assert digests == {"guided_sm": "ff1a6d5673fd68ed", "reward": "2406f90eef095c50",
-                       "under_trained": "7b26d0a4f006fea7",
-                       "well_trained": "4dca0e4c1ec98caf"}
+    assert digests == {"guided_sm": "aa5440ea45eadb39", "reward": "eaf5792014cc7018",
+                       "under_trained": "6c1e061a0d799703",
+                       "well_trained": "b1f65e80f30a6b98"}
 
 
 def test_section_digests_leave_out_seeds_only():

@@ -11,8 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from guidefit.denoisers import (AnalyticDenoiser, CorruptedDenoiser, CorruptionSpec,
-                                DenoiserTrainConfig, MogSpec, corrupt_mog,
+from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec,
                                 log_responsibilities, mixture_log_density,
                                 mixture_score, posterior_mean,
                                 train_neural_denoiser)
@@ -133,41 +132,14 @@ def test_posterior_mean_collapses_to_data_at_small_noise(mog):
     assert np.max(np.abs(out - x0)) < 1e-3
 
 
-def test_corrupt_mog_scales_means_and_renormalizes(mog):
-    corr = CorruptionSpec(mean_shrink=0.5, weight_skew=0.3, seed=7)
-    bad = corrupt_mog(mog, corr)
-    assert np.allclose(bad.means, 0.5 * mog.means, atol=1e-15)
-    assert bad.weights.sum() == pytest.approx(1.0)
-    assert not np.allclose(bad.weights, mog.weights)
-
-
-def test_corrupted_denoiser_zero_field_is_analytic_of_corrupted_spec(mog):
-    corr = CorruptionSpec(mean_shrink=0.7, weight_skew=0.2, noise_scale=0.0, seed=3)
-    den = CorruptedDenoiser(mog, corr)
-    ref = AnalyticDenoiser(corrupt_mog(mog, corr))
-    x = stream(6, "test/corr").uniform(-10.0, 10.0, size=(30, 2))
-    assert np.array_equal(den.denoise(x, 0.5, None), ref.denoise(x, 0.5, None))
-    c = np.tile(np.arange(4), 8)[:30]
-    assert np.array_equal(den.denoise(x, 0.5, c), ref.denoise(x, 0.5, c))
-
-
-def test_corrupted_denoiser_field_is_deterministic_and_bounded(mog):
-    corr = CorruptionSpec(mean_shrink=1.0, weight_skew=0.0, noise_scale=0.4, seed=3)
-    den1 = CorruptedDenoiser(mog, corr)
-    den2 = CorruptedDenoiser(mog, corr)
-    clean = AnalyticDenoiser(mog)
-    x = stream(7, "test/field").uniform(-10.0, 10.0, size=(30, 2))
-    out1 = den1.denoise(x, 0.5, None)
-    assert np.array_equal(out1, den2.denoise(x, 0.5, None))
-    # sinusoidal field stays within noise_scale per coordinate
-    assert np.max(np.abs(out1 - clean.denoise(x, 0.5, None))) <= 0.4 + 1e-12
-
-
 def test_denoiser_train_config_validation():
     with pytest.raises(ValueError):
         DenoiserTrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         DenoiserTrainConfig(cond_dropout=1.5)
+    for bad in ({"time_clamp": 0.0}, {"time_clamp": 0.5}, {"hidden": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            DenoiserTrainConfig(**bad)
 
 
 def test_neural_denoiser_training_reduces_loss(mog):

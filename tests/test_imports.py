@@ -3,7 +3,9 @@
 pyflakes and ruff are not part of the toolchain, so this walks the syntax
 tree with the stdlib `ast` module: a name bound by an import (at any depth
 of a module) must be read somewhere in that module. The package's
-`__init__.py` is exempt, since its imports are the public re-exports.
+`__init__.py` is exempt, since its imports are the public re-exports; they
+must be exactly the names in `guidefit.__all__`, so a deletion cannot leave a
+stale re-export behind.
 
 A module-level name under src/guidefit/ that starts with one underscore
 (a helper, constant or class) must be read somewhere in src/ outside its own
@@ -15,14 +17,15 @@ from pathlib import Path
 
 import pytest
 
+import guidefit
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "guidefit").glob("*.py"))
 FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
-def unused_imports(source: str):
-    """Names bound by an import in source and never read in it."""
-    tree = ast.parse(source)
+def imported_names(tree):
+    """Each name an import in tree binds (from __future__ aside), mapped to its first line."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -31,6 +34,13 @@ def unused_imports(source: str):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(bound, node.lineno)
+    return imported
+
+
+def unused_imports(source: str):
+    """Names bound by an import in source and never read in it."""
+    tree = ast.parse(source)
+    imported = imported_names(tree)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
@@ -45,6 +55,11 @@ def test_walk_flags_unused_and_keeps_used():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_is_what_init_imports():
+    init = ROOT / "src" / "guidefit" / "__init__.py"
+    assert sorted(guidefit.__all__) == sorted(imported_names(ast.parse(init.read_text())))
 
 
 def _private_defined(node):

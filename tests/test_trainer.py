@@ -41,7 +41,8 @@ def test_train_config_validation():
         TrainConfig(reward_sign=0.5)
     with pytest.raises(ValueError):
         TrainConfig(beta=3.0)
-    for bad in ({"checkpoint_every": 0}, {"probe_size": 1}, {"ema_decay": 1.0}):
+    for bad in ({"checkpoint_every": 0}, {"probe_size": 1}, {"ema_decay": 1.0},
+                {"churn": -0.5}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad)
     # probe_size is checked only where a probe runs
