@@ -250,6 +250,10 @@ class DenoiserTrainConfig:
             raise ValueError(f"time_clamp must lie in (0, 0.5), got {self.time_clamp}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be at least 1, got {self.hidden}")
+        if self.layers < 0:
+            raise ValueError(f"layers must be at least 0, got {self.layers}")
+        if self.learning_rate < 0.0:
+            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
 
 
 def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):

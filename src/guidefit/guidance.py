@@ -65,9 +65,12 @@ class GuidanceArch:
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        for name in ("embed_hidden", "embed_dim", "trunk_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("embed_hidden", 1), ("embed_dim", 1), ("trunk_hidden", 1),
+                            ("trunk_layers", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.logsnr_clip <= 0.0:  # a nonpositive clip makes the time features constant
+            raise ValueError(f"logsnr_clip must be positive, got {self.logsnr_clip}")
 
 
 class GuidanceNet:

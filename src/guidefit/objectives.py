@@ -14,8 +14,9 @@ affine in omega,
 
     xprop_j(omega) = A xnoisy_j + B (xhat_c_j + omega delta_j) + sqrt(Sigma) xi_j,
 
-so every loss here reports an exact d loss / d omega alongside its value, and
-a ParticleBatch caches all draws so losses can be replayed at any omega.
+so every loss here takes omega, reports an exact d loss / d omega alongside
+its value, and a ParticleBatch caches all draws so losses can be replayed at
+any omega. Rewards are plain functions R(spec, x, c) named in REWARDS.
 Guided score matching uses the same batch type with one particle, A = 0,
 B = 1, Sigma = 0 and the clean point as target.
 """
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .denoisers import MogSpec, mixture_log_density, mixture_score
-from .schedule import ddim_transition, noise_sample
+from .schedule import DdimTransition, ddim_transition, noise_sample
 
 
 @dataclass(frozen=True)
@@ -74,59 +75,55 @@ def _per_item(omega, n: int):
     return np.broadcast_to(np.asarray(omega, dtype=float), (n,))
 
 
+def _items(x0, c, *times):
+    """x0 as (n, d), then c and each time as (n,); a single (d,) point is one item."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    n = x0.shape[0]
+    return (x0, np.broadcast_to(np.asarray(c), (n,)),
+            *(np.broadcast_to(np.asarray(u, dtype=float), (n,)) for u in times))
+
+
 @dataclass
 class ParticleBatch:
     """Cached draws for n batch items with m particles each.
 
-    All m target and m proposal particles of item i share (x0[i], c[i], s[i],
-    t[i]). proposals(omega) replays the guided transition at any weight; the
-    stored omega is the one the batch was built with. build_gsm's batches
-    have m = 1 and target x0 itself.
+    All m target and m proposal particles of item i share its clean point,
+    class c[i] and time pair. proposals(omega) replays the guided transition
+    at any weight. build_gsm's batches have m = 1 and target x0 itself.
     """
 
-    x0: np.ndarray          # (n, d)
-    c: np.ndarray           # (n,)
-    s: np.ndarray           # (n,)
-    t: np.ndarray           # (n,)
-    targets: np.ndarray     # (n, m, d), x0 noised to s
-    prop_noisy: np.ndarray  # (n, m, d), x0 noised to t
-    xhat_c: np.ndarray      # (n, m, d), conditional denoiser at prop_noisy
-    delta: np.ndarray       # (n, m, d), conditional minus unconditional
-    coeff_xt: np.ndarray    # (n,), transition A
-    coeff_x0: np.ndarray    # (n,), transition B
-    cov_scale: np.ndarray   # (n,), transition Sigma
+    c: np.ndarray            # (n,)
+    targets: np.ndarray      # (n, m, d), x0 noised to s
+    prop_noisy: np.ndarray   # (n, m, d), x0 noised to t
+    xhat_c: np.ndarray       # (n, m, d), conditional denoiser at prop_noisy
+    delta: np.ndarray        # (n, m, d), conditional minus unconditional
+    trans: DdimTransition    # (n,) coefficients A, B, Sigma of each item's step
     trans_noise: np.ndarray  # (n, m, d), xi of the transition
-    omega: np.ndarray       # (n,)
 
     @property
     def n_items(self) -> int:
-        return self.x0.shape[0]
+        return self.targets.shape[0]
 
     @property
     def n_particles(self) -> int:
         return self.targets.shape[1]
 
-    def _omega(self, omega):
-        return self.omega if omega is None else _per_item(omega, self.n_items)
-
-    def guided_estimates(self, omega=None):
+    def guided_estimates(self, omega):
         """Guided denoiser outputs xhat_c + omega delta at the proposal points."""
-        w = self._omega(omega)[:, None, None]
-        return self.xhat_c + w * self.delta
+        return self.xhat_c + _per_item(omega, self.n_items)[:, None, None] * self.delta
 
-    def proposals(self, omega=None):
-        """Proposal particles at the stored omega, or at an override."""
-        guided = self.guided_estimates(omega)
-        mean = self.coeff_xt[:, None, None] * self.prop_noisy + self.coeff_x0[:, None, None] * guided
-        return mean + np.sqrt(self.cov_scale)[:, None, None] * self.trans_noise
+    def proposals(self, omega):
+        """Proposal particles: the guided transition from prop_noisy at weights omega."""
+        x, _ = self.trans.sample(self.guided_estimates(omega), self.prop_noisy,
+                                 noise=self.trans_noise)
+        return x
 
     def slope(self):
         """d proposals / d omega = B delta, shape (n, m, d)."""
-        return self.coeff_x0[:, None, None] * self.delta
+        return self.trans.mean_coeff_x0[:, None, None] * self.delta
 
 
-def build_particles(x0, c, s, t, m: int, cond, uncond, omega, churn: float,
-                    rng) -> ParticleBatch:
+def build_particles(x0, c, s, t, m: int, cond, uncond, churn: float, rng) -> ParticleBatch:
     """Draw targets, proposals, and the transition pieces for a training batch.
 
     Args:
@@ -135,18 +132,14 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, omega, churn: float,
         s, t: time pairs, scalars or (n,) arrays with s < t elementwise.
         m: particles per item.
         cond, uncond: denoisers evaluated at the proposal noisy points.
-        omega: guidance weight, a scalar or one per item (n,).
         churn: transition noise level in [0, 1].
         rng: all draws (target noise, proposal noise, transition noise, in
             that order) come from this generator.
     """
     if m < 1:
         raise ValueError("need at least one particle")
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x0, c, s, t = _items(x0, c, s, t)
     n, d = x0.shape
-    c = np.broadcast_to(np.asarray(c), (n,))
-    s = np.broadcast_to(np.asarray(s, dtype=float), (n,))
-    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
 
     trans = ddim_transition(s, t, churn)
     targets, _ = noise_sample(x0[:, None, :], s, noise=rng.standard_normal((n, m, d)))
@@ -156,17 +149,8 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, omega, churn: float,
     t_flat = np.repeat(t, m)
     xc = cond.denoise(flat, t_flat, np.repeat(c, m)).reshape(n, m, d)
     xu = uncond.denoise(flat, t_flat, None).reshape(n, m, d)
-
-    return ParticleBatch(
-        x0=x0, c=c, s=s, t=t,
-        targets=targets, prop_noisy=prop_noisy,
-        xhat_c=xc, delta=xc - xu,
-        coeff_xt=np.broadcast_to(trans.mean_coeff_xt, (n,)),
-        coeff_x0=np.broadcast_to(trans.mean_coeff_x0, (n,)),
-        cov_scale=np.broadcast_to(trans.cov_scale, (n,)),
-        trans_noise=rng.standard_normal((n, m, d)),
-        omega=np.array(_per_item(omega, n)),
-    )
+    return ParticleBatch(c, targets, prop_noisy, xc, xc - xu, trans,
+                         rng.standard_normal((n, m, d)))
 
 
 def _dot(a, b):
@@ -198,10 +182,10 @@ def _pairs(m: int):
     return j, k
 
 
-def mmd_loss(batch: ParticleBatch, params: MmdParams, omega=None):
+def mmd_loss(batch: ParticleBatch, params: MmdParams, omega):
     """Per-item self-consistency loss and d loss / d omega, both shape (n,).
 
-    omega overrides the stored weights (scalar or (n,)); the cached draws are
+    omega is a scalar or one weight per item (n,); the cached draws are
     reused, so the map omega -> loss is smooth and exactly replayable. The
     repulsion kernel is symmetric, so its sum over j != k is taken as twice
     the sum over j < k.
@@ -227,7 +211,7 @@ def mmd_loss(batch: ParticleBatch, params: MmdParams, omega=None):
     return loss, dloss
 
 
-def l2_loss(batch: ParticleBatch, omega=None):
+def l2_loss(batch: ParticleBatch, omega):
     """Single-particle squared-error objective: ||xprop - xtgt||^2 per item.
 
     Requires m = 1. Written directly (not via mmd_loss) so the equivalence
@@ -241,44 +225,33 @@ def l2_loss(batch: ParticleBatch, omega=None):
     return loss, 2.0 * np.sum(u * residual_slope, axis=-1)
 
 
-class DistanceToMeanReward:
+def distance_to_mean(spec: MogSpec, x, c):
     """R(x, c) = -||x - mu_c||^2: pulls samples toward their class mean."""
-
-    def __init__(self, means):
-        self.means = np.atleast_2d(np.asarray(means, dtype=float))
-
-    def value_and_grad(self, x, c):
-        x = np.asarray(x, dtype=float)
-        mu = self.means[np.asarray(c)]
-        diff = x - mu
-        return -np.sum(diff * diff, axis=-1), -2.0 * diff
+    diff = x - spec.means[c]
+    return -np.sum(diff * diff, axis=-1), -2.0 * diff
 
 
-class MixtureLogDensityReward:
+def log_density(spec: MogSpec, x, c):
     """R(x, c) = log p0(x) under the data mixture (class-independent)."""
-
-    def __init__(self, spec: MogSpec):
-        self.spec = spec
-
-    def value_and_grad(self, x, c=None):
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, x.shape[-1])
-        val = mixture_log_density(self.spec, flat).reshape(x.shape[:-1])
-        grad = mixture_score(self.spec, flat).reshape(x.shape)
-        return val, grad
+    return mixture_log_density(spec, x), mixture_score(spec, x)
 
 
-def reward_loss(batch: ParticleBatch, reward_fn, omega=None, sign: float = -1.0):
+# Each reward R(spec, x, c) -> (value (k,), d value / d x (k, d)) on rows x (k, d).
+REWARDS = {"distance_to_mean": distance_to_mean, "mixture_log_density": log_density}
+
+
+def reward_loss(batch: ParticleBatch, reward, omega, sign: float = -1.0):
     """Per-item reward term sign * (1/m) sum_j R(xhat_j(omega), c) and its omega-gradient.
 
-    The reward acts on the guided denoiser outputs, so d xhat / d omega is the
-    raw conditional-minus-unconditional difference. The default sign = -1
-    makes minimizing this maximize the expected reward; sign = +1 flips the
+    reward(x, c) is a REWARDS entry with its spec bound. The reward acts on
+    the guided denoiser outputs, so d xhat / d omega is the raw
+    conditional-minus-unconditional difference. The default sign = -1 makes
+    minimizing this maximize the expected reward; sign = +1 flips the
     convention.
     """
     est = batch.guided_estimates(omega)
     c_rep = np.repeat(batch.c, batch.n_particles)
-    val, grad = reward_fn.value_and_grad(est.reshape(-1, est.shape[-1]), c_rep)
+    val, grad = reward(est.reshape(-1, est.shape[-1]), c_rep)
     val = val.reshape(est.shape[:2])
     grad = grad.reshape(est.shape)
     loss = sign * val.mean(axis=-1)
@@ -286,40 +259,30 @@ def reward_loss(batch: ParticleBatch, reward_fn, omega=None, sign: float = -1.0)
     return loss, dloss
 
 
-def build_gsm(x0, c, s, t, cond, uncond, omega, rng) -> ParticleBatch:
+def build_gsm(x0, c, t, cond, uncond, rng) -> ParticleBatch:
     """Noise each item to its t once and cache the denoiser pair there.
 
     The guided-score-matching batch is a ParticleBatch with one particle per
     item and the transition A = 0, B = 1, Sigma = 0: the target is x0
     itself, so proposals() are the guided estimates and the loss regresses
-    them onto the clean points. The s values are the other half of the
-    (s, t) pairs the weights were evaluated at. omega is the guidance weight,
-    a scalar or one per item (n,).
+    them onto the clean points.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x0, c, t = _items(x0, c, t)
     n = x0.shape[0]
-    c = np.broadcast_to(np.asarray(c), (n,))
-    s = np.broadcast_to(np.asarray(s, dtype=float), (n,))
-    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
     x_t, _ = noise_sample(x0, t, rng)
     xc = cond.denoise(x_t, t, c)
     xu = uncond.denoise(x_t, t, None)
-    return ParticleBatch(
-        x0=x0, c=c, s=s, t=t,
-        targets=x0[:, None], prop_noisy=x_t[:, None],
-        xhat_c=xc[:, None], delta=(xc - xu)[:, None],
-        coeff_xt=np.zeros(n), coeff_x0=np.ones(n), cov_scale=np.zeros(n),
-        trans_noise=np.zeros_like(x_t[:, None]),
-        omega=np.array(_per_item(omega, n)),
-    )
+    return ParticleBatch(c, x0[:, None], x_t[:, None], xc[:, None], (xc - xu)[:, None],
+                         DdimTransition(np.zeros(n), np.ones(n), np.zeros(n)),
+                         np.zeros_like(x_t[:, None]))
 
 
-def guided_score_matching_loss(batch: ParticleBatch, omega=None):
+def guided_score_matching_loss(batch: ParticleBatch, omega):
     """Per-item ||x0 - guided estimate||^2 and d loss / d omega, shape (n,).
 
     Reads particle 0 of a build_gsm batch.
     """
-    w = batch._omega(omega)[:, None]
+    w = _per_item(omega, batch.n_items)[:, None]
     delta = batch.delta[:, 0]
     u = batch.targets[:, 0] - batch.xhat_c[:, 0] - w * delta
     loss = np.sum(u * u, axis=-1)

@@ -98,7 +98,7 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
         omega = np.asarray(weight_fn.weight(s, t, classes), dtype=float)[c]
         guided, _ = guided_denoise(cond, uncond, x, t, c, omega)
         trans = ddim_transition(s, t, config.churn)
-        x = trans.mean(guided, x) + np.sqrt(trans.cov_scale) * z[:, k]
+        x, _ = trans.sample(guided, x, noise=z[:, k])
         if chain is not None:
             states.append(x[chain].copy())
             omegas.append(omega[chain])

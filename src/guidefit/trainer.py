@@ -15,6 +15,7 @@ stream; the best-scoring parameters are restored at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,14 +23,12 @@ from . import nn
 from .denoisers import MogSpec
 from .evaluation import _Reference, energy_mmd, write_table
 from .guidance import GuidanceNet
-from .objectives import (DistanceToMeanReward, MixtureLogDensityReward, MmdParams,
-                         TimePairSampler, build_gsm, build_particles,
+from .objectives import (REWARDS, MmdParams, TimePairSampler, build_gsm, build_particles,
                          guided_score_matching_loss, l2_loss, mmd_loss, reward_loss)
 from .rng import stream
 from .sampler import SampleConfig, sample
 
 MODES = ("self_consistency", "l2", "reward", "guided_sm")
-REWARDS = ("distance_to_mean", "mixture_log_density")
 
 
 class TrainingDiverged(RuntimeError):
@@ -71,7 +70,7 @@ class TrainConfig:
         if self.mode == "reward" and self.reward is None:
             raise ValueError("reward mode needs a reward function name")
         if self.reward is not None and self.reward not in REWARDS:
-            raise ValueError(f"reward must be one of {REWARDS}, got {self.reward!r}")
+            raise ValueError(f"reward must be one of {tuple(REWARDS)}, got {self.reward!r}")
         if self.reward_sign not in (-1.0, 1.0):
             raise ValueError("reward_sign must be -1 or +1")
         if self.iterations < 0 or self.batch_size <= 0 or self.particles <= 0:
@@ -79,6 +78,8 @@ class TrainConfig:
         MmdParams(self.beta, self.lam)  # validates the pair
         if not 0.0 <= self.churn <= 1.0:
             raise ValueError(f"churn must lie in [0, 1], got {self.churn}")
+        if self.learning_rate < 0.0:
+            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
         if self.checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
         if self.probing and self.probe_size < 2:
@@ -109,34 +110,25 @@ class TrainRecord:
                         self.mean_abs_omega))
 
 
-def make_reward(name: str, spec: MogSpec):
-    if name == "distance_to_mean":
-        return DistanceToMeanReward(spec.means)
-    if name == "mixture_log_density":
-        return MixtureLogDensityReward(spec)
-    raise ValueError(f"unknown reward {name!r}")
-
-
-def _objective(config: TrainConfig, x0, c, s, t, omega, cond, uncond, reward_fn, rng):
-    """Build config.mode's batch at weights omega and score it.
+def _objective(config: TrainConfig, x0, c, s, t, omega, cond, uncond, reward, rng):
+    """Build config.mode's batch and score it at weights omega.
 
     Returns per-item loss and d loss / d omega, both (n,), and the batch's
-    mean raw reward (NaN when reward_fn is None or the mode has no particles).
+    mean raw reward (NaN when reward is None or the mode has no particles).
     The reward enters the loss only in reward mode; other modes just track it.
     """
     if config.mode == "guided_sm":
-        batch = build_gsm(x0, c, s, t, cond, uncond, omega, rng)
-        loss_items, grad_items = guided_score_matching_loss(batch)
+        batch = build_gsm(x0, c, t, cond, uncond, rng)
+        loss_items, grad_items = guided_score_matching_loss(batch, omega)
         return loss_items, grad_items, np.nan
-    batch = build_particles(x0, c, s, t, config.particles, cond, uncond,
-                            omega, config.churn, rng)
+    batch = build_particles(x0, c, s, t, config.particles, cond, uncond, config.churn, rng)
     if config.mode == "l2":
-        loss_items, grad_items = l2_loss(batch)
+        loss_items, grad_items = l2_loss(batch, omega)
     else:
-        loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam))
-    if reward_fn is None:
+        loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam), omega)
+    if reward is None:
         return loss_items, grad_items, np.nan
-    r_loss, r_grad = reward_loss(batch, reward_fn, sign=config.reward_sign)
+    r_loss, r_grad = reward_loss(batch, reward, omega, sign=config.reward_sign)
     if config.mode == "reward":
         loss_items = loss_items + config.gamma_reward * r_loss
         grad_items = grad_items + config.gamma_reward * r_grad
@@ -165,7 +157,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
     params, blocks = net.params, net.parameters()
     adam = nn.AdamState.for_params(params, lr=config.learning_rate)
     ema = nn.EmaState.for_params(params, config.ema_decay) if config.ema_decay else None
-    reward_fn = make_reward(config.reward, data) if config.reward else None
+    reward = partial(REWARDS[config.reward], data) if config.reward else None
     reference = _Reference(data.sample_joint(
         config.probe_size, stream(config.seed, "probe/reference"))[0]) if config.probing else None
 
@@ -199,7 +191,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
         s, t = config.time_sampler.sample(n, time_rng)
         omega, tape = net.weight_with_tape(s, t, c, train=True, rng=drop_rng)
         loss_items, grad_items, cols["reward"][it] = _objective(
-            config, x0, c, s, t, omega, cond, uncond, reward_fn, noise_rng)
+            config, x0, c, s, t, omega, cond, uncond, reward, noise_rng)
 
         loss = float(np.mean(loss_items))
         if not np.isfinite(loss):
@@ -249,7 +241,7 @@ def loss_param_grad(net: GuidanceNet, cond, uncond, data: MogSpec, x0, c, s, t,
     gradient checks.
     """
     omega, tape = net.weight_with_tape(s, t, c)
-    reward_fn = make_reward(config.reward, data) if config.reward else None
+    reward = partial(REWARDS[config.reward], data) if config.reward else None
     loss_items, grad_items, _ = _objective(config, x0, c, s, t, omega, cond, uncond,
-                                           reward_fn, stream(config.seed, "gradcheck/noise"))
+                                           reward, stream(config.seed, "gradcheck/noise"))
     return float(np.mean(loss_items)), net.backward(tape, grad_items / loss_items.shape[0])

@@ -9,6 +9,7 @@ few minutes, dominated by the four training runs.
 
 import dataclasses
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,12 @@ from guidefit.config import build_denoiser, build_guidance_net, load_config
 from guidefit.denoisers import mixture_score, posterior_mean
 from guidefit.evaluation import mmd_with_se
 from guidefit.guidance import GuidanceNet, mean_abs_weight
-from guidefit.objectives import (DistanceToMeanReward, MmdParams, ParticleBatch,
-                                 build_gsm, build_particles,
-                                 guided_score_matching_loss, l2_loss, mmd_loss,
-                                 reward_loss)
+from guidefit.objectives import (MmdParams, ParticleBatch, build_gsm, build_particles,
+                                 distance_to_mean, guided_score_matching_loss, l2_loss,
+                                 mmd_loss, reward_loss)
 from guidefit.rng import stream
 from guidefit.sampler import sample
-from guidefit.schedule import NoiseSchedule, ddim_transition, noise_sample
+from guidefit.schedule import DdimTransition, NoiseSchedule, ddim_transition, noise_sample
 from guidefit.trainer import TrainConfig, loss_param_grad, train_guidance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -74,12 +74,12 @@ def test_transition_marginal_consistency():
 
 # ------------------------------------------------------------- gradient suite
 
-def _omega_fd_error(loss_fn, batch):
-    """Worst per-item relative error of the analytic omega-gradient vs FD."""
-    _, grad = loss_fn(batch, None)
+def _omega_fd_error(loss_fn, batch, omega):
+    """Worst per-item relative error of the analytic omega-gradient vs FD at omega."""
+    _, grad = loss_fn(batch, omega)
     h = 1e-6
-    up, _ = loss_fn(batch, batch.omega + h)
-    down, _ = loss_fn(batch, batch.omega - h)
+    up, _ = loss_fn(batch, omega + h)
+    down, _ = loss_fn(batch, omega - h)
     fd = (up - down) / (2.0 * h)
     return float(np.max(np.abs(fd - grad) / np.maximum(np.abs(fd), 1e-8)))
 
@@ -110,7 +110,7 @@ def test_gradient_suite(mog, exact):
     random batches each. Source times sit high in the interval so the
     conditional-unconditional difference (and hence the gradient) is nonzero.
     """
-    reward = DistanceToMeanReward(mog.means)
+    reward = partial(distance_to_mean, mog)
     omega_losses = {
         "self_consistency": lambda b, w: mmd_loss(b, MmdParams(1.75, 1.0), w),
         "l2": lambda b, w: l2_loss(b, w),
@@ -135,12 +135,12 @@ def test_gradient_suite(mog, exact):
         x0, c = mog.sample_joint(6, rng)
         s = rng.uniform(0.7, 0.85, size=6)
         t = rng.uniform(0.9, 0.97, size=6)
-        m1 = build_particles(x0, c, s, t, 8, exact, exact, 0.3, 1.0, rng)
-        single = build_particles(x0, c, s, t, 1, exact, exact, 0.3, 1.0, rng)
-        gsm = build_gsm(x0, c, s, t, exact, exact, 0.3, rng)
+        m1 = build_particles(x0, c, s, t, 8, exact, exact, 1.0, rng)
+        single = build_particles(x0, c, s, t, 1, exact, exact, 1.0, rng)
+        gsm = build_gsm(x0, c, t, exact, exact, rng)
         for name, fn in omega_losses.items():
             batch = {"l2": single, "guided_sm": gsm}.get(name, m1)
-            err = _omega_fd_error(fn, batch)
+            err = _omega_fd_error(fn, batch, 0.3)
             worst[f"{name}/omega"] = max(worst.get(f"{name}/omega", 0.0), err)
         for name, config in param_configs.items():
             err = _param_fd_error(net, exact, mog, x0, c, s, t, config)
@@ -211,10 +211,10 @@ def test_estimator_identities(mog, exact):
     x0, c = mog.sample_joint(16, rng)
     s = rng.uniform(0.3, 0.6, size=16)
     t = rng.uniform(0.7, 0.95, size=16)
-    batch = build_particles(x0, c, s, t, 1, exact, exact, 0.5, 1.0, rng)
+    batch = build_particles(x0, c, s, t, 1, exact, exact, 1.0, rng)
     quad = MmdParams(beta=2.0, lam=0.0)
     id_err = 0.0
-    for w in (None, -0.5, 1.5):
+    for w in (0.5, -0.5, 1.5):
         lv, lg = l2_loss(batch, w)
         mv, mg = mmd_loss(batch, quad, w)
         id_err = max(id_err, float(np.max(np.abs(lv - mv))), float(np.max(np.abs(lg - mg))))
@@ -225,11 +225,11 @@ def test_estimator_identities(mog, exact):
     pts = np.array([[[0.0, 0.0], [2.0, 0.0]]])
     zeros = np.zeros((1, 2, 2))
     hand = ParticleBatch(
-        x0=np.zeros((1, 2)), c=np.array([0]), s=np.array([0.3]), t=np.array([0.8]),
-        targets=pts.copy(), prop_noisy=pts.copy(), xhat_c=zeros.copy(),
-        delta=zeros.copy(), coeff_xt=np.array([1.0]), coeff_x0=np.array([0.0]),
-        cov_scale=np.array([0.0]), trans_noise=zeros.copy(), omega=np.array([0.0]))
-    hand_loss = mmd_loss(hand, MmdParams(beta=1.0, lam=1.0))[0][0]
+        c=np.array([0]), targets=pts.copy(), prop_noisy=pts.copy(), xhat_c=zeros.copy(),
+        delta=zeros.copy(), trans=DdimTransition(np.array([1.0]), np.array([0.0]),
+                                                 np.array([0.0])),
+        trans_noise=zeros.copy())
+    hand_loss = mmd_loss(hand, MmdParams(beta=1.0, lam=1.0), 0.0)[0][0]
 
     verdict("estimator identities",
             id_err < 1e-12 and abs(mmd) < 4.0 * se and hand_loss == -1.0,

@@ -426,6 +426,15 @@ MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
     ("train-guidance", {"guidance": {"embed_dim": -1}}, 3, "invalid guidance: embed_dim "),
     ("train-guidance", {"guidance": {"trunk_hidden": 0}}, 3, "invalid guidance: trunk_hidden "),
     ("train-guidance", {"guidance": {"trunk_hidden": -1}}, 3, "invalid guidance: trunk_hidden "),
+    ("train-guidance", {"guidance": {"trunk_layers": -1}}, 3, "invalid guidance: trunk_layers "),
+    ("sample", {"guidance": {"logsnr_clip": 0}}, 3, "invalid guidance: logsnr_clip "),
+    ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
+                                                                    "layers": -1}}},
+     3, "invalid denoiser.train: layers "),
+    ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
+                                                                    "learning_rate": -1e-4}}},
+     3, "invalid denoiser.train: learning_rate "),
+    ("sweep", {"train": {"learning_rate": -1e-3}}, 3, "invalid train: learning_rate "),
     ("sample", {"mog": MOG_1D}, 3, "invalid config: mog.means "),
     ("sample", {"mog": MOG_3D}, 3, "invalid config: mog.means "),
     ("pretrain-denoiser", {"denoiser": {"kind": "corrupted"}}, 3,
@@ -437,7 +446,9 @@ MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
         "guidance.dropout", "denoiser.train.time_embed_dim", "sample.conditioning",
         "train.churn", "denoiser.train.time_clamp", "denoiser.train.hidden-0",
         "denoiser.train.hidden-neg", "guidance.embed_hidden", "guidance.embed_dim",
-        "guidance.trunk_hidden-0", "guidance.trunk_hidden-neg", "mog-1d", "mog-3d",
+        "guidance.trunk_hidden-0", "guidance.trunk_hidden-neg", "guidance.trunk_layers",
+        "guidance.logsnr_clip", "denoiser.train.layers", "denoiser.train.learning_rate",
+        "train.learning_rate", "mog-1d", "mog-3d",
         "denoiser.kind-corrupted", "denoiser.corruption"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"

@@ -5,30 +5,32 @@ where the conditional-unconditional difference is well away from zero and
 relative error against finite differences is meaningful.
 """
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
 
-from guidefit.objectives import (DistanceToMeanReward, MixtureLogDensityReward,
-                                 MmdParams, ParticleBatch, TimePairSampler,
-                                 build_gsm, build_particles,
-                                 guided_score_matching_loss, l2_loss, mmd_loss,
-                                 reward_loss)
+from guidefit.objectives import (REWARDS, MmdParams, ParticleBatch, TimePairSampler,
+                                 build_gsm, build_particles, distance_to_mean,
+                                 guided_score_matching_loss, l2_loss, log_density,
+                                 mmd_loss, reward_loss)
 from guidefit.denoisers import mixture_score
 from guidefit.rng import stream
+from guidefit.schedule import DdimTransition, ddim_transition
 
 
-def make_batch(mog, exact, m=8, n=6, churn=1.0, seed=0, omega=0.3):
+def make_batch(mog, exact, m=8, n=6, churn=1.0, seed=0):
     rng = stream(seed, "test/batch")
     x0, c = mog.sample_joint(n, rng)
     s = rng.uniform(0.7, 0.85, size=n)
     t = rng.uniform(0.9, 0.97, size=n)
-    return build_particles(x0, c, s, t, m, exact, exact, omega, churn, rng)
+    return build_particles(x0, c, s, t, m, exact, exact, churn, rng)
 
 
-def fd_check(loss_fn, batch, atol=1e-8, rtol=1e-6):
-    """Central finite differences in omega against the analytic per-item gradient."""
-    w0 = batch.omega.copy()
-    _, grad = loss_fn(batch, None)
+def fd_check(loss_fn, batch, w0=0.3, atol=1e-8, rtol=1e-6):
+    """Central finite differences in omega at w0 against the analytic per-item gradient."""
+    _, grad = loss_fn(batch, w0)
     h = 1e-6
     up, _ = loss_fn(batch, w0 + h)
     down, _ = loss_fn(batch, w0 - h)
@@ -61,15 +63,37 @@ def test_time_pair_sampler_ranges():
 
 
 def test_build_particles_shapes_and_stored_omega(mog, exact):
-    batch = make_batch(mog, exact, m=5, n=4, omega=0.25)
+    """One transition per item, and no weight stored: every loss is given omega."""
+    batch = make_batch(mog, exact, m=5, n=4)
     assert batch.n_items == 4
     assert batch.n_particles == 5
     for arr in (batch.targets, batch.prop_noisy, batch.xhat_c, batch.delta,
                 batch.trans_noise):
         assert arr.shape == (4, 5, 2)
-    assert np.array_equal(batch.omega, np.full(4, 0.25))
+    for coeff in dataclasses.astuple(batch.trans):
+        assert coeff.shape == (4,)
+    assert "omega" not in {f.name for f in dataclasses.fields(batch)}
     with pytest.raises(ValueError):
         make_batch(mog, exact, m=0)
+
+
+def test_proposals_bytes_match_explicit_transition(mog, exact):
+    """proposals(omega) is A x_t + B (xhat_c + omega delta) + sqrt(Sigma) xi byte
+    for byte, at churn 0, 0.5 and 1 and at scalar and per-item omega."""
+    rng = stream(11, "test/batch")
+    x0, c = mog.sample_joint(6, rng)
+    s = rng.uniform(0.3, 0.6, size=6)
+    t = rng.uniform(0.7, 0.95, size=6)
+    for churn in (0.0, 0.5, 1.0):
+        batch = build_particles(x0, c, s, t, 3, exact, exact, churn,
+                                stream(11, f"test/proposals/{churn}"))
+        a, b, var = dataclasses.astuple(ddim_transition(s, t, churn))
+        for omega in (0.0, 1.3, stream(12, "test/w").normal(0.0, 2.0, 6)):
+            w = np.broadcast_to(omega, (6,))[:, None, None]
+            guided = batch.xhat_c + w * batch.delta
+            want = (a[:, None, None] * batch.prop_noisy + b[:, None, None] * guided
+                    + np.sqrt(var)[:, None, None] * batch.trans_noise)
+            assert batch.proposals(omega).tobytes() == want.tobytes()
 
 
 def test_proposals_affine_in_omega(mog, exact):
@@ -91,8 +115,8 @@ def test_mmd_loss_gradient_matches_finite_differences(mog, exact):
 
 def test_mmd_loss_interaction_off_when_lam_zero(mog, exact):
     batch = make_batch(mog, exact, seed=3)
-    full, _ = mmd_loss(batch, MmdParams(beta=1.5, lam=0.0))
-    u = batch.proposals() - batch.targets
+    full, _ = mmd_loss(batch, MmdParams(beta=1.5, lam=0.0), 0.3)
+    u = batch.proposals(0.3) - batch.targets
     direct = np.mean(np.sqrt(np.sum(u * u, axis=-1)) ** 1.5, axis=-1)
     assert np.allclose(full, direct, atol=1e-12)
 
@@ -100,13 +124,13 @@ def test_mmd_loss_interaction_off_when_lam_zero(mog, exact):
 def test_l2_equals_quadratic_energy_single_particle(mog, exact):
     batch = make_batch(mog, exact, m=1, seed=4)
     quad = MmdParams(beta=2.0, lam=0.0)
-    for w in (None, -0.5, 0.0, 1.5):
+    for w in (0.3, -0.5, 0.0, 1.5):
         l2_val, l2_grad = l2_loss(batch, w)
         mmd_val, mmd_grad = mmd_loss(batch, quad, w)
         assert np.max(np.abs(l2_val - mmd_val)) < 1e-12
         assert np.max(np.abs(l2_grad - mmd_grad)) < 1e-12
     with pytest.raises(ValueError):
-        l2_loss(make_batch(mog, exact, m=2, seed=4))
+        l2_loss(make_batch(mog, exact, m=2, seed=4), 0.3)
 
 
 def test_two_point_batch_interaction_value():
@@ -115,20 +139,20 @@ def test_two_point_batch_interaction_value():
     pts = np.array([[[0.0, 0.0], [2.0, 0.0]]])
     zeros = np.zeros((1, 2, 2))
     batch = ParticleBatch(
-        x0=np.zeros((1, 2)), c=np.array([0]), s=np.array([0.3]), t=np.array([0.8]),
-        targets=pts.copy(), prop_noisy=pts.copy(), xhat_c=zeros.copy(),
-        delta=zeros.copy(), coeff_xt=np.array([1.0]), coeff_x0=np.array([0.0]),
-        cov_scale=np.array([0.0]), trans_noise=zeros.copy(), omega=np.array([0.0]))
-    loss, grad = mmd_loss(batch, MmdParams(beta=1.0, lam=1.0))
+        c=np.array([0]), targets=pts.copy(), prop_noisy=pts.copy(), xhat_c=zeros.copy(),
+        delta=zeros.copy(), trans=DdimTransition(np.array([1.0]), np.array([0.0]),
+                                                 np.array([0.0])),
+        trans_noise=zeros.copy())
+    loss, grad = mmd_loss(batch, MmdParams(beta=1.0, lam=1.0), 0.0)
     assert loss[0] == -1.0
     assert grad[0] == 0.0
 
 
 def test_distance_reward_value_and_grad(mog):
-    reward = DistanceToMeanReward(mog.means)
+    reward = partial(REWARDS["distance_to_mean"], mog)
     x = stream(5, "test/reward").uniform(-12.0, 12.0, size=(10, 2))
     c = np.arange(10) % 4
-    val, grad = reward.value_and_grad(x, c)
+    val, grad = reward(x, c)
     assert np.allclose(val, -np.sum((x - mog.means[c]) ** 2, axis=1), atol=1e-12)
     h = 1e-6
     for j in range(2):
@@ -136,37 +160,38 @@ def test_distance_reward_value_and_grad(mog):
         xp[:, j] += h
         xm = x.copy()
         xm[:, j] -= h
-        fd = (reward.value_and_grad(xp, c)[0] - reward.value_and_grad(xm, c)[0]) / (2.0 * h)
+        fd = (reward(xp, c)[0] - reward(xm, c)[0]) / (2.0 * h)
         assert np.max(np.abs(grad[:, j] - fd)) < 1e-5
 
 
 def test_mixture_reward_grad_is_the_data_score(mog):
-    reward = MixtureLogDensityReward(mog)
+    assert REWARDS == {"distance_to_mean": distance_to_mean,
+                       "mixture_log_density": log_density}
     x = stream(6, "test/reward2").uniform(-12.0, 12.0, size=(10, 2))
-    val, grad = reward.value_and_grad(x, np.zeros(10, dtype=int))
+    val, grad = log_density(mog, x, np.zeros(10, dtype=int))
     assert np.array_equal(grad, mixture_score(mog, x))
     assert val.shape == (10,)
 
 
 def test_reward_loss_acts_on_guided_estimates(mog, exact):
     batch = make_batch(mog, exact, seed=7)
-    reward = DistanceToMeanReward(mog.means)
-    loss, _ = reward_loss(batch, reward, omega=0.4)
+    reward = partial(distance_to_mean, mog)
+    loss, _ = reward_loss(batch, reward, 0.4)
     est = batch.guided_estimates(0.4)
     manual = np.mean(np.sum((est - mog.means[batch.c][:, None, :]) ** 2, axis=-1), axis=-1)
     assert np.allclose(loss, manual, atol=1e-10)  # sign = -1 flips -R to +distance
     fd_check(lambda b, w: reward_loss(b, reward, w), batch)
     # sign = +1 is the pure flip
-    flip, flip_grad = reward_loss(batch, reward, omega=0.4, sign=1.0)
+    flip, flip_grad = reward_loss(batch, reward, 0.4, sign=1.0)
     assert np.allclose(flip, -loss, atol=1e-12)
 
 
-def make_gsm(mog, exact, omega=0.2):
+def make_gsm(mog, exact):
     rng = stream(8, "test/gsm")
     x0, c = mog.sample_joint(6, rng)
-    s = rng.uniform(0.3, 0.5, size=6)
+    rng.uniform(0.3, 0.5, size=6)  # the s half of the time pairs
     t = rng.uniform(0.8, 0.95, size=6)
-    return x0, build_gsm(x0, c, s, t, exact, exact, omega, rng)
+    return x0, build_gsm(x0, c, t, exact, exact, rng)
 
 
 def test_gsm_batch_and_gradient(mog, exact):
@@ -177,14 +202,14 @@ def test_gsm_batch_and_gradient(mog, exact):
                 batch.trans_noise):
         assert arr.shape == (6, 1, 2)
     assert np.array_equal(batch.targets[:, 0], x0)
-    loss, _ = guided_score_matching_loss(batch)
+    loss, _ = guided_score_matching_loss(batch, 0.2)
     manual = np.sum((x0 - batch.xhat_c[:, 0] - 0.2 * batch.delta[:, 0]) ** 2, axis=-1)
     assert np.allclose(loss, manual, atol=1e-12)
 
     def gsm(b, w):
         return guided_score_matching_loss(b, w)
 
-    fd_check(gsm, batch)
+    fd_check(gsm, batch, 0.2)
 
 
 def test_gsm_batch_draws_match_one_noising_per_item(mog, exact):
@@ -200,9 +225,6 @@ def test_gsm_batch_draws_match_one_noising_per_item(mog, exact):
     xc = exact.denoise(x_t, t, c)
     assert batch.xhat_c[:, 0].tobytes() == xc.tobytes()
     assert batch.delta[:, 0].tobytes() == (xc - exact.denoise(x_t, t, None)).tobytes()
-    assert np.array_equal(batch.coeff_xt, np.zeros(6))
-    assert np.array_equal(batch.coeff_x0, np.ones(6))
-    assert np.array_equal(batch.cov_scale, np.zeros(6))
     assert not batch.trans_noise.any()
 
 
@@ -210,8 +232,12 @@ def test_gsm_batch_draws_match_one_noising_per_item(mog, exact):
 def test_gsm_batch_is_a_one_particle_identity_transition(mog, exact, omega):
     """proposals() are the guided estimates bit for bit, and the l2 objective
     on the batch is guided score matching in loss and omega-gradient."""
-    _, batch = make_gsm(mog, exact, omega=stream(9, "test/gsm_w").normal(1.0, 2.0, 6))
-    if omega == "per item":
+    _, batch = make_gsm(mog, exact)
+    for coeff, want in zip(dataclasses.astuple(batch.trans), (0.0, 1.0, 0.0)):
+        assert coeff.tobytes() == np.full(6, want).tobytes()
+    if omega is None:
+        omega = stream(9, "test/gsm_w").normal(1.0, 2.0, 6)
+    elif omega == "per item":
         omega = stream(10, "test/gsm_w").normal(0.0, 3.0, 6)
     assert batch.proposals(omega).tobytes() == batch.guided_estimates(omega).tobytes()
     l2_val, l2_grad = l2_loss(batch, omega)
@@ -220,7 +246,7 @@ def test_gsm_batch_is_a_one_particle_identity_transition(mog, exact, omega):
     np.testing.assert_allclose(l2_grad, gsm_grad, rtol=1e-12, atol=0.0)
 
 
-def _oracle_mmd_loss(batch, params, omega=None):
+def _oracle_mmd_loss(batch, params, omega):
     """mmd_loss written out: coordinate-last arrays, the j < k pairs listed in
     row-major order by a loop, one power per distance, factor = beta pow / sq."""
     def pow_and_factor(diff):
@@ -249,7 +275,7 @@ def _oracle_mmd_loss(batch, params, omega=None):
     return loss, dloss
 
 
-def _all_pairs_mmd_loss(batch, params, omega=None):
+def _all_pairs_mmd_loss(batch, params, omega):
     """The all-pairs form mmd_loss had before it summed j < k only: half the sum
     over j != k, with norm^beta and beta norm^(beta - 2) as two powers."""
     def pow_and_factor(diff):
@@ -278,18 +304,18 @@ def _all_pairs_mmd_loss(batch, params, omega=None):
 
 
 def _random_batch(n, m, d, seed):
+    """A batch of random draws, and random per-item weights for it."""
     rng = stream(seed, "test/mmd_bytes")
     draw = lambda *shape: rng.standard_normal(shape)
     batch = ParticleBatch(
-        x0=draw(n, d), c=np.zeros(n, dtype=int), s=np.full(n, 0.3), t=np.full(n, 0.6),
-        targets=draw(n, m, d), prop_noisy=draw(n, m, d), xhat_c=draw(n, m, d),
-        delta=draw(n, m, d), coeff_xt=draw(n), coeff_x0=draw(n),
-        cov_scale=np.abs(draw(n)), trans_noise=draw(n, m, d), omega=draw(n))
+        c=np.zeros(n, dtype=int), targets=draw(n, m, d), prop_noisy=draw(n, m, d),
+        xhat_c=draw(n, m, d), delta=draw(n, m, d),
+        trans=DdimTransition(draw(n), draw(n), np.abs(draw(n))), trans_noise=draw(n, m, d))
     # one item whose particles coincide: zero distances take the factor-0 branch
     for arr in (batch.targets, batch.prop_noisy, batch.xhat_c, batch.delta,
                 batch.trans_noise):
         arr[0] = 0.0
-    return batch
+    return batch, draw(n)
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.75, 2.0])
@@ -297,9 +323,9 @@ def _random_batch(n, m, d, seed):
 @pytest.mark.parametrize("m", [1, 2, 32])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mmd_loss_bytes_match_oracle(beta, lam, m, d):
-    batch = _random_batch(12, m, d, seed=100 * m + d)
+    batch, weights = _random_batch(12, m, d, seed=100 * m + d)
     params = MmdParams(beta=beta, lam=lam)
-    for omega in (None, 0.7):
+    for omega in (weights, 0.7):
         got = mmd_loss(batch, params, omega)
         want = _oracle_mmd_loss(batch, params, omega)
         assert got[0].tobytes() == want[0].tobytes()
@@ -314,9 +340,9 @@ def test_mmd_loss_matches_all_pairs_form(beta, lam, m, d):
     # The j < k sum and the single power reorder float operations only. The
     # error is relative to the batch's largest value: where the cross and
     # repulsion terms cancel, an item's loss is rounding noise in both forms.
-    batch = _random_batch(12, m, d, seed=100 * m + d)
+    batch, weights = _random_batch(12, m, d, seed=100 * m + d)
     params = MmdParams(beta=beta, lam=lam)
-    for omega in (None, 0.7):
+    for omega in (weights, 0.7):
         for got, want in zip(mmd_loss(batch, params, omega),
                              _all_pairs_mmd_loss(batch, params, omega)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

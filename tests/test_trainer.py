@@ -1,6 +1,7 @@
 """Trainer checks: config validation, determinism, EMA, divergence recovery."""
 
 import csv
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,13 +9,12 @@ import pytest
 from guidefit import evaluation, trainer
 from guidefit.evaluation import energy_mmd
 from guidefit.guidance import GuidanceNet
-from guidefit.objectives import (MmdParams, TimePairSampler, build_gsm, build_particles,
-                                 guided_score_matching_loss, l2_loss, mmd_loss,
-                                 reward_loss)
+from guidefit.objectives import (REWARDS, MmdParams, TimePairSampler, build_gsm,
+                                 build_particles, guided_score_matching_loss, l2_loss,
+                                 mmd_loss, reward_loss)
 from guidefit.rng import stream
 from guidefit.sampler import SampleConfig, sample
-from guidefit.trainer import (TrainConfig, TrainingDiverged, loss_param_grad,
-                              make_reward, train_guidance)
+from guidefit.trainer import TrainConfig, TrainingDiverged, loss_param_grad, train_guidance
 
 
 def short_config(**overrides):
@@ -48,13 +48,6 @@ def test_train_config_validation():
     # probe_size is checked only where a probe runs
     for unprobed in ({"select_best": False}, {"mode": "guided_sm"}):
         assert not TrainConfig(probe_size=1, **unprobed).probing
-
-
-def test_make_reward_names(mog):
-    assert make_reward("distance_to_mean", mog) is not None
-    assert make_reward("mixture_log_density", mog) is not None
-    with pytest.raises(ValueError):
-        make_reward("banana", mog)
 
 
 def test_training_is_deterministic(mog, exact):
@@ -183,18 +176,18 @@ def _oracle_loss_param_grad(net, cond, uncond, data, x0, c, s, t, config):
     omega, tape = net.weight_with_tape(s, t, c)
     n = np.atleast_2d(x0).shape[0]
     if config.mode == "guided_sm":
-        batch = build_gsm(x0, c, s, t, cond, uncond, omega, noise_rng)
-        loss_items, grad_items = guided_score_matching_loss(batch)
+        batch = build_gsm(x0, c, t, cond, uncond, noise_rng)
+        loss_items, grad_items = guided_score_matching_loss(batch, omega)
     else:
         batch = build_particles(x0, c, s, t, config.particles, cond, uncond,
-                                omega, config.churn, noise_rng)
+                                config.churn, noise_rng)
         if config.mode == "l2":
-            loss_items, grad_items = l2_loss(batch)
+            loss_items, grad_items = l2_loss(batch, omega)
         else:
-            loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam))
+            loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam), omega)
         if config.mode == "reward":
-            reward_fn = make_reward(config.reward, data)
-            r_loss, r_grad = reward_loss(batch, reward_fn, sign=config.reward_sign)
+            reward = partial(REWARDS[config.reward], data)
+            r_loss, r_grad = reward_loss(batch, reward, omega, sign=config.reward_sign)
             loss_items = loss_items + config.gamma_reward * r_loss
             grad_items = grad_items + config.gamma_reward * r_grad
     return float(np.mean(loss_items)), net.backward(tape, grad_items / n)
