@@ -31,11 +31,6 @@ class CheckpointError(ValueError):
     pass
 
 
-def _mog_to_dict(spec: MogSpec) -> dict:
-    return {"means": spec.means.tolist(), "variances": spec.variances.tolist(),
-            "weights": spec.weights.tolist()}
-
-
 _MLP_ARCH = ("sizes", "hidden_activation", "output_activation", "dropout_rate")
 
 
@@ -138,8 +133,8 @@ def _load(path, builders: dict, sections: dict | None):
 
 def save_denoiser(path, denoiser, metadata: dict | None = None):
     if isinstance(denoiser, AnalyticDenoiser):
-        _write(path, "denoiser/analytic", {"mog": _mog_to_dict(denoiser.spec)},
-               [], metadata)
+        mog = {k: getattr(denoiser.spec, k).tolist() for k in ("means", "variances", "weights")}
+        _write(path, "denoiser/analytic", {"mog": mog}, [], metadata)
     elif isinstance(denoiser, NeuralDenoiser):
         arch = {"net": _mlp_arch(denoiser.net), "n_classes": denoiser.n_classes,
                 "time_embed_dim": denoiser.time_embed_dim,

@@ -103,7 +103,7 @@ class GuidanceNet:
         """Build GuidanceArch(**arch); zero_init starts the net at omega == 0."""
         a = GuidanceArch(**arch)
         head = "identity" if a.allow_negative else "relu"
-        net = cls({"sizes": [2, a.embed_hidden, a.embed_dim], "output_activation": "gelu",
+        net = cls({"sizes": [2, a.embed_hidden, a.embed_dim], "output_activation": "gelu_tanh",
                    "dropout_rate": a.dropout},
                   {"sizes": [a.embed_dim + n_classes] + [a.trunk_hidden] * a.trunk_layers + [1],
                    "output_activation": head},

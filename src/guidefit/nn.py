@@ -7,7 +7,8 @@ sinusoidal feature embedding used for time conditioning.
 
 Inference (teacher calls, weight evaluation) runs forward(tape=False): no
 per-layer arrays are kept and activations run in place, with bit-equal output.
-The tape keeps GeLU's 1 + erf(z / sqrt 2), so backward needs no second erf.
+GeLU is the tanh form; the tape keeps its 1 + tanh(u), so backward needs no
+transcendental.
 
 Each net's parameters are one contiguous vector in canonical order
 [W0, b0, W1, b1, ...], weights stored (out, in) row-major; weights and biases
@@ -25,19 +26,20 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# u = sqrt(2 / pi) (x + 0.044715 x^3), computed as x (C + CK x^2)
+_C = np.sqrt(2.0 / np.pi)
+_CK = _C * 0.044715
 
 
 def gelu(x, out=None):
-    """Exact GeLU x Phi(x) as (0.5 x) (1 + erf(x / sqrt 2)); out=x works in place.
-
-    Returns (y, cdf) with cdf = 1 + erf(x / sqrt 2) = 2 Phi(x), for gelu_grad.
-    """
-    cdf = x * _INV_SQRT2
-    erf(cdf, out=cdf)
+    """Tanh-form GeLU 0.5 x (1 + tanh u) (Hendrycks & Gimpel, 2016); out=x works
+    in place. Returns (y, cdf) with cdf = 1 + tanh u, for gelu_grad."""
+    cdf = x * x
+    cdf *= _CK
+    cdf += _C
+    cdf *= x
+    np.tanh(cdf, out=cdf)
     cdf += 1.0
     y = np.multiply(x, 0.5, out=out)
     y *= cdf
@@ -45,20 +47,22 @@ def gelu(x, out=None):
 
 
 def gelu_grad(x, cdf):
-    """0.5 cdf + x phi(x) = Phi(x) + x phi(x), with cdf from gelu (no second erf)."""
-    phi = -0.5 * x
-    phi *= x
-    np.exp(phi, out=phi)
-    phi *= _INV_SQRT2PI
-    phi *= x
-    grad = cdf * 0.5
-    grad += phi
+    """0.5 cdf + 0.5 x u'(x) (1 - tanh^2 u) = (0.5 + 0.5 x u'(x) (2 - cdf)) cdf, as
+    1 - tanh^2 u = cdf (2 - cdf), with cdf from gelu. NaN once x^3 overflows
+    (|x| > 1e103)."""
+    grad = x * x
+    grad *= 1.5 * _CK
+    grad += 0.5 * _C
+    grad *= x
+    grad *= 2.0 - cdf
+    grad += 0.5
+    grad *= cdf
     return grad
 
 
 # name: (forward(z, out) -> (h, kept for the derivative), derivative(z, kept))
 _ACTIVATIONS = {
-    "gelu": (gelu, gelu_grad),
+    "gelu_tanh": (gelu, gelu_grad),
     "relu": (lambda x, out=None: (np.maximum(x, 0.0, out=out), None),
              lambda x, _: (x > 0.0).astype(float)),
     "identity": (lambda x, out=None: (x, None), lambda x, _: np.ones_like(x)),
@@ -79,7 +83,7 @@ class Mlp:
     plus the gradient with respect to the input, so nets can be chained.
     """
 
-    def __init__(self, sizes, params=None, hidden_activation="gelu",
+    def __init__(self, sizes, params=None, hidden_activation="gelu_tanh",
                  output_activation="identity", dropout_rate=0.0):
         self.sizes = [operator.index(s) for s in sizes]
         if len(self.sizes) < 2:

@@ -42,7 +42,7 @@ class MmdParams:
     def __post_init__(self):
         if not 0.0 < self.beta <= 2.0:
             raise ValueError(f"beta must lie in (0, 2], got {self.beta}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:  # NaN fails too
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
 
 
@@ -57,8 +57,8 @@ class TimePairSampler:
     def __post_init__(self):
         if not 0.0 < self.zeta < 0.5:
             raise ValueError("zeta must lie in (0, 0.5)")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not self.delta > 0.0:  # NaN fails too
+            raise ValueError(f"delta must be positive, got {self.delta}")
         if not self.zeta <= self.s_min:
             raise ValueError("s_min must be at least zeta")
         if self.s_min + self.delta >= 1.0 - self.zeta:

@@ -250,6 +250,31 @@ def test_retired_weight_kinds_are_usage_errors(tmp_path, tiny_config, capsys):
         assert not (out / "samples.csv").exists(), kind
 
 
+def test_checkpoints_with_exact_gelu_are_usage_errors(tmp_path, capsys):
+    # checkpoints written before GeLU became the tanh form record "gelu"; their
+    # section digests still match, so only the activation name stops them
+    path = tmp_path / "neural.json"
+    path.write_text(json.dumps(_with(TINY, denoiser={"kind": "neural",
+                                                     "train": {"iterations": 1}})))
+    made = tmp_path / "made"
+    for command in ("pretrain-denoiser", "train-guidance"):
+        assert run(command, "--config", str(path), "--out", str(made), "--quiet") == 0
+    for name, nets in (("denoiser", ["net"]), ("guidance", ["embed", "trunk"])):
+        payload = json.loads((made / f"{name}.json").read_text())
+        for net in nets:
+            arch = payload["architecture"][net]
+            for key in ("hidden_activation", "output_activation"):
+                arch[key] = arch[key].replace("gelu_tanh", "gelu")
+        old = tmp_path / f"old_{name}.json"
+        old.write_text(json.dumps(payload))
+        out = tmp_path / name
+        assert run("sample", "--config", str(path), "--out", str(out), "--quiet",
+                   f"--{name}", str(old)) == 2, name
+        err = capsys.readouterr().err
+        assert str(old) in err and "unknown activation 'gelu'" in err, err
+        assert "Traceback" not in err and not (out / "samples.csv").exists(), name
+
+
 def test_overflowing_weights_are_numerical_failure(tmp_path, tiny_config):
     from guidefit.config import build_guidance_net
 
@@ -437,6 +462,10 @@ MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
     ("sweep", {"train": {"learning_rate": -1e-3}}, 3, "invalid train: learning_rate "),
     ("sample", {"mog": MOG_1D}, 3, "invalid config: mog.means "),
     ("sample", {"mog": MOG_3D}, 3, "invalid config: mog.means "),
+    ("train-guidance", {"train": {"lam": float("nan")}}, 3, "invalid train: lam "),
+    ("sweep", {"eval": {"lam": float("nan")}}, 3, "invalid eval: lam "),
+    ("train-guidance", {"train": {"time_sampler": {"delta": float("nan")}}}, 3,
+     "invalid train.time_sampler: delta "),
     ("pretrain-denoiser", {"denoiser": {"kind": "corrupted"}}, 3,
      "unknown denoiser kind 'corrupted'"),
     ("pretrain-denoiser", {"denoiser": {"corruption": {"seed": 4}}}, 3,
@@ -449,6 +478,7 @@ MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
         "guidance.trunk_hidden-0", "guidance.trunk_hidden-neg", "guidance.trunk_layers",
         "guidance.logsnr_clip", "denoiser.train.layers", "denoiser.train.learning_rate",
         "train.learning_rate", "mog-1d", "mog-3d",
+        "train.lam-nan", "eval.lam-nan", "train.time_sampler.delta-nan",
         "denoiser.kind-corrupted", "denoiser.corruption"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"

@@ -163,9 +163,9 @@ def test_neural_denoiser_training_is_deterministic(mog):
 
 
 def _gelu(h):
-    from scipy.special import erf
-
-    return 0.5 * h * (1.0 + erf(h * (1.0 / np.sqrt(2.0))))
+    """Tanh-form GeLU written out, in nn.gelu's order of operations."""
+    c = np.sqrt(2.0 / np.pi)
+    return 0.5 * h * (1.0 + np.tanh((h * h * (c * 0.044715) + c) * h))
 
 
 def _prebreak_denoise(den, x_t, t, c=None):
