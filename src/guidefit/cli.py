@@ -242,10 +242,13 @@ def cmd_eval_mmd(args) -> int:
     for path, x in ((args.generated, gen), (args.reference, ref)):
         if x.shape[0] < 2:
             raise ConfigError(f"{path} holds one sample; the MMD needs at least two")
+    if gen.shape[1] != ref.shape[1]:
+        raise ConfigError(f"{args.generated} holds {gen.shape[1]}-D points but "
+                          f"{args.reference} holds {ref.shape[1]}-D points")
     mmd, se = mmd_with_se(gen, ref, beta=config.eval.beta, lam=config.eval.lam,
                           n_resamples=config.eval.resamples, seed=config.seed)
-    if not np.isfinite(mmd):
-        raise FloatingPointError("MMD evaluation produced a non-finite value")
+    if not np.isfinite([mmd, se]).all():
+        raise FloatingPointError("MMD evaluation produced a non-finite value or error bar")
     report = EvalReport(rows=[EvalRow(label="eval", omega=None, mmd=mmd, se=se,
                                       count=gen.shape[0])],
                         beta=config.eval.beta, lam=config.eval.lam,

@@ -10,8 +10,12 @@ sums unbiased (off-diagonal pairs over m(m-1)). At beta = 1, lam = 1 this is
 half the classical energy distance: nonnegative in expectation, zero iff the
 two laws agree.
 
-Error bars come from subsampling: the estimator is recomputed on half-size
-subsets and the scatter is scaled by sqrt(1/2) back to full size.
+Every score is a 0/1 indicator column per set, summed in one blocked pass
+over each distance matrix: an all-ones column gives the full estimate, a
+column per class the per-class scores, and half-size resample columns the
+error bar (their scatter scaled by sqrt(1/2) back to full size). A set's own
+pairs are summed over blocks with j >= i, pairs past the diagonal block
+once with doubled weight.
 
 A sweep scores every row against one shared reference with one subsample
 stream, so the sums over the reference's own pairs are the same for every
@@ -36,38 +40,38 @@ BLOCK_ROWS = 512
 
 
 def _pair_sums(a, b, beta: float, wa, wb):
-    """Sums of ||a_i - b_j||^beta over all pairs and over each resample's pairs.
+    """Sums of ||a_i - b_j||^beta over the pairs each indicator column selects.
 
-    wa (n_a, r) and wb (n_b, r) are 0/1 indicators of the r resampled
-    subsets; resample k's sum is wa[:, k] @ D @ wb[:, k]. The distance matrix
-    D is built BLOCK_ROWS rows at a time. On a set against itself cdist
-    returns exact zeros on the diagonal, so the sums are off-diagonal sums.
+    Column k of wa (n_a, r) and wb (n_b, r) sums wa[:, k] @ D @ wb[:, k], D
+    built BLOCK_ROWS rows at a time. For b is a (wb the columns of wa) rows
+    lo:hi build cdist(a[lo:hi], a[lo:]) only: the diagonal block holds its
+    pairs in both orders and exact zeros on the diagonal, and the weight rows
+    past it are doubled in a copy of wb (cdist is bitwise symmetric, x2 exact).
     """
-    total = 0.0
-    per_resample = np.zeros(wa.shape[1])
+    own = b is a
+    w = 2.0 * wb if own else wb
+    sums = np.zeros(wa.shape[1])
     for lo in range(0, a.shape[0], BLOCK_ROWS):
-        d = cdist(a[lo:lo + BLOCK_ROWS], b)
+        hi, start = lo + BLOCK_ROWS, lo if own else 0
+        if own:
+            w[lo:hi] = wb[lo:hi]
+        d = cdist(a[lo:hi], b[start:])
         if beta != 1.0:
             d **= beta
-        total += float(d.sum())
-        per_resample += np.einsum("ir,ir->r", wa[lo:lo + BLOCK_ROWS], d @ wb)
-    return total, per_resample
+        sums += np.einsum("ir,ir->r", wa[lo:hi], d @ w[start:])
+    return sums
 
 
 class _Reference:
     """A point set that samples are scored against, keeping its within-set sums.
 
     within() computes the sums over the set's own pairs once per (beta,
-    indicator columns) and returns the kept result after that. of_class()
-    gives the part of the set with one class label, itself a _Reference, so
-    per-class sums are kept too.
+    indicator columns) and returns the kept result after that.
     """
 
-    def __init__(self, points, classes=None):
+    def __init__(self, points):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.classes = classes
         self._sums = {}
-        self._parts = {}
 
     def within(self, beta: float, w):
         key = (beta, w.shape, w.tobytes())
@@ -75,28 +79,15 @@ class _Reference:
             self._sums[key] = _pair_sums(self.points, self.points, beta, w, w)
         return self._sums[key]
 
-    def of_class(self, cls: int) -> "_Reference":
-        if cls not in self._parts:
-            self._parts[cls] = _Reference(self.points[self.classes == cls])
-        return self._parts[cls]
-
 
 def _energy(x, y: _Reference, beta: float, lam: float, wx, wy):
-    """Energy MMD of the full sets and of each indicator-selected subset pair.
-
-    Returns (full, per_resample) with per_resample of shape (r,), where r is
-    the number of indicator columns (zero for a plain estimate).
-    """
+    """Energy MMD of each indicator-selected subset pair (wx[:, k], wy[:, k]), shape (r,)."""
     nx, ny = wx.sum(axis=0), wy.sum(axis=0)
-    total, per = _pair_sums(x, y.points, beta, wx, wy)
-    full, sub = total / (x.shape[0] * y.points.shape[0]), per / (nx * ny)
-    if lam == 0.0:
-        return full, sub
-    (tx, px), (ty, py) = _pair_sums(x, x, beta, wx, wx), y.within(beta, wy)
-    n, m = x.shape[0], y.points.shape[0]
-    full -= 0.5 * lam * (tx / (n * (n - 1)) + ty / (m * (m - 1)))
-    sub -= 0.5 * lam * (px / (nx * (nx - 1)) + py / (ny * (ny - 1)))
-    return full, sub
+    est = _pair_sums(x, y.points, beta, wx, wy) / (nx * ny)
+    if lam != 0.0:
+        tx, ty = _pair_sums(x, x, beta, wx, wx), y.within(beta, wy)
+        est -= 0.5 * lam * (tx / (nx * (nx - 1)) + ty / (ny * (ny - 1)))
+    return est
 
 
 def _checked_points(x, y, beta: float, lam: float):
@@ -113,20 +104,21 @@ def _checked_points(x, y, beta: float, lam: float):
 def energy_mmd(x, y, beta: float = 1.0, lam: float = 1.0) -> float:
     """Two-sample energy-kernel discrepancy between point sets x and y."""
     x, y = _checked_points(x, y, beta, lam)
-    full, _ = _energy(x, y, beta, lam, np.zeros((x.shape[0], 0)),
-                      np.zeros((y.points.shape[0], 0)))
-    return float(full)
+    return float(_energy(x, y, beta, lam, np.ones((x.shape[0], 1)),
+                         np.ones((y.points.shape[0], 1)))[0])
 
 
 def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20,
-                fraction: float = 0.5, seed: int = 0):
-    """energy_mmd plus a subsampling standard error.
+                fraction: float = 0.5, seed: int = 0, *, classes=None):
+    """energy_mmd plus a subsampling standard error, and per-class scores on request.
 
     n_resamples subsets of both sets are drawn without replacement at the
     given fraction; the standard deviation of the subset estimates, scaled by
-    sqrt(fraction), estimates the standard error at full size. The full
-    estimate and all subset estimates come from one blocked pass over each
-    distance matrix, the subsets entering as 0/1 indicator columns.
+    sqrt(fraction), estimates the standard error at full size. classes =
+    (cx, cy), the labels of x and y, adds a dict class -> energy MMD of that
+    class's points to the return, for each class with at least two points on
+    both sides. All estimates are indicator columns of one pass (all-ones,
+    resample, class).
     """
     x, y = _checked_points(x, y, beta, lam)
     if not 0.0 < fraction < 1.0:
@@ -137,14 +129,22 @@ def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20
     n, m = x.shape[0], y.points.shape[0]
     nx = max(2, int(round(fraction * n)))
     ny = max(2, int(round(fraction * m)))
-    wx = np.zeros((n, n_resamples))
-    wy = np.zeros((m, n_resamples))
-    for r in range(n_resamples):
+    eligible = [] if classes is None else [
+        cls for cls in range(int(max(map(np.max, classes))) + 1)
+        if min(np.sum(classes[0] == cls), np.sum(classes[1] == cls)) >= 2]
+    wx = np.zeros((n, 1 + n_resamples + len(eligible)))
+    wy = np.zeros((m, wx.shape[1]))
+    wx[:, 0] = wy[:, 0] = 1.0
+    for r in range(1, n_resamples + 1):
         wx[rng.choice(n, size=nx, replace=False), r] = 1.0
         wy[rng.choice(m, size=ny, replace=False), r] = 1.0
-    full, estimates = _energy(x, y, beta, lam, wx, wy)
-    se = float(np.std(estimates, ddof=1) * np.sqrt(fraction))
-    return float(full), se
+    for col, cls in enumerate(eligible, 1 + n_resamples):
+        wx[classes[0] == cls, col] = wy[classes[1] == cls, col] = 1.0
+    est = _energy(x, y, beta, lam, wx, wy)
+    se = float(np.std(est[1:1 + n_resamples], ddof=1) * np.sqrt(fraction))
+    if classes is None:
+        return float(est[0]), se
+    return float(est[0]), se, dict(zip(eligible, map(float, est[1 + n_resamples:])))
 
 
 def _cell(v):
@@ -216,21 +216,16 @@ class EvalReport:
 def evaluate_samples(x, cx, reference, ref_c, label: str, omega=None,
                      beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20,
                      seed: int = 0) -> EvalRow:
-    """Score one sample set against reference draws.
+    """Score one sample set against labeled reference draws, pooled and per class.
 
-    reference may be a _Reference (built with labels ref_c), whose kept
-    within-set sums are then reused. When both sets carry class labels, each
-    class with at least two points on both sides is also scored on its own.
+    reference may be a _Reference, whose kept within-set sums are then
+    reused. Each class with at least two points on both sides is also scored
+    on its own, as a class column of the same pass (see mmd_with_se).
     """
-    ref = reference if isinstance(reference, _Reference) else _Reference(reference, ref_c)
-    mmd, se = mmd_with_se(x, ref, beta, lam, n_resamples, seed=seed)
-    row = EvalRow(label=label, omega=omega, mmd=mmd, se=se, count=x.shape[0])
-    if cx is not None and ref.classes is not None:
-        for cls in range(int(max(cx.max(), ref.classes.max())) + 1):
-            xs, ys = x[cx == cls], ref.of_class(cls)
-            if xs.shape[0] >= 2 and ys.points.shape[0] >= 2:
-                row.per_class[cls] = energy_mmd(xs, ys, beta, lam)
-    return row
+    mmd, se, per_class = mmd_with_se(x, reference, beta, lam, n_resamples, seed=seed,
+                                     classes=(cx, ref_c))
+    return EvalRow(label=label, omega=omega, mmd=mmd, se=se, count=x.shape[0],
+                   per_class=per_class)
 
 
 def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
@@ -249,15 +244,15 @@ def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
     from .guidance import ConstantWeight  # local import keeps module layering flat
     from .sampler import sample
 
-    ref = _Reference(*data.sample_joint(sample_config.count,
-                                        stream(seed, "eval/reference")))
+    points, ref_c = data.sample_joint(sample_config.count, stream(seed, "eval/reference"))
+    ref = _Reference(points)
     runs = [(f"omega={g:g}", float(g), ConstantWeight(float(g))) for g in omega_grid]
     if learned_fn is not None:
         runs.append(("learned", None, learned_fn))
     rows = []
     for label, omega, fn in runs:
         x, cx = sample(sample_config, cond, uncond, fn, class_weights=data.weights, seed=seed)
-        rows.append(evaluate_samples(x, cx, ref, ref.classes, label, omega=omega,
+        rows.append(evaluate_samples(x, cx, ref, ref_c, label, omega=omega,
                                      beta=beta, lam=lam, n_resamples=n_resamples,
                                      seed=seed))
         if not quiet:

@@ -202,6 +202,26 @@ def test_malformed_sample_row_is_usage_error(tmp_path, tiny_config, bad_row, cap
     assert not (out / "eval.json").exists()
 
 
+def test_non_finite_error_bar_is_numerical_failure(tmp_path, capsys):
+    # distances near 1e101 square to 1e202: the estimates stay finite, but
+    # their scatter overflows, so the error bar is inf
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_with(TINY, eval={"beta": 2})))
+    rng = np.random.default_rng(0)
+    files = []
+    for name in ("generated", "reference"):
+        files.append(tmp_path / f"{name}.csv")
+        write_table(files[-1], None, ["c", "x", "y"],
+                    [(0, *(1e101 * rng.random(2))) for _ in range(40)])
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("eval-mmd", "--config", str(path), "--out", str(out), "--quiet",
+                   "--generated", str(files[0]), "--reference", str(files[1]))
+    assert code == 3
+    assert "error bar" in capsys.readouterr().err
+    assert not (out / "eval.json").exists()
+
+
 def test_non_finite_sweep_is_numerical_failure(tmp_path, tiny_config):
     path = tmp_path / "nan.json"
     save_weight_fn(path, ConstantWeight(float("nan")))
@@ -429,6 +449,8 @@ MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
     ("sweep", {"eval": {"beta": 3}}, 3, "invalid eval: beta "),
     ("sweep", {"eval": {"lam": -1}}, 3, "invalid eval: lam "),
     ("eval-mmd", {}, 1, "{generated} holds one sample"),
+    ("eval-mmd", {}, (3, 1), "{generated} holds 2-D points but {reference} holds 1-D points"),
+    ("eval-mmd", {}, (3, 3), "{generated} holds 2-D points but {reference} holds 3-D points"),
     ("train-guidance", {"train": {"checkpoint_every": 0}}, 3, "invalid train: checkpoint_every "),
     ("train-guidance", {"train": {"probe_size": 1}}, 3, "invalid train: probe_size "),
     ("train-guidance", {"train": {"ema_decay": 1.5}}, 3, "invalid train: ema_decay "),
@@ -471,7 +493,8 @@ MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
     ("pretrain-denoiser", {"denoiser": {"corruption": {"seed": 4}}}, 3,
      "unknown key(s) ['corruption'] in denoiser"),
 ], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
-        "one-row-csv", "train.checkpoint_every", "train.probe_size", "train.ema_decay",
+        "one-row-csv", "eval-mmd-1d-reference", "eval-mmd-3d-reference",
+        "train.checkpoint_every", "train.probe_size", "train.ema_decay",
         "guidance.dropout", "denoiser.train.time_embed_dim", "sample.conditioning",
         "train.churn", "denoiser.train.time_clamp", "denoiser.train.hidden-0",
         "denoiser.train.hidden-neg", "guidance.embed_hidden", "guidance.embed_dim",
@@ -483,15 +506,18 @@ MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_with(TINY, **sections)))
+    rows, ref_dim = rows if isinstance(rows, tuple) else (rows, 2)
     generated, reference = tmp_path / "generated.csv", tmp_path / "reference.csv"
     write_table(generated, None, ["c", "x", "y"], [(0, 0.1 * i, 0.2) for i in range(rows)])
-    write_table(reference, None, ["c", "x", "y"], [(1, 0.3, 0.1 * i) for i in range(3)])
+    write_table(reference, None, ["c", *"xyz"[:ref_dim]],
+                [(1, 0.3, 0.1 * i, 0.5)[:1 + ref_dim] for i in range(3)])
     extra = ["--generated", str(generated), "--reference", str(reference)] \
         if command == "eval-mmd" else []
     out = tmp_path / "o"
     assert run(command, "--config", str(path), "--out", str(out), "--quiet", *extra) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named.format(generated=generated) in err, err
+    assert err.startswith("error: ") and \
+        named.format(generated=generated, reference=reference) in err, err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 

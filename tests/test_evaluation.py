@@ -136,12 +136,41 @@ def test_mmd_with_se_is_deterministic(mog):
 def test_evaluate_samples_per_class(mog):
     rng = stream(4, "test/per_class")
     x, cx = mog.sample_joint(600, rng)
-    ref, cref = mog.sample_joint(600, rng)
-    row = evaluate_samples(x, cx, ref, cref, "check", omega=0.0, seed=0)
-    assert row.label == "check"
-    assert row.count == 600
-    assert sorted(row.per_class) == [0, 1, 2, 3]
-    assert all(np.isfinite(v) for v in row.per_class.values())
+    ref, cref = mog.sample_joint(700, rng)
+    cx[cx == 3] = 2
+    cx[0] = 3  # class 3 has one point in x: too few to score on its own
+    for beta, lam in ((1.0, 0.0), (1.0, 1.0), (1.75, 0.0), (1.75, 1.0)):
+        row = evaluate_samples(x, cx, ref, cref, "check", omega=0.0, beta=beta, lam=lam,
+                               seed=0)
+        assert row.label == "check"
+        assert row.count == 600
+        assert sorted(row.per_class) == [0, 1, 2]
+        for cls, value in row.per_class.items():
+            np.testing.assert_allclose(value, _oracle_energy(x[cx == cls], ref[cref == cls],
+                                                             beta, lam),
+                                       rtol=1e-12, atol=1e-12)
+        # the class columns ride along without changing the pooled scores
+        np.testing.assert_allclose((row.mmd, row.se),
+                                   _oracle_mmd_with_se(x, ref, beta, lam, seed=0),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def _own_pairs(n):
+    """Pairs in the blocks with j >= i of a set of n points against itself."""
+    return sum(min(BLOCK_ROWS, n - lo) * (n - lo) for lo in range(0, n, BLOCK_ROWS))
+
+
+@pytest.mark.parametrize("n,m", [(1024, 1100), (600, 2)])
+def test_energy_mmd_builds_own_pairs_over_upper_blocks(monkeypatch, n, m):
+    from guidefit import evaluation
+
+    pairs = []
+    monkeypatch.setattr(evaluation, "cdist",
+                        lambda a, b: pairs.append(a.shape[0] * b.shape[0]) or cdist(a, b))
+    x, y = _two_sets(n, m)
+    energy_mmd(x, y)
+    assert sum(pairs) == n * m + _own_pairs(n) + _own_pairs(m)
+    assert _own_pairs(1024) == 512 * 1024 + 512 * 512
 
 
 def test_report_lookup_and_serialization(tmp_path):
@@ -198,7 +227,8 @@ def test_figure_protocol_rows_and_common_reference(exact, mog):
 
 def _per_row_protocol(cond, uncond, data, config, omega_grid, learned_fn, beta, lam,
                       n_resamples, seed):
-    """The sweep with every row scored on its own, nothing shared between rows."""
+    """The sweep with every row scored on its own, nothing shared between rows:
+    each row gets a fresh reference, whose own pairs it sums again."""
     from guidefit.sampler import sample
 
     reference, ref_c = data.sample_joint(config.count, stream(seed, "eval/reference"))
@@ -207,9 +237,8 @@ def _per_row_protocol(cond, uncond, data, config, omega_grid, learned_fn, beta, 
     rows = []
     for label, omega, fn in fns:
         x, cx = sample(config, cond, uncond, fn, class_weights=data.weights, seed=seed)
-        mmd, se = mmd_with_se(x, reference, beta, lam, n_resamples, seed=seed)
-        per_class = {cls: energy_mmd(x[cx == cls], reference[ref_c == cls], beta, lam)
-                     for cls in range(data.n_classes)}
+        mmd, se, per_class = mmd_with_se(x, reference, beta, lam, n_resamples, seed=seed,
+                                         classes=(cx, ref_c))
         rows.append(EvalRow(label=label, omega=omega, mmd=mmd, se=se, count=x.shape[0],
                             per_class=per_class))
     return EvalReport(rows=rows, beta=beta, lam=lam, seed=seed)
@@ -232,11 +261,9 @@ def test_figure_protocol_matches_per_row_oracle(exact, mog, monkeypatch, beta, l
                               beta=beta, lam=lam, n_resamples=5, seed=3)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
-    # the reference's own pairs (full set and per class) are summed at the
-    # first row only; with lam = 0 they are never needed
-    _, ref_c = mog.sample_joint(config.count, stream(3, "eval/reference"))
-    ref_own = config.count ** 2 + sum(int(np.sum(ref_c == k)) ** 2 for k in range(4))
-    saved = len(grid) * ref_own if lam > 0.0 else 0
+    # the reference's own pairs (every column at once, over the blocks with
+    # j >= i) are summed at the first row only; with lam = 0 they are never needed
+    saved = len(grid) * _own_pairs(config.count) if lam > 0.0 else 0
     assert oracle_pairs - sum(pairs) == saved
 
 
