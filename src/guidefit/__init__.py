@@ -15,7 +15,7 @@ from .objectives import (MmdParams, ParticleBatch, TimePairSampler, build_partic
                          guided_score_matching_loss, l2_loss, mmd_loss, reward_loss)
 from .sampler import SampleConfig, sample, sample_trajectory
 from .schedule import NoiseSchedule, ddim_transition, noise_sample
-from .trainer import TrainConfig, TrainRecord, TrainingDiverged, train_guidance
+from .trainer import TrainConfig, TrainRecord, TrainingDiverged, loss_param_grad, train_guidance
 
 __version__ = "0.1.0"
 
@@ -24,8 +24,8 @@ __all__ = [
     "GuidanceNet", "MmdParams", "MogSpec", "NeuralDenoiser", "NoiseSchedule", "ParticleBatch",
     "SampleConfig", "TimePairSampler", "TrainConfig", "TrainRecord",
     "TrainingDiverged", "build_particles", "ddim_transition", "energy_mmd",
-    "guided_denoise", "guided_score_matching_loss", "l2_loss", "mean_abs_weight",
-    "mmd_loss", "mmd_with_se", "noise_sample", "posterior_mean", "reward_loss",
-    "run_figure_protocol", "sample", "sample_trajectory", "train_guidance",
+    "guided_denoise", "guided_score_matching_loss", "l2_loss", "loss_param_grad",
+    "mean_abs_weight", "mmd_loss", "mmd_with_se", "noise_sample", "posterior_mean",
+    "reward_loss", "run_figure_protocol", "sample", "sample_trajectory", "train_guidance",
     "train_neural_denoiser",
 ]

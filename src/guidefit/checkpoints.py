@@ -11,7 +11,8 @@ round-trip exactly (repr precision), so save/load is bit-stable.
 
 A checkpoint loads only if its params are finite and exactly as many as its
 architecture declares, and the declared layer sizes fit together; anything
-else is a CheckpointError.
+else is a CheckpointError. Architecture keys no builder reads, such as the
+allow_negative of older guidance files, are ignored.
 """
 
 from __future__ import annotations
@@ -162,8 +163,7 @@ def save_weight_fn(path, fn, metadata: dict | None = None):
         _write(path, "guidance/constant", {"omega": fn.omega}, [], metadata)
     elif isinstance(fn, GuidanceNet):
         arch = {"embed": _mlp_arch(fn.embed), "trunk": _mlp_arch(fn.trunk),
-                "n_classes": fn.n_classes, "allow_negative": fn.allow_negative,
-                "logsnr_clip": fn.logsnr_clip}
+                "n_classes": fn.n_classes, "logsnr_clip": fn.logsnr_clip}
         _write(path, "guidance/net", arch, fn.params, metadata)
     else:
         raise CheckpointError(f"cannot checkpoint weight function type {type(fn).__name__}")
@@ -173,8 +173,7 @@ _WEIGHT_FNS = {
     "guidance/constant": lambda arch, params: (ConstantWeight(arch["omega"]), 0),
     "guidance/net": lambda arch, params: (
         GuidanceNet(_mlp_kwargs(arch["embed"]), _mlp_kwargs(arch["trunk"]), arch["n_classes"],
-                    params, allow_negative=arch["allow_negative"],
-                    logsnr_clip=arch["logsnr_clip"]), params.size),
+                    params, logsnr_clip=arch["logsnr_clip"]), params.size),
 }
 
 
@@ -182,6 +181,3 @@ def load_weight_fn(path, sections: dict | None = None):
     """The weight function a checkpoint holds; sections as in _load."""
     return _load(path, _WEIGHT_FNS, sections)
 
-
-def read_metadata(path) -> dict:
-    return _read(path).get("metadata", {})

@@ -96,13 +96,6 @@ def _log_posterior(log_joint):
     return log_joint - logsumexp(log_joint, axis=-1, keepdims=True)
 
 
-def log_responsibilities(spec: MogSpec, x, t):
-    """log p(c | x_t) for the noised mixture, shape (n, K). Stable in log space."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, _, means, var = _noised_components(spec, t)
-    return _log_posterior(_log_joint(spec, x, means, var))
-
-
 def mixture_log_density(spec: MogSpec, x, t=0.0):
     """log p_t(x) of the noised mixture; t = 0 gives the data density."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -252,8 +245,10 @@ class DenoiserTrainConfig:
             raise ValueError(f"hidden must be at least 1, got {self.hidden}")
         if self.layers < 0:
             raise ValueError(f"layers must be at least 0, got {self.layers}")
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must lie in [0, inf), got {self.learning_rate}")
+        if np.isnan(self.clip_norm):  # inf or <= 0 means no clipping
+            raise ValueError(f"clip_norm must be a number, got {self.clip_norm}")
 
 
 def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):

@@ -213,21 +213,6 @@ class EvalReport:
         raise KeyError(f"no row labeled {label!r}")
 
 
-def evaluate_samples(x, cx, reference, ref_c, label: str, omega=None,
-                     beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20,
-                     seed: int = 0) -> EvalRow:
-    """Score one sample set against labeled reference draws, pooled and per class.
-
-    reference may be a _Reference, whose kept within-set sums are then
-    reused. Each class with at least two points on both sides is also scored
-    on its own, as a class column of the same pass (see mmd_with_se).
-    """
-    mmd, se, per_class = mmd_with_se(x, reference, beta, lam, n_resamples, seed=seed,
-                                     classes=(cx, ref_c))
-    return EvalRow(label=label, omega=omega, mmd=mmd, se=se, count=x.shape[0],
-                   per_class=per_class)
-
-
 def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
                         learned_fn=None, beta: float = 1.0, lam: float = 1.0,
                         n_resamples: int = 20, seed: int = 0,
@@ -235,11 +220,12 @@ def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
     """Sweep constant guidance weights (plus an optional learned function).
 
     Every configuration is sampled with the same seed (common random numbers)
-    and scored against one shared set of fresh data draws, so differences
-    between rows are not masked by chain noise. Returns an EvalReport whose
-    rows are labeled "omega=<g>" for grid values and "learned" for the
-    learned function. Sums over the reference's own pairs are computed at
-    the first row and reused by the others.
+    and scored against one shared set of labeled data draws by
+    mmd_with_se(..., classes=), pooled and per class, so differences between
+    rows are not masked by chain noise. Returns an EvalReport whose rows are
+    labeled "omega=<g>" for grid values and "learned" for the learned
+    function. Sums over the reference's own pairs are computed at the first
+    row and reused by the others.
     """
     from .guidance import ConstantWeight  # local import keeps module layering flat
     from .sampler import sample
@@ -252,9 +238,9 @@ def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
     rows = []
     for label, omega, fn in runs:
         x, cx = sample(sample_config, cond, uncond, fn, class_weights=data.weights, seed=seed)
-        rows.append(evaluate_samples(x, cx, ref, ref_c, label, omega=omega,
-                                     beta=beta, lam=lam, n_resamples=n_resamples,
-                                     seed=seed))
+        mmd, se, per_class = mmd_with_se(x, ref, beta, lam, n_resamples, seed=seed,
+                                         classes=(cx, ref_c))
+        rows.append(EvalRow(label, omega, mmd, se, x.shape[0], per_class))
         if not quiet:
             print(f"  {label}: mmd {rows[-1].mmd:.5f} +/- {rows[-1].se:.5f}")
     return EvalReport(rows=rows, beta=beta, lam=lam, seed=seed,

@@ -21,32 +21,15 @@ from . import nn
 from .schedule import DEFAULT_CLAMP, SCHEDULE
 
 
-def _broadcast_inputs(s, t, c):
-    """Common (n,)-shaped views of s, t, c; n = 1 when everything is scalar."""
-    arrays = [np.asarray(s, dtype=float), np.asarray(t, dtype=float)]
-    scalar = arrays[0].ndim == 0 and arrays[1].ndim == 0
-    if c is not None:
-        c = np.asarray(c)
-        scalar = scalar and c.ndim == 0
-    shape = np.broadcast_shapes(*(a.shape for a in arrays),
-                                *(() if c is None else (c.shape,)))
-    n = int(np.prod(shape)) if shape else 1
-    s_b = np.broadcast_to(arrays[0], shape).reshape(n)
-    t_b = np.broadcast_to(arrays[1], shape).reshape(n)
-    c_b = None if c is None else np.broadcast_to(c, shape).reshape(n)
-    return s_b, t_b, c_b, scalar
-
-
 @dataclass(frozen=True)
 class ConstantWeight:
     """omega(s, t, c) = omega everywhere."""
 
     omega: float = 0.0
 
-    def weight(self, s, t, c=None):
-        s_b, _, _, scalar = _broadcast_inputs(s, t, c)
-        out = np.full(s_b.shape, float(self.omega))
-        return float(out[0]) if scalar else out
+    def weight(self, s, t, c):
+        """omega at each label of c (n,), shape (n,)."""
+        return np.full(np.shape(c), float(self.omega))
 
 
 @dataclass(frozen=True)
@@ -69,7 +52,7 @@ class GuidanceArch:
                             ("trunk_layers", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if self.logsnr_clip <= 0.0:  # a nonpositive clip makes the time features constant
+        if not self.logsnr_clip > 0.0:  # a nonpositive or NaN clip breaks the time features
             raise ValueError(f"logsnr_clip must be positive, got {self.logsnr_clip}")
 
 
@@ -78,12 +61,12 @@ class GuidanceNet:
 
     Both times are mapped to logSNR, clamped to +/- logsnr_clip, embedded by a
     shared two-layer MLP, concatenated with the one-hot class, and fed to a
-    GeLU trunk with a scalar linear head. With allow_negative=False the head
-    output is passed through ReLU instead.
+    GeLU trunk with a scalar linear head; GuidanceArch.allow_negative=False
+    passes the head output through ReLU instead (the trunk's output_activation).
     """
 
     def __init__(self, embed: dict, trunk: dict, n_classes: int, params=None,
-                 allow_negative: bool = True, logsnr_clip: float = 13.8):
+                 logsnr_clip: float = 13.8):
         """embed and trunk are the nn.Mlp arguments of the two nets other than
         params; both nets view the one vector params, embed first (zeros when None)."""
         split = nn.n_params(embed["sizes"])
@@ -95,7 +78,6 @@ class GuidanceNet:
         if (e[0], t[0], t[-1]) != (2, e[-1] + n_classes, 1):
             raise ValueError(f"layer sizes do not fit: embed {e}, trunk {t}, n_classes {n_classes}")
         self.n_classes = n_classes
-        self.allow_negative = allow_negative
         self.logsnr_clip = logsnr_clip
 
     @classmethod
@@ -107,7 +89,7 @@ class GuidanceNet:
                    "dropout_rate": a.dropout},
                   {"sizes": [a.embed_dim + n_classes] + [a.trunk_hidden] * a.trunk_layers + [1],
                    "output_activation": head},
-                  n_classes, None, a.allow_negative, a.logsnr_clip)
+                  n_classes, None, a.logsnr_clip)
         net.embed.init_glorot(rng)
         net.trunk.init_glorot(rng, zero_final=a.zero_init)
         return net
@@ -115,20 +97,16 @@ class GuidanceNet:
     def parameters(self):
         return self.embed.parameters() + self.trunk.parameters()
 
-    def _time_features(self, s_b, t_b):
-        clip = self.logsnr_clip
-        snr_s = np.clip(SCHEDULE.logsnr(s_b), -clip, clip)
-        snr_t = np.clip(SCHEDULE.logsnr(t_b), -clip, clip)
-        return np.stack([snr_s, snr_t], axis=-1)
-
     def weight_with_tape(self, s, t, c, train=False, rng=None, tape=True):
-        """omega values (n,) plus the tape needed for backward() (None with tape=False)."""
-        s_b, t_b, c_b, _ = _broadcast_inputs(s, t, c)
-        feats = self._time_features(s_b, t_b)
+        """omega at labels c (n,) and times s, t (scalars or (n,)), shape (n,), plus
+        the tape needed for backward() (None with tape=False)."""
+        times = [np.broadcast_to(np.asarray(u, dtype=float), np.shape(c)) for u in (s, t)]
+        feats = np.clip(np.stack([SCHEDULE.logsnr(u) for u in times], axis=-1),
+                        -self.logsnr_clip, self.logsnr_clip)
         emb, tape_e = self.embed.forward(feats, train=train, rng=rng, tape=tape)
-        onehot = nn.class_onehot(c_b, self.n_classes, n=s_b.shape[0])
-        out, tape_t = self.trunk.forward(np.concatenate([emb, onehot], axis=1),
-                                         train=train, rng=rng, tape=tape)
+        out, tape_t = self.trunk.forward(
+            np.concatenate([emb, nn.class_onehot(c, self.n_classes)], axis=1),
+            train=train, rng=rng, tape=tape)
         return out[:, 0], {"embed": tape_e, "trunk": tape_t} if tape else None
 
     def backward(self, tape, d_omega):
@@ -140,10 +118,9 @@ class GuidanceNet:
         self.embed.backward(tape["embed"], d_in[:, :-self.n_classes], out=grad[:split])
         return grad
 
-    def weight(self, s, t, c=None):
-        _, _, _, scalar = _broadcast_inputs(s, t, c)
-        out, _ = self.weight_with_tape(s, t, c, tape=False)
-        return float(out[0]) if scalar else out
+    def weight(self, s, t, c):
+        """omega(s, t, c) at labels c (n,), shape (n,); s and t are scalars or (n,)."""
+        return self.weight_with_tape(s, t, c, tape=False)[0]
 
 
 def guided_denoise(cond, uncond, x_t, t, c, omega):
@@ -193,8 +170,7 @@ def export_weight_grid(fn, n_classes: int, dt: float = 0.01, zeta: float = DEFAU
     """
     s, t = weight_grid_times(dt, zeta)
     classes = np.arange(n_classes)
-    omegas = np.stack([np.asarray(fn.weight(s[j], t[j], classes))
-                       for j in range(t.shape[0])], axis=1)
+    omegas = np.stack([fn.weight(s[j], t[j], classes) for j in range(t.shape[0])], axis=1)
     return t, omegas
 
 

@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .denoisers import MogSpec, mixture_log_density, mixture_score
+from .guidance import guided_denoise
 from .schedule import DdimTransition, ddim_transition, noise_sample
 
 
@@ -145,12 +146,10 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, churn: float, rng) -> Par
     targets, _ = noise_sample(x0[:, None, :], s, noise=rng.standard_normal((n, m, d)))
     prop_noisy, _ = noise_sample(x0[:, None, :], t, noise=rng.standard_normal((n, m, d)))
 
-    flat = prop_noisy.reshape(n * m, d)
-    t_flat = np.repeat(t, m)
-    xc = cond.denoise(flat, t_flat, np.repeat(c, m)).reshape(n, m, d)
-    xu = uncond.denoise(flat, t_flat, None).reshape(n, m, d)
-    return ParticleBatch(c, targets, prop_noisy, xc, xc - xu, trans,
-                         rng.standard_normal((n, m, d)))
+    xc, delta = guided_denoise(cond, uncond, prop_noisy.reshape(n * m, d), np.repeat(t, m),
+                               np.repeat(c, m), 0.0)
+    return ParticleBatch(c, targets, prop_noisy, xc.reshape(n, m, d), delta.reshape(n, m, d),
+                         trans, rng.standard_normal((n, m, d)))
 
 
 def _dot(a, b):
@@ -240,23 +239,21 @@ def log_density(spec: MogSpec, x, c):
 REWARDS = {"distance_to_mean": distance_to_mean, "mixture_log_density": log_density}
 
 
-def reward_loss(batch: ParticleBatch, reward, omega, sign: float = -1.0):
-    """Per-item reward term sign * (1/m) sum_j R(xhat_j(omega), c) and its omega-gradient.
+def reward_loss(batch: ParticleBatch, reward, omega):
+    """Per-item reward term -(1/m) sum_j R(xhat_j(omega), c) and its omega-gradient.
 
     reward(x, c) is a REWARDS entry with its spec bound. The reward acts on
     the guided denoiser outputs, so d xhat / d omega is the raw
-    conditional-minus-unconditional difference. The default sign = -1 makes
-    minimizing this maximize the expected reward; sign = +1 flips the
-    convention.
+    conditional-minus-unconditional difference. Minimizing the term
+    maximizes the expected reward; the trainer weights it by gamma_reward,
+    whose sign sets the direction of the tilt.
     """
     est = batch.guided_estimates(omega)
     c_rep = np.repeat(batch.c, batch.n_particles)
     val, grad = reward(est.reshape(-1, est.shape[-1]), c_rep)
     val = val.reshape(est.shape[:2])
     grad = grad.reshape(est.shape)
-    loss = sign * val.mean(axis=-1)
-    dloss = sign * np.sum(grad * batch.delta, axis=-1).mean(axis=-1)
-    return loss, dloss
+    return -val.mean(axis=-1), -np.sum(grad * batch.delta, axis=-1).mean(axis=-1)
 
 
 def build_gsm(x0, c, t, cond, uncond, rng) -> ParticleBatch:
@@ -270,9 +267,8 @@ def build_gsm(x0, c, t, cond, uncond, rng) -> ParticleBatch:
     x0, c, t = _items(x0, c, t)
     n = x0.shape[0]
     x_t, _ = noise_sample(x0, t, rng)
-    xc = cond.denoise(x_t, t, c)
-    xu = uncond.denoise(x_t, t, None)
-    return ParticleBatch(c, x0[:, None], x_t[:, None], xc[:, None], (xc - xu)[:, None],
+    xc, delta = guided_denoise(cond, uncond, x_t, t, c, 0.0)
+    return ParticleBatch(c, x0[:, None], x_t[:, None], xc[:, None], delta[:, None],
                          DdimTransition(np.zeros(n), np.ones(n), np.zeros(n)),
                          np.zeros_like(x_t[:, None]))
 

@@ -95,7 +95,7 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
     omegas = []
     for k in range(config.steps - 1, -1, -1):
         s, t = grid[k], grid[k + 1]
-        omega = np.asarray(weight_fn.weight(s, t, classes), dtype=float)[c]
+        omega = weight_fn.weight(s, t, classes)[c]
         guided, _ = guided_denoise(cond, uncond, x, t, c, omega)
         trans = ddim_transition(s, t, config.churn)
         x, _ = trans.sample(guided, x, noise=z[:, k])

@@ -55,7 +55,6 @@ class TrainConfig:
     ema_decay: float | None = None
     gamma_reward: float = 0.0
     reward: str | None = None
-    reward_sign: float = -1.0
     checkpoint_every: int = 100
     select_best: bool = True
     probe_size: int = 512
@@ -71,15 +70,17 @@ class TrainConfig:
             raise ValueError("reward mode needs a reward function name")
         if self.reward is not None and self.reward not in REWARDS:
             raise ValueError(f"reward must be one of {tuple(REWARDS)}, got {self.reward!r}")
-        if self.reward_sign not in (-1.0, 1.0):
-            raise ValueError("reward_sign must be -1 or +1")
         if self.iterations < 0 or self.batch_size <= 0 or self.particles <= 0:
             raise ValueError("iterations >= 0, batch_size > 0, particles > 0 required")
         MmdParams(self.beta, self.lam)  # validates the pair
         if not 0.0 <= self.churn <= 1.0:
             raise ValueError(f"churn must lie in [0, 1], got {self.churn}")
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must lie in [0, inf), got {self.learning_rate}")
+        if not np.isfinite(self.gamma_reward):
+            raise ValueError(f"gamma_reward must be finite, got {self.gamma_reward}")
+        if np.isnan(self.clip_norm):  # inf or <= 0 means no clipping
+            raise ValueError(f"clip_norm must be a number, got {self.clip_norm}")
         if self.checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
         if self.probing and self.probe_size < 2:
@@ -128,12 +129,12 @@ def _objective(config: TrainConfig, x0, c, s, t, omega, cond, uncond, reward, rn
         loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam), omega)
     if reward is None:
         return loss_items, grad_items, np.nan
-    r_loss, r_grad = reward_loss(batch, reward, omega, sign=config.reward_sign)
+    r_loss, r_grad = reward_loss(batch, reward, omega)
     if config.mode == "reward":
         loss_items = loss_items + config.gamma_reward * r_loss
         grad_items = grad_items + config.gamma_reward * r_grad
-    # r_loss = sign * mean R, so sign * r_loss recovers the raw reward
-    return loss_items, grad_items, float(np.mean(config.reward_sign * r_loss))
+    # r_loss is -mean R per item, so -r_loss is the raw reward
+    return loss_items, grad_items, float(np.mean(-r_loss))
 
 
 def _probe_mmd(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainConfig,

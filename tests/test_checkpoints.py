@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from guidefit import checkpoints, nn
 from guidefit.checkpoints import (CheckpointError, load_denoiser, load_weight_fn,
-                                  read_metadata, save_denoiser, save_weight_fn)
+                                  save_denoiser, save_weight_fn)
 from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, NeuralDenoiser,
                                 train_neural_denoiser)
 from guidefit.guidance import ConstantWeight, GuidanceNet
@@ -23,7 +23,7 @@ def test_analytic_denoiser_roundtrip(tmp_path, mog, exact):
     assert isinstance(loaded, AnalyticDenoiser)
     assert np.array_equal(loaded.spec.means, mog.means)
     assert np.array_equal(loaded.spec.variances, mog.variances)
-    assert read_metadata(path) == {"seed": 0}
+    assert json.loads(path.read_text())["metadata"] == {"seed": 0}
 
 
 def test_neural_denoiser_roundtrip(tmp_path, mog):
@@ -60,8 +60,34 @@ def test_guidance_net_roundtrip(tmp_path):
     t = s + 0.1
     c = np.arange(9) % 4
     assert np.array_equal(loaded.weight(s, t, c), net.weight(s, t, c))
-    assert loaded.allow_negative == net.allow_negative
-    assert read_metadata(path)["mode"] == "self_consistency"
+    assert loaded.trunk.output_activation == net.trunk.output_activation
+    assert json.loads(path.read_text())["metadata"]["mode"] == "self_consistency"
+
+
+@pytest.mark.parametrize("allow_negative, head", [(True, "identity"), (False, "relu")])
+def test_guidance_head_is_the_trunk_activation(tmp_path, allow_negative, head):
+    """The head is recorded once, as trunk.output_activation; the
+    architecture.allow_negative key of older files is ignored on load."""
+    net = GuidanceNet.create(4, stream(6, "test/head"), embed_hidden=8, embed_dim=8,
+                             trunk_hidden=8, trunk_layers=2, allow_negative=allow_negative,
+                             zero_init=False)
+    path = tmp_path / "guidance.json"
+    save_weight_fn(path, net)
+    payload = json.loads(path.read_text())
+    assert payload["architecture"]["trunk"]["output_activation"] == head
+    without, older = tmp_path / "without.json", tmp_path / "older.json"
+    payload["architecture"].pop("allow_negative", None)
+    without.write_text(json.dumps(payload))
+    payload["architecture"]["allow_negative"] = allow_negative
+    older.write_text(json.dumps(payload))
+    s = np.linspace(0.05, 0.8, 9)
+    c = np.arange(9) % 4
+    for file in (without, older):
+        loaded = load_weight_fn(file)
+        assert loaded.trunk.output_activation == head
+        assert loaded.params.tobytes() == net.params.tobytes()
+        assert loaded.weight(s, s + 0.1, c).tobytes() == net.weight(s, s + 0.1, c).tobytes()
+    assert "allow_negative" not in json.loads(path.read_text())["architecture"]
 
 
 def test_save_load_save_is_bit_stable(tmp_path):

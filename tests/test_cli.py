@@ -441,6 +441,8 @@ def _with(base, **sections):
 MOG_1D = {"means": [[0.0], [5.0]], "variances": [1.0, 1.0], "weights": [0.5, 0.5]}
 MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
           "weights": [0.5, 0.5]}
+NAN, INF = float("nan"), float("inf")
+REWARD = {"mode": "reward", "reward": "distance_to_mean"}
 
 
 @pytest.mark.parametrize("command, sections, rows, named", [
@@ -492,6 +494,24 @@ MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
      "unknown denoiser kind 'corrupted'"),
     ("pretrain-denoiser", {"denoiser": {"corruption": {"seed": 4}}}, 3,
      "unknown key(s) ['corruption'] in denoiser"),
+    ("train-guidance", {"train": {"learning_rate": NAN}}, 3, "invalid train: learning_rate "),
+    ("train-guidance", {"train": {"learning_rate": INF}}, 3, "invalid train: learning_rate "),
+    ("train-guidance", {"train": {"clip_norm": NAN}}, 3, "invalid train: clip_norm "),
+    ("train-guidance", {"train": dict(REWARD, gamma_reward=NAN)}, 3,
+     "invalid train: gamma_reward "),
+    ("train-guidance", {"train": dict(REWARD, gamma_reward=INF)}, 3,
+     "invalid train: gamma_reward "),
+    ("train-guidance", {"train": dict(REWARD, gamma_reward=-INF)}, 3,
+     "invalid train: gamma_reward "),
+    ("train-guidance", {"guidance": {"logsnr_clip": NAN}}, 3, "invalid guidance: logsnr_clip "),
+    ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
+                                                                    "learning_rate": NAN}}},
+     3, "invalid denoiser.train: learning_rate "),
+    ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
+                                                                    "clip_norm": NAN}}},
+     3, "invalid denoiser.train: clip_norm "),
+    ("train-guidance", {"train": {"reward_sign": 1.0}}, 3,
+     "unknown key(s) ['reward_sign'] in train"),
 ], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
         "one-row-csv", "eval-mmd-1d-reference", "eval-mmd-3d-reference",
         "train.checkpoint_every", "train.probe_size", "train.ema_decay",
@@ -502,7 +522,11 @@ MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
         "guidance.logsnr_clip", "denoiser.train.layers", "denoiser.train.learning_rate",
         "train.learning_rate", "mog-1d", "mog-3d",
         "train.lam-nan", "eval.lam-nan", "train.time_sampler.delta-nan",
-        "denoiser.kind-corrupted", "denoiser.corruption"])
+        "denoiser.kind-corrupted", "denoiser.corruption",
+        "train.learning_rate-nan", "train.learning_rate-inf", "train.clip_norm-nan",
+        "train.gamma_reward-nan", "train.gamma_reward-inf", "train.gamma_reward-neg-inf",
+        "guidance.logsnr_clip-nan", "denoiser.train.learning_rate-nan",
+        "denoiser.train.clip_norm-nan", "train.reward_sign"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_with(TINY, **sections)))

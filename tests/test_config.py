@@ -95,9 +95,9 @@ def test_range_checks_skip_what_the_run_does_not_use():
 
 def test_shipped_config_digests():
     digests = {p.stem: config_digest(load_config(p)) for p in CONFIGS.glob("*.json")}
-    assert digests == {"guided_sm": "aa5440ea45eadb39", "reward": "eaf5792014cc7018",
-                       "under_trained": "6c1e061a0d799703",
-                       "well_trained": "b1f65e80f30a6b98"}
+    assert digests == {"guided_sm": "bc3f0eb09900301d", "reward": "5777749f5e6e45dc",
+                       "under_trained": "a8137c78ede04cfd",
+                       "well_trained": "a4ca047bb2c206d1"}
 
 
 def test_section_digests_leave_out_seeds_only():

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec,
-                                log_responsibilities, mixture_log_density,
-                                mixture_score, posterior_mean,
+                                mixture_log_density, mixture_score, posterior_mean,
                                 train_neural_denoiser)
 from guidefit.rng import stream
 from guidefit.schedule import SCHEDULE
@@ -62,13 +61,6 @@ def test_sample_joint_class_frequencies(mog):
     freq = np.bincount(c, minlength=4) / n
     tol = 4.0 * np.sqrt(0.25 * 0.75 / n)
     assert np.max(np.abs(freq - 0.25)) < tol
-
-
-def test_log_responsibilities_normalized(mog):
-    x = stream(1, "test/resp").uniform(-15.0, 15.0, size=(50, 2))
-    logr = log_responsibilities(mog, x, 0.5)
-    assert logr.shape == (50, 4)
-    assert np.allclose(np.exp(logr).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_mixture_log_density_matches_direct_sum(mog):
@@ -356,8 +348,6 @@ def test_mixture_functions_bytes_match_per_function_oracle(mog):
     for name, t in times.items():
         for pts in (x, x[3]):
             tt = t if np.ndim(t) == 0 or pts.ndim == 2 else t[3]
-            assert _same(log_responsibilities(mog, pts, tt),
-                         _oracle_log_responsibilities(mog, pts, tt)), name
             assert _same(mixture_log_density(mog, pts, tt),
                          _oracle_mixture_log_density(mog, pts, tt)), name
             assert _same(mixture_score(mog, pts, tt),

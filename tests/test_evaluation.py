@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from guidefit.evaluation import (BLOCK_ROWS, EvalReport, EvalRow, energy_mmd,
-                                 evaluate_samples, mmd_with_se, run_figure_protocol,
-                                 write_table)
+from guidefit.evaluation import (BLOCK_ROWS, EvalReport, EvalRow, energy_mmd, mmd_with_se,
+                                 run_figure_protocol, write_table)
 from guidefit.guidance import ConstantWeight
 from guidefit.rng import stream
 
@@ -140,17 +139,14 @@ def test_evaluate_samples_per_class(mog):
     cx[cx == 3] = 2
     cx[0] = 3  # class 3 has one point in x: too few to score on its own
     for beta, lam in ((1.0, 0.0), (1.0, 1.0), (1.75, 0.0), (1.75, 1.0)):
-        row = evaluate_samples(x, cx, ref, cref, "check", omega=0.0, beta=beta, lam=lam,
-                               seed=0)
-        assert row.label == "check"
-        assert row.count == 600
-        assert sorted(row.per_class) == [0, 1, 2]
-        for cls, value in row.per_class.items():
+        mmd, se, per_class = mmd_with_se(x, ref, beta, lam, seed=0, classes=(cx, cref))
+        assert sorted(per_class) == [0, 1, 2]
+        for cls, value in per_class.items():
             np.testing.assert_allclose(value, _oracle_energy(x[cx == cls], ref[cref == cls],
                                                              beta, lam),
                                        rtol=1e-12, atol=1e-12)
         # the class columns ride along without changing the pooled scores
-        np.testing.assert_allclose((row.mmd, row.se),
+        np.testing.assert_allclose((mmd, se),
                                    _oracle_mmd_with_se(x, ref, beta, lam, seed=0),
                                    rtol=1e-12, atol=1e-12)
 

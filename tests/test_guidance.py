@@ -12,14 +12,14 @@ from guidefit.rng import stream
 
 def test_constant_weight_scalar_and_batch():
     fn = ConstantWeight(0.7)
-    assert fn.weight(0.3, 0.8) == 0.7
+    assert np.array_equal(fn.weight(0.3, 0.8, np.array([2])), [0.7])
     out = fn.weight(np.array([0.2, 0.3]), np.array([0.5, 0.9]), np.array([0, 1]))
     assert np.array_equal(out, np.array([0.7, 0.7]))
 
 
 def test_guidance_net_zero_init_outputs_zero():
     net = GuidanceNet.create(4, stream(0, "test/ginit"))
-    assert net.weight(0.3, 0.8, 2) == 0.0
+    assert np.array_equal(net.weight(0.3, 0.8, np.array([2])), [0.0])
     out = net.weight(np.full(5, 0.3), np.full(5, 0.8), np.arange(5) % 4)
     assert np.array_equal(out, np.zeros(5))
 
@@ -28,20 +28,19 @@ def test_guidance_net_scalar_and_batch_agree():
     net = GuidanceNet.create(4, stream(1, "test/ginit"))
     for p in net.parameters():
         p += 0.05 * stream(2, "test/jiggle").standard_normal(p.shape)
-    w_scalar = net.weight(0.3, 0.8, 2)
+    w_row = net.weight(0.3, 0.8, np.array([2]))
     w_batch = net.weight(np.array([0.3, 0.4]), np.array([0.8, 0.9]), np.array([2, 0]))
-    assert w_batch.shape == (2,)
-    assert w_scalar == pytest.approx(w_batch[0], abs=1e-12)
+    assert w_row.shape == (1,) and w_batch.shape == (2,)
+    assert w_row[0] == pytest.approx(w_batch[0], abs=1e-12)
 
 
 def test_weight_is_bit_equal_to_taped_forward():
     net = GuidanceNet.create(4, stream(1, "test/ginit"), zero_init=False)
     s, t = weight_grid_times()
     for j in (0, 40, t.shape[0] - 1):
-        for c in (2, np.arange(4)):
+        for c in (np.array([2]), np.arange(4)):
             omega, _ = net.weight_with_tape(s[j], t[j], c)
-            assert np.asarray(net.weight(s[j], t[j], c)).tobytes() == \
-                (omega if np.ndim(c) else omega[0]).tobytes()
+            assert net.weight(s[j], t[j], c).tobytes() == omega.tobytes()
 
 
 def test_guidance_net_backward_matches_finite_differences():

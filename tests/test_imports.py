@@ -10,6 +10,9 @@ stale re-export behind.
 A module-level name under src/guidefit/ that starts with one underscore
 (a helper, constant or class) must be read somewhere in src/ outside its own
 definition; tests do not count, so a helper left behind by a refactor fails.
+A public module-level name must be read the same way, outside the package's
+re-exports, or be listed in `guidefit.__all__`: a function that only tests
+call is either part of the package's interface or dead code.
 """
 
 import ast
@@ -62,8 +65,8 @@ def test_all_is_what_init_imports():
     assert sorted(guidefit.__all__) == sorted(imported_names(ast.parse(init.read_text())))
 
 
-def _private_defined(node):
-    """Names starting with one underscore that a module-level statement binds."""
+def _defined(node):
+    """Names other than dunders that a module-level statement binds."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         names = [node.name]
     elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -71,7 +74,7 @@ def _private_defined(node):
         names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     else:
         names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
 
 
 def _reads(node):
@@ -87,13 +90,15 @@ def _reads(node):
     return names
 
 
-def unread_private_names(sources: dict):
-    """(file, name) of each private module-level name that no module-level
-    statement of sources reads, other than the one that defines it."""
+def unread_names(sources: dict, private: bool):
+    """(file, name) of each private (or, with private False, public) module-level
+    name that no module-level statement of sources reads, other than the one
+    that defines it."""
     defined, read = [], []
     for path, source in sources.items():
         for node in ast.parse(source).body:
-            defined += [(path, name, node) for name in _private_defined(node)]
+            defined += [(path, name, node) for name in _defined(node)
+                        if name.startswith("_") == private]
             read.append((node, _reads(node)))
     return sorted((path, name) for path, name, node in defined
                   if not any(name in names for other, names in read if other is not node))
@@ -104,8 +109,24 @@ def test_private_walk_flags_unread_and_self_only_reads():
                        "def f():\n    return _K\n",
                "b.py": "from a import _used\nimport a\n\nx = a._attr\n",
                "c.py": "def _used():\n    pass\n\ndef _attr():\n    pass\n"}
-    assert unread_private_names(sources) == [("a.py", "_dead"), ("a.py", "_rec")]
+    assert unread_names(sources, private=True) == [("a.py", "_dead"), ("a.py", "_rec")]
+
+
+def test_public_walk_flags_unread_and_self_only_reads():
+    sources = {"a.py": "K = 1\n_k = K\n\ndef rec(n):\n    return rec(n - 1)\n\n"
+                       "def helper():\n    pass\n",
+               "b.py": "from a import used\n\ndef g(obj):\n    return obj.attr\n",
+               "c.py": "def used():\n    pass\n\ndef attr():\n    pass\n"}
+    assert unread_names(sources, private=False) == [("a.py", "helper"), ("a.py", "rec"),
+                                                    ("b.py", "g")]
 
 
 def test_every_private_name_is_read_in_src():
-    assert unread_private_names({p.name: p.read_text() for p in SRC}) == []
+    assert unread_names({p.name: p.read_text() for p in SRC}, private=True) == []
+
+
+def test_every_public_name_is_read_in_src_or_exported():
+    """__init__.py's imports are the exports themselves, so they are not reads."""
+    unread = unread_names({p.name: p.read_text() for p in SRC if p.name != "__init__.py"},
+                          private=False)
+    assert [(path, name) for path, name in unread if name not in guidefit.__all__] == []

@@ -179,11 +179,8 @@ def test_reward_loss_acts_on_guided_estimates(mog, exact):
     loss, _ = reward_loss(batch, reward, 0.4)
     est = batch.guided_estimates(0.4)
     manual = np.mean(np.sum((est - mog.means[batch.c][:, None, :]) ** 2, axis=-1), axis=-1)
-    assert np.allclose(loss, manual, atol=1e-10)  # sign = -1 flips -R to +distance
+    assert np.allclose(loss, manual, atol=1e-10)  # the term is -R, here +distance
     fd_check(lambda b, w: reward_loss(b, reward, w), batch)
-    # sign = +1 is the pure flip
-    flip, flip_grad = reward_loss(batch, reward, 0.4, sign=1.0)
-    assert np.allclose(flip, -loss, atol=1e-12)
 
 
 def make_gsm(mog, exact):

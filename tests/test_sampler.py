@@ -112,7 +112,7 @@ class _CountingWeight:
         self.fn = fn
         self.rows = []
 
-    def weight(self, s, t, c=None):
+    def weight(self, s, t, c):
         self.rows.append(np.shape(c))
         return self.fn.weight(s, t, c)
 
