@@ -11,8 +11,10 @@ round-trip exactly (repr precision), so save/load is bit-stable.
 
 A checkpoint loads only if its params are finite and exactly as many as its
 architecture declares, and the declared layer sizes fit together; anything
-else is a CheckpointError. Architecture keys no builder reads, such as the
-allow_negative of older guidance files, are ignored.
+else is a CheckpointError, as is a net that records another logSNR clip than
+the schedule's LOGSNR_CLIP (it would load as another function). Architecture
+keys the loader does not read, such as the allow_negative of older guidance
+files, are ignored.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from . import nn
 from .denoisers import AnalyticDenoiser, MogSpec, NeuralDenoiser
 from .guidance import ConstantWeight, GuidanceNet
+from .schedule import LOGSNR_CLIP
 
 FORMAT_VERSION = 1
 
@@ -32,6 +35,7 @@ class CheckpointError(ValueError):
     pass
 
 
+_CLIPPED = ("denoiser/neural", "guidance/net")  # kinds whose nets read time features
 _MLP_ARCH = ("sizes", "hidden_activation", "output_activation", "dropout_rate")
 
 
@@ -120,6 +124,8 @@ def _load(path, builders: dict, sections: dict | None):
             raise CheckpointError("params must be a flat list of numbers")
         if not np.all(np.isfinite(params)):
             raise CheckpointError("params contain non-finite values")
+        if kind in _CLIPPED and arch["logsnr_clip"] != LOGSNR_CLIP:
+            raise CheckpointError(f"logsnr_clip {arch['logsnr_clip']!r} is not {LOGSNR_CLIP}")
         obj, used = builders[kind](arch, params)
     except CheckpointError as exc:
         raise CheckpointError(f"{path} ({kind}): {exc}") from None
@@ -138,8 +144,7 @@ def save_denoiser(path, denoiser, metadata: dict | None = None):
         _write(path, "denoiser/analytic", {"mog": mog}, [], metadata)
     elif isinstance(denoiser, NeuralDenoiser):
         arch = {"net": _mlp_arch(denoiser.net), "n_classes": denoiser.n_classes,
-                "time_embed_dim": denoiser.time_embed_dim,
-                "logsnr_clip": denoiser.logsnr_clip}
+                "time_embed_dim": denoiser.time_embed_dim, "logsnr_clip": LOGSNR_CLIP}
         _write(path, "denoiser/neural", arch, denoiser.net.params, metadata)
     else:
         raise CheckpointError(f"cannot checkpoint denoiser type {type(denoiser).__name__}")
@@ -149,7 +154,7 @@ _DENOISERS = {
     "denoiser/analytic": lambda arch, params: (AnalyticDenoiser(MogSpec(**arch["mog"])), 0),
     "denoiser/neural": lambda arch, params: (
         NeuralDenoiser(nn.Mlp(params=params, **_mlp_kwargs(arch["net"])), arch["n_classes"],
-                       arch["time_embed_dim"], logsnr_clip=arch["logsnr_clip"]), params.size),
+                       arch["time_embed_dim"]), params.size),
 }
 
 
@@ -163,7 +168,7 @@ def save_weight_fn(path, fn, metadata: dict | None = None):
         _write(path, "guidance/constant", {"omega": fn.omega}, [], metadata)
     elif isinstance(fn, GuidanceNet):
         arch = {"embed": _mlp_arch(fn.embed), "trunk": _mlp_arch(fn.trunk),
-                "n_classes": fn.n_classes, "logsnr_clip": fn.logsnr_clip}
+                "n_classes": fn.n_classes, "logsnr_clip": LOGSNR_CLIP}
         _write(path, "guidance/net", arch, fn.params, metadata)
     else:
         raise CheckpointError(f"cannot checkpoint weight function type {type(fn).__name__}")
@@ -173,7 +178,7 @@ _WEIGHT_FNS = {
     "guidance/constant": lambda arch, params: (ConstantWeight(arch["omega"]), 0),
     "guidance/net": lambda arch, params: (
         GuidanceNet(_mlp_kwargs(arch["embed"]), _mlp_kwargs(arch["trunk"]), arch["n_classes"],
-                    params, logsnr_clip=arch["logsnr_clip"]), params.size),
+                    params), params.size),
 }
 
 

@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guidance", default=None,
                    help="optional learned weights to append as a 'learned' row")
 
-    p = sub.add_parser("export-weights", help="tabulate omega(t - 1/100, t, c)")
+    p = sub.add_parser("export-weights", help="tabulate omega(s, t, c) over the time grid")
     _add_common(p)
     p.add_argument("--guidance", default=None)
     return parser
@@ -281,8 +281,7 @@ def cmd_sweep(args) -> int:
 def cmd_export_weights(args) -> int:
     config, _, header = _load_setup(args)
     weight_fn = _weight_fn(args, config)
-    t, omegas = export_weight_grid(weight_fn, config.mog.n_classes,
-                                   dt=0.01, zeta=config.sample.zeta)
+    t, omegas = export_weight_grid(weight_fn, config.mog.n_classes)
     if not np.all(np.isfinite(omegas)):
         raise FloatingPointError("weight function produced non-finite values")
     path = os.path.join(args.out, "weights.csv")

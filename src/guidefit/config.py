@@ -50,6 +50,8 @@ class EvalConfig:
 
     def __post_init__(self):
         MmdParams(self.beta, self.lam)  # validates the pair
+        if not np.all(np.isfinite(self.omega_grid)):
+            raise ValueError(f"omega_grid must hold finite weights, got {list(self.omega_grid)}")
         if self.resamples < 2:
             raise ValueError(f"resamples must be at least 2, got {self.resamples}")
 

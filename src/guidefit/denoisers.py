@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 
 from . import nn
 from .rng import stream
-from .schedule import SCHEDULE, noise_sample
+from .schedule import SCHEDULE, ZETA, logsnr_feature, noise_sample
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,10 @@ class MogSpec:
         k = means.shape[0]
         if variances.shape != (k,) or weights.shape != (k,):
             raise ValueError("means, variances, weights must agree on component count")
-        if np.any(variances <= 0.0):
-            raise ValueError("variances must be positive")
+        if not np.all(np.isfinite(means)):
+            raise ValueError(f"means must be finite, got {means.tolist()}")
+        if not np.all((variances > 0.0) & (variances < np.inf)):  # NaN fails too
+            raise ValueError(f"variances must lie in (0, inf), got {variances.tolist()}")
         if np.any(weights < 0.0) or not np.isclose(weights.sum(), 1.0):
             raise ValueError("weights must be nonnegative and sum to 1")
 
@@ -170,8 +172,7 @@ class NeuralDenoiser:
     conditional and unconditional queries.
     """
 
-    def __init__(self, net: nn.Mlp, n_classes: int, time_embed_dim: int = 128,
-                 logsnr_clip: float = 13.8):
+    def __init__(self, net: nn.Mlp, n_classes: int, time_embed_dim: int = 128):
         if net.sizes[0] != net.sizes[-1] + time_embed_dim + n_classes:
             raise ValueError(f"layer sizes do not fit: net input {net.sizes[0]} != output "
                              f"{net.sizes[-1]} + time_embed_dim {time_embed_dim} "
@@ -179,16 +180,14 @@ class NeuralDenoiser:
         self.net = net
         self.n_classes = n_classes
         self.time_embed_dim = time_embed_dim
-        self.logsnr_clip = logsnr_clip
 
     @property
     def dim(self) -> int:
         return self.net.sizes[-1]
 
     def _embedding(self, t):
-        """sinusoidal(logSNR t clipped to +-logsnr_clip), one row per entry of t."""
-        snr = np.clip(SCHEDULE.logsnr(t), -self.logsnr_clip, self.logsnr_clip)
-        return nn.sinusoidal_embedding(snr, self.time_embed_dim)
+        """sinusoidal(clipped logSNR t), one row per entry of t."""
+        return nn.sinusoidal_embedding(logsnr_feature(t), self.time_embed_dim)
 
     def _features(self, x, t, onehot):
         """Rows [x, time embedding, onehot]: the net's input in pretraining, where t
@@ -231,7 +230,6 @@ class DenoiserTrainConfig:
     layers: int = 4
     time_embed_dim: int = 128
     cond_dropout: float = 0.1
-    time_clamp: float = 1e-2
     seed: int = 0
 
     def __post_init__(self):
@@ -239,8 +237,6 @@ class DenoiserTrainConfig:
             raise ValueError("iterations must be >= 0 and batch_size > 0")
         if not 0.0 <= self.cond_dropout <= 1.0:
             raise ValueError("cond_dropout must lie in [0, 1]")
-        if not 0.0 < self.time_clamp < 0.5:
-            raise ValueError(f"time_clamp must lie in (0, 0.5), got {self.time_clamp}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be at least 1, got {self.hidden}")
         if self.layers < 0:
@@ -254,7 +250,7 @@ class DenoiserTrainConfig:
 def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):
     """Fit a NeuralDenoiser by denoising regression on mixture draws.
 
-    Each step draws (x0, c), a time t ~ U[clamp, 1 - clamp], noises x0 to x_t,
+    Each step draws (x0, c), a time t ~ U[ZETA, 1 - ZETA], noises x0 to x_t,
     drops the conditioning on a cond_dropout fraction of rows, and regresses
     the net output onto x0 with Adam under global-norm clipping.
 
@@ -275,10 +271,9 @@ def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):
     adam = nn.AdamState.for_params(net.params, lr=config.learning_rate)
 
     losses = np.zeros(config.iterations)
-    lo, hi = config.time_clamp, 1.0 - config.time_clamp
     for it in range(config.iterations):
         x0, c = spec.sample_joint(config.batch_size, data_rng)
-        t = time_rng.uniform(lo, hi, size=config.batch_size)
+        t = time_rng.uniform(ZETA, 1.0 - ZETA, size=config.batch_size)
         x_t, _ = noise_sample(x0, t, noise_rng)
         onehot = nn.class_onehot(c, spec.n_classes)
         if config.cond_dropout > 0.0:

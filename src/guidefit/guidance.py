@@ -8,7 +8,8 @@ so omega = 0 is the conditional denoiser and omega = -1 the unconditional
 one; both endpoints are returned exactly, without arithmetic on the
 difference. Two weight functions exist: a constant, the classifier-free
 guidance baseline, and a small neural net over (logSNR s, logSNR t, one-hot
-c), the learned weights.
+c), the learned weights. The net's time features and the weight table's time
+grid are the schedule's (schedule.logsnr_feature, ZETA, GRID_DT).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .schedule import DEFAULT_CLAMP, SCHEDULE
+from .schedule import GRID_DT, ZETA, logsnr_feature
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,7 @@ class GuidanceArch:
     trunk_hidden: int = 64
     trunk_layers: int = 6
     dropout: float = 0.3
-    allow_negative: bool = True
     zero_init: bool = True
-    logsnr_clip: float = 13.8
 
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
@@ -52,21 +51,17 @@ class GuidanceArch:
                             ("trunk_layers", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not self.logsnr_clip > 0.0:  # a nonpositive or NaN clip breaks the time features
-            raise ValueError(f"logsnr_clip must be positive, got {self.logsnr_clip}")
 
 
 class GuidanceNet:
     """Neural omega(s, t, c).
 
-    Both times are mapped to logSNR, clamped to +/- logsnr_clip, embedded by a
-    shared two-layer MLP, concatenated with the one-hot class, and fed to a
-    GeLU trunk with a scalar linear head; GuidanceArch.allow_negative=False
-    passes the head output through ReLU instead (the trunk's output_activation).
+    Both times are mapped to their clipped logSNR (schedule.logsnr_feature),
+    embedded by a shared two-layer MLP, concatenated with the one-hot class,
+    and fed to a GeLU trunk with a scalar linear head.
     """
 
-    def __init__(self, embed: dict, trunk: dict, n_classes: int, params=None,
-                 logsnr_clip: float = 13.8):
+    def __init__(self, embed: dict, trunk: dict, n_classes: int, params=None):
         """embed and trunk are the nn.Mlp arguments of the two nets other than
         params; both nets view the one vector params, embed first (zeros when None)."""
         split = nn.n_params(embed["sizes"])
@@ -78,18 +73,15 @@ class GuidanceNet:
         if (e[0], t[0], t[-1]) != (2, e[-1] + n_classes, 1):
             raise ValueError(f"layer sizes do not fit: embed {e}, trunk {t}, n_classes {n_classes}")
         self.n_classes = n_classes
-        self.logsnr_clip = logsnr_clip
 
     @classmethod
     def create(cls, n_classes: int, rng, **arch):
         """Build GuidanceArch(**arch); zero_init starts the net at omega == 0."""
         a = GuidanceArch(**arch)
-        head = "identity" if a.allow_negative else "relu"
         net = cls({"sizes": [2, a.embed_hidden, a.embed_dim], "output_activation": "gelu_tanh",
                    "dropout_rate": a.dropout},
-                  {"sizes": [a.embed_dim + n_classes] + [a.trunk_hidden] * a.trunk_layers + [1],
-                   "output_activation": head},
-                  n_classes, None, a.logsnr_clip)
+                  {"sizes": [a.embed_dim + n_classes] + [a.trunk_hidden] * a.trunk_layers + [1]},
+                  n_classes)
         net.embed.init_glorot(rng)
         net.trunk.init_glorot(rng, zero_final=a.zero_init)
         return net
@@ -101,8 +93,7 @@ class GuidanceNet:
         """omega at labels c (n,) and times s, t (scalars or (n,)), shape (n,), plus
         the tape needed for backward() (None with tape=False)."""
         times = [np.broadcast_to(np.asarray(u, dtype=float), np.shape(c)) for u in (s, t)]
-        feats = np.clip(np.stack([SCHEDULE.logsnr(u) for u in times], axis=-1),
-                        -self.logsnr_clip, self.logsnr_clip)
+        feats = np.stack([logsnr_feature(u) for u in times], axis=-1)
         emb, tape_e = self.embed.forward(feats, train=train, rng=rng, tape=tape)
         out, tape_t = self.trunk.forward(
             np.concatenate([emb, nn.class_onehot(c, self.n_classes)], axis=1),
@@ -150,15 +141,15 @@ def guided_denoise(cond, uncond, x_t, t, c, omega):
     return xc + omega_arr[:, None] * delta, delta
 
 
-def weight_grid_times(dt: float = 0.01, zeta: float = DEFAULT_CLAMP):
-    """Destination/source time pairs (s, t) with s = t - dt covering [zeta, 1 - zeta]."""
-    n = int(np.floor((1.0 - 2.0 * zeta) / dt + 1e-9))
-    t = zeta + dt * np.arange(1, n + 1)
-    return t - dt, t
+def weight_grid_times():
+    """Destination/source time pairs (s, t) with s = t - GRID_DT covering [ZETA, 1 - ZETA]."""
+    n = int(np.floor((1.0 - 2.0 * ZETA) / GRID_DT + 1e-9))
+    t = ZETA + GRID_DT * np.arange(1, n + 1)
+    return t - GRID_DT, t
 
 
-def export_weight_grid(fn, n_classes: int, dt: float = 0.01, zeta: float = DEFAULT_CLAMP):
-    """Tabulate omega(t - dt, t, c) for every class on the standard time grid.
+def export_weight_grid(fn, n_classes: int):
+    """Tabulate omega(t - GRID_DT, t, c) for every class on the standard time grid.
 
     Each grid time is evaluated on every class at once, the rows the sampler
     evaluates, so the table holds the exact values the sampler would apply
@@ -168,13 +159,13 @@ def export_weight_grid(fn, n_classes: int, dt: float = 0.01, zeta: float = DEFAU
     Returns:
         (t, omegas) with t of shape (n,) and omegas of shape (n_classes, n).
     """
-    s, t = weight_grid_times(dt, zeta)
+    s, t = weight_grid_times()
     classes = np.arange(n_classes)
     omegas = np.stack([fn.weight(s[j], t[j], classes) for j in range(t.shape[0])], axis=1)
     return t, omegas
 
 
-def mean_abs_weight(fn, n_classes: int, dt: float = 0.01, zeta: float = DEFAULT_CLAMP) -> float:
-    """Mean |omega| over the standard probe grid; the 'how guided is it' scalar."""
-    _, omegas = export_weight_grid(fn, n_classes, dt, zeta)
+def mean_abs_weight(fn, n_classes: int) -> float:
+    """Mean |omega| over the standard time grid; the 'how guided is it' scalar."""
+    _, omegas = export_weight_grid(fn, n_classes)
     return float(np.mean(np.abs(omegas)))

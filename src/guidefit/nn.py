@@ -63,8 +63,6 @@ def gelu_grad(x, cdf):
 # name: (forward(z, out) -> (h, kept for the derivative), derivative(z, kept))
 _ACTIVATIONS = {
     "gelu_tanh": (gelu, gelu_grad),
-    "relu": (lambda x, out=None: (np.maximum(x, 0.0, out=out), None),
-             lambda x, _: (x > 0.0).astype(float)),
     "identity": (lambda x, out=None: (x, None), lambda x, _: np.ones_like(x)),
 }
 

@@ -18,7 +18,8 @@ so every loss here takes omega, reports an exact d loss / d omega alongside
 its value, and a ParticleBatch caches all draws so losses can be replayed at
 any omega. Rewards are plain functions R(spec, x, c) named in REWARDS.
 Guided score matching uses the same batch type with one particle, A = 0,
-B = 1, Sigma = 0 and the clean point as target.
+B = 1, Sigma = 0 and the clean point as target. Training time pairs lie in
+the schedule's range [ZETA, 1 - ZETA].
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import numpy as np
 
 from .denoisers import MogSpec, mixture_log_density, mixture_score
 from .guidance import guided_denoise
-from .schedule import DdimTransition, ddim_transition, noise_sample
+from .schedule import ZETA, DdimTransition, ddim_transition, noise_sample
 
 
 @dataclass(frozen=True)
 class MmdParams:
-    """Energy-kernel exponent beta in (0, 2] and repulsion weight lam >= 0."""
+    """Energy-kernel exponent beta in (0, 2] and finite repulsion weight lam >= 0."""
 
     beta: float = 1.75
     lam: float = 1.0
@@ -43,31 +44,29 @@ class MmdParams:
     def __post_init__(self):
         if not 0.0 < self.beta <= 2.0:
             raise ValueError(f"beta must lie in (0, 2], got {self.beta}")
-        if not self.lam >= 0.0:  # NaN fails too
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+            raise ValueError(f"lam must lie in [0, inf), got {self.lam}")
 
 
 @dataclass(frozen=True)
 class TimePairSampler:
-    """Draw training time pairs: s ~ U[s_min, 1 - zeta - delta], t = s + U[delta, 1 - zeta - s]."""
+    """Draw training time pairs: s ~ U[s_min, 1 - ZETA - delta], t = s + U[delta, 1 - ZETA - s]."""
 
     s_min: float = 0.2
-    zeta: float = 1e-2
     delta: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.zeta < 0.5:
-            raise ValueError("zeta must lie in (0, 0.5)")
         if not self.delta > 0.0:  # NaN fails too
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.zeta <= self.s_min:
-            raise ValueError("s_min must be at least zeta")
-        if self.s_min + self.delta >= 1.0 - self.zeta:
-            raise ValueError("need s_min + delta < 1 - zeta")
+        if not ZETA <= self.s_min:  # NaN fails too
+            raise ValueError(f"s_min must be at least ZETA = {ZETA}, got {self.s_min}")
+        if not self.s_min + self.delta < 1.0 - ZETA:
+            raise ValueError(f"need s_min + delta < 1 - ZETA = {1.0 - ZETA}, "
+                             f"got {self.s_min} + {self.delta}")
 
     def sample(self, n: int, rng):
-        s = rng.uniform(self.s_min, 1.0 - self.zeta - self.delta, size=n)
-        dt = rng.uniform(self.delta, 1.0 - self.zeta - s)
+        s = rng.uniform(self.s_min, 1.0 - ZETA - self.delta, size=n)
+        dt = rng.uniform(self.delta, 1.0 - ZETA - s)
         return s, s + dt
 
 

@@ -1,12 +1,13 @@
 """Guided ancestral sampler.
 
-Chains start from the schedule's prior at 1 - zeta and take steps steps down
-a uniform time grid to zeta. Each step queries the conditional and
-unconditional denoisers once, combines them at omega(s, t, c), and applies
-the reverse transition at the configured churn (0 by default, the
-deterministic velocity step). omega depends on a chain only through its
-class, so each step evaluates the weight function once on every class and
-gathers by c: one row per class, and the same rows however many chains run.
+Chains start from the schedule's prior at 1 - ZETA and take steps steps down
+a uniform time grid to ZETA (schedule.ZETA fixes the range). Each step
+queries the conditional and unconditional denoisers once, combines them at
+omega(s, t, c), and applies the reverse transition at the configured churn
+(0 by default, the deterministic velocity step). omega depends on a chain
+only through its class, so each step evaluates the weight function once on
+every class and gathers by c: one row per class, and the same rows however
+many chains run.
 
 Randomness is per chain: chain i draws from substream (seed, "sample/chain",
 i), so its draws do not depend on how many chains run. Neither do its
@@ -27,7 +28,7 @@ import numpy as np
 
 from .guidance import guided_denoise
 from .rng import stream
-from .schedule import DEFAULT_CLAMP, SCHEDULE, ddim_transition
+from .schedule import SCHEDULE, ZETA, ddim_transition
 
 
 @dataclass(frozen=True)
@@ -36,19 +37,16 @@ class SampleConfig:
     count: int = 4096
     churn: float = 0.0
     conditioning: int | None = None  # None samples classes from class_weights
-    zeta: float = DEFAULT_CLAMP
 
     def __post_init__(self):
         if self.steps < 1 or self.count < 1:
             raise ValueError("steps and count must be positive")
         if not 0.0 <= self.churn <= 1.0:
             raise ValueError("churn must lie in [0, 1]")
-        if not 0.0 < self.zeta < 0.5:
-            raise ValueError("zeta must lie in (0, 0.5)")
 
     def grid(self):
-        """Uniform time grid t_0 = zeta < ... < t_steps = 1 - zeta."""
-        return np.linspace(self.zeta, 1.0 - self.zeta, self.steps + 1)
+        """Uniform time grid t_0 = ZETA < ... < t_steps = 1 - ZETA."""
+        return np.linspace(ZETA, 1.0 - ZETA, self.steps + 1)
 
 
 @lru_cache(maxsize=1)
@@ -109,7 +107,7 @@ def sample(config: SampleConfig, cond, uncond, weight_fn, class_weights=None, se
     """Draw config.count guided samples.
 
     Returns:
-        (x, c) with x of shape (count, d) at time zeta and the class labels
+        (x, c) with x of shape (count, d) at time ZETA and the class labels
         each chain was conditioned on.
     """
     x, c, _, _ = _run(config, cond, uncond, weight_fn, class_weights, seed, None)
@@ -122,7 +120,7 @@ def sample_trajectory(config: SampleConfig, cond, uncond, weight_fn,
 
     Returns:
         (x, c, times, states, omegas): x and c as sample() returns them;
-        times is the grid in visit order, from 1 - zeta down to zeta;
+        times is the grid in visit order, from 1 - ZETA down to ZETA;
         states[j] is the chain's point at times[j], so states[-1] is
         x[chain] and c[chain] its class; omegas[j] is the weight used for the
         step into states[j + 1].

@@ -14,6 +14,8 @@ s for every x0:
 
     A alpha_t + B = alpha_s        (mean consistency)
     A^2 sigma_t^2 + Sigma = sigma_s^2   (variance consistency)
+
+The module also fixes the pipeline's one time range: ZETA, GRID_DT, LOGSNR_CLIP.
 """
 
 from __future__ import annotations
@@ -22,9 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default safety clamp: pipeline times live in [DEFAULT_CLAMP, 1 - DEFAULT_CLAMP]
+# Sampling grids, training times and the weight table live in [ZETA, 1 - ZETA],
 # so sigma_t > 0 and alpha_t > 0 wherever a transition or denoiser is evaluated.
-DEFAULT_CLAMP = 1e-2
+# The weight table steps from t to t - GRID_DT. Time features are logSNR clipped
+# to +/- LOGSNR_CLIP: |logSNR| < 9.2 on [ZETA, 1 - ZETA], so the clip moves no
+# value there and only keeps the features finite at t = 0 and t = 1.
+ZETA = 1e-2
+GRID_DT = 0.01
+LOGSNR_CLIP = 13.8
 
 
 class NoiseSchedule:
@@ -48,6 +55,11 @@ class NoiseSchedule:
 # The one schedule. Callers look its methods up at call time
 # (SCHEDULE.alpha_sigma(t)), so wrapping them on the class reaches every call.
 SCHEDULE = NoiseSchedule()
+
+
+def logsnr_feature(t):
+    """SCHEDULE.logsnr(t) clipped to +/- LOGSNR_CLIP: finite at t = 0 and t = 1."""
+    return np.clip(SCHEDULE.logsnr(t), -LOGSNR_CLIP, LOGSNR_CLIP)
 
 
 def noise_sample(x0, t, rng=None, noise=None):

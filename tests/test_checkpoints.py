@@ -64,30 +64,26 @@ def test_guidance_net_roundtrip(tmp_path):
     assert json.loads(path.read_text())["metadata"]["mode"] == "self_consistency"
 
 
-@pytest.mark.parametrize("allow_negative, head", [(True, "identity"), (False, "relu")])
-def test_guidance_head_is_the_trunk_activation(tmp_path, allow_negative, head):
-    """The head is recorded once, as trunk.output_activation; the
-    architecture.allow_negative key of older files is ignored on load."""
+def test_guidance_head_is_the_trunk_activation(tmp_path):
+    """The head is recorded once, as trunk.output_activation "identity"; the
+    architecture.allow_negative key of older files, true or false, is ignored on load."""
     net = GuidanceNet.create(4, stream(6, "test/head"), embed_hidden=8, embed_dim=8,
-                             trunk_hidden=8, trunk_layers=2, allow_negative=allow_negative,
-                             zero_init=False)
+                             trunk_hidden=8, trunk_layers=2, zero_init=False)
     path = tmp_path / "guidance.json"
     save_weight_fn(path, net)
     payload = json.loads(path.read_text())
-    assert payload["architecture"]["trunk"]["output_activation"] == head
-    without, older = tmp_path / "without.json", tmp_path / "older.json"
-    payload["architecture"].pop("allow_negative", None)
-    without.write_text(json.dumps(payload))
-    payload["architecture"]["allow_negative"] = allow_negative
-    older.write_text(json.dumps(payload))
+    assert "allow_negative" not in payload["architecture"]
+    assert payload["architecture"]["trunk"]["output_activation"] == "identity"
     s = np.linspace(0.05, 0.8, 9)
     c = np.arange(9) % 4
-    for file in (without, older):
-        loaded = load_weight_fn(file)
-        assert loaded.trunk.output_activation == head
+    for allow_negative in (None, True, False):
+        if allow_negative is not None:
+            payload["architecture"]["allow_negative"] = allow_negative
+        path.write_text(json.dumps(payload))
+        loaded = load_weight_fn(path)
+        assert loaded.trunk.output_activation == "identity"
         assert loaded.params.tobytes() == net.params.tobytes()
         assert loaded.weight(s, s + 0.1, c).tobytes() == net.weight(s, s + 0.1, c).tobytes()
-    assert "allow_negative" not in json.loads(path.read_text())["architecture"]
 
 
 def test_save_load_save_is_bit_stable(tmp_path):
@@ -255,14 +251,12 @@ _WIDTH = st.integers(1, 12)
 
 @settings(max_examples=30, deadline=None)
 @given(n_classes=st.integers(1, 5), embed_hidden=_WIDTH, embed_dim=_WIDTH, trunk_hidden=_WIDTH,
-       trunk_layers=st.integers(0, 3), allow_negative=st.booleans(), seed=st.integers(0, 99))
+       trunk_layers=st.integers(0, 3), seed=st.integers(0, 99))
 def test_guidance_net_save_load_save_is_byte_stable(tmp_path_factory, n_classes, embed_hidden,
-                                                     embed_dim, trunk_hidden, trunk_layers,
-                                                     allow_negative, seed):
+                                                     embed_dim, trunk_hidden, trunk_layers, seed):
     net = GuidanceNet.create(n_classes, stream(seed, "test/prop_gn"), embed_hidden=embed_hidden,
                              embed_dim=embed_dim, trunk_hidden=trunk_hidden,
-                             trunk_layers=trunk_layers, allow_negative=allow_negative,
-                             zero_init=False)
+                             trunk_layers=trunk_layers, zero_init=False)
     loaded = _resaved(save_weight_fn, load_weight_fn, net, tmp_path_factory.mktemp("gn"))
     assert loaded.params.tobytes() == net.params.tobytes()
     assert all(np.shares_memory(p, loaded.params) for p in loaded.parameters())

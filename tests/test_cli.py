@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,9 +17,11 @@ from hypothesis.extra import numpy as hnp
 
 from guidefit.checkpoints import save_weight_fn
 from guidefit.cli import _read_samples, main
-from guidefit.config import ExperimentConfig, config_digest, load_config
+from guidefit.config import (ExperimentConfig, config_digest, config_from_dict, config_to_dict,
+                             load_config)
 from guidefit.evaluation import write_table
 from guidefit.guidance import ConstantWeight
+from guidefit.schedule import LOGSNR_CLIP
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -295,6 +298,34 @@ def test_checkpoints_with_exact_gelu_are_usage_errors(tmp_path, capsys):
         assert "Traceback" not in err and not (out / "samples.csv").exists(), name
 
 
+@pytest.mark.parametrize("name, net, key, value, message", [
+    ("denoiser", None, "logsnr_clip", 20.0, f"logsnr_clip 20.0 is not {LOGSNR_CLIP}"),
+    ("guidance", None, "logsnr_clip", 9.0, f"logsnr_clip 9.0 is not {LOGSNR_CLIP}"),
+    ("guidance", "trunk", "output_activation", "relu", "unknown activation 'relu'"),
+], ids=["denoiser-logsnr_clip", "guidance-logsnr_clip", "guidance-relu-head"])
+def test_checkpoints_of_another_time_feature_or_head_are_usage_errors(tmp_path, capsys, name,
+                                                                      net, key, value, message):
+    # the clip is the schedule's constant and the head is "identity"; a file that
+    # records anything else would load as another function
+    path = tmp_path / "neural.json"
+    path.write_text(json.dumps(_with(TINY, denoiser={"kind": "neural",
+                                                     "train": {"iterations": 1}})))
+    made = tmp_path / "made"
+    for command in ("pretrain-denoiser", "train-guidance"):
+        assert run(command, "--config", str(path), "--out", str(made), "--quiet") == 0
+    payload = json.loads((made / f"{name}.json").read_text())
+    arch = payload["architecture"] if net is None else payload["architecture"][net]
+    arch[key] = value
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert run("sample", "--config", str(path), "--out", str(out), "--quiet",
+               f"--{name}", str(other)) == 2
+    err = capsys.readouterr().err
+    assert str(other) in err and message in err, err
+    assert "Traceback" not in err and not (out / "samples.csv").exists()
+
+
 def test_overflowing_weights_are_numerical_failure(tmp_path, tiny_config):
     from guidefit.config import build_guidance_net
 
@@ -463,8 +494,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
     ("sample", {"sample": {"conditioning": 7}}, 3, "invalid config: sample.conditioning "),
     ("train-guidance", {"train": {"churn": 2}}, 3, "invalid train: churn "),
     ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
-                                                                    "time_clamp": 0.7}}},
-     3, "invalid denoiser.train: time_clamp "),
+                                                                    "time_clamp": 0.01}}},
+     3, "unknown key(s) ['time_clamp'] in denoiser.train"),
     ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
                                                                     "hidden": 0}}},
      3, "invalid denoiser.train: hidden "),
@@ -476,7 +507,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
     ("train-guidance", {"guidance": {"trunk_hidden": 0}}, 3, "invalid guidance: trunk_hidden "),
     ("train-guidance", {"guidance": {"trunk_hidden": -1}}, 3, "invalid guidance: trunk_hidden "),
     ("train-guidance", {"guidance": {"trunk_layers": -1}}, 3, "invalid guidance: trunk_layers "),
-    ("sample", {"guidance": {"logsnr_clip": 0}}, 3, "invalid guidance: logsnr_clip "),
+    ("sample", {"guidance": {"logsnr_clip": 13.8}}, 3,
+     "unknown key(s) ['logsnr_clip'] in guidance"),
     ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
                                                                     "layers": -1}}},
      3, "invalid denoiser.train: layers "),
@@ -503,7 +535,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
      "invalid train: gamma_reward "),
     ("train-guidance", {"train": dict(REWARD, gamma_reward=-INF)}, 3,
      "invalid train: gamma_reward "),
-    ("train-guidance", {"guidance": {"logsnr_clip": NAN}}, 3, "invalid guidance: logsnr_clip "),
+    ("train-guidance", {"guidance": {"logsnr_clip": NAN}}, 3,
+     "unknown key(s) ['logsnr_clip'] in guidance"),
     ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
                                                                     "learning_rate": NAN}}},
      3, "invalid denoiser.train: learning_rate "),
@@ -512,6 +545,11 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
      3, "invalid denoiser.train: clip_norm "),
     ("train-guidance", {"train": {"reward_sign": 1.0}}, 3,
      "unknown key(s) ['reward_sign'] in train"),
+    ("sample", {"sample": {"zeta": 0.01}}, 3, "unknown key(s) ['zeta'] in sample"),
+    ("train-guidance", {"train": {"time_sampler": {"zeta": 0.01}}}, 3,
+     "unknown key(s) ['zeta'] in train.time_sampler"),
+    ("train-guidance", {"guidance": {"allow_negative": False}}, 3,
+     "unknown key(s) ['allow_negative'] in guidance"),
 ], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
         "one-row-csv", "eval-mmd-1d-reference", "eval-mmd-3d-reference",
         "train.checkpoint_every", "train.probe_size", "train.ema_decay",
@@ -526,7 +564,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
         "train.learning_rate-nan", "train.learning_rate-inf", "train.clip_norm-nan",
         "train.gamma_reward-nan", "train.gamma_reward-inf", "train.gamma_reward-neg-inf",
         "guidance.logsnr_clip-nan", "denoiser.train.learning_rate-nan",
-        "denoiser.train.clip_norm-nan", "train.reward_sign"])
+        "denoiser.train.clip_norm-nan", "train.reward_sign", "sample.zeta",
+        "train.time_sampler.zeta", "guidance.allow_negative"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_with(TINY, **sections)))
@@ -544,6 +583,50 @@ def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections,
         named.format(generated=generated, reference=reference) in err, err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def _numeric_leaves(node, path=()):
+    """Key path of every number in a config dict, list indices included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _dotted(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+# An infinite clip_norm is documented as "no clipping".
+NON_FINITE = [(path, value) for path in _numeric_leaves(config_to_dict(config_from_dict(TINY)))
+              for value in (NAN, INF) if not (path[-1] == "clip_norm" and value == INF)]
+
+
+@pytest.mark.parametrize("path, value", NON_FINITE,
+                         ids=[f"{_dotted(p)}-{v}" for p, v in NON_FINITE])
+def test_non_finite_config_number_is_usage_error(tmp_path, capsys, path, value):
+    """Every number of the config tree rejects NaN and +inf at load, naming its
+    section and key: a range check or, for an integer, the type check."""
+    data = config_to_dict(config_from_dict(TINY))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert run("export-weights", "--config", str(config), "--out", str(out), "--quiet") == 2
+    err = capsys.readouterr().err
+    names = [p for p in path if isinstance(p, str)]
+    section, key = ".".join(names[:-1]), names[-1]
+    assert (err.startswith(f"error: {_dotted(path)} must be ")
+            or (err.startswith(f"error: invalid {section or 'config'}: ")
+                and re.search(rf"\b{key}\b", err.split(": ", 2)[2]))), err
+    assert not out.exists()
 
 
 NEURAL = _with(TINY, denoiser={"kind": "neural", "train": {"iterations": 30}},

@@ -72,7 +72,7 @@ def test_cli_rejects_object_for_plain_field(tmp_path, capsys):
     ({"train": {"iterations": "abc"}}, 'train.iterations must be an integer, got "abc"'),
     ({"train": {"learning_rate": False}}, "train.learning_rate must be a number, got false"),
     ({"train": {"ema_decay": "0.9"}}, 'train.ema_decay must be a number, got "0.9"'),
-    ({"guidance": {"allow_negative": 1}}, "guidance.allow_negative must be true or false, got 1"),
+    ({"guidance": {"zero_init": 1}}, "guidance.zero_init must be true or false, got 1"),
     ({"mog": 5}, "mog must be an object"),
     ({"mog": {"variances": [1.0, 2.0]}},
      "mog needs key(s) ['means', 'weights'], which have no default"),
@@ -95,9 +95,9 @@ def test_range_checks_skip_what_the_run_does_not_use():
 
 def test_shipped_config_digests():
     digests = {p.stem: config_digest(load_config(p)) for p in CONFIGS.glob("*.json")}
-    assert digests == {"guided_sm": "bc3f0eb09900301d", "reward": "5777749f5e6e45dc",
-                       "under_trained": "a8137c78ede04cfd",
-                       "well_trained": "a4ca047bb2c206d1"}
+    assert digests == {"guided_sm": "33678705822e08cc", "reward": "fe12956709d21519",
+                       "under_trained": "d7fa2f832990651a",
+                       "well_trained": "ad18f93877fa8301"}
 
 
 def test_section_digests_leave_out_seeds_only():
@@ -128,7 +128,7 @@ def _config_dicts(draw):
                 "weights": [w / sum(weights) for w in weights]},
         "guidance": {"embed_hidden": draw(st.integers(1, 512)),
                      "dropout": draw(st.floats(0.0, 0.9)),
-                     "allow_negative": draw(st.booleans())},
+                     "zero_init": draw(st.booleans())},
         "train": {"iterations": draw(st.integers(0, 10**6)),
                   "learning_rate": draw(st.floats(1e-8, 1.0)),
                   "ema_decay": draw(st.none() | st.floats(0.0, 0.999))},

@@ -15,7 +15,7 @@ from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec,
                                 mixture_log_density, mixture_score, posterior_mean,
                                 train_neural_denoiser)
 from guidefit.rng import stream
-from guidefit.schedule import SCHEDULE
+from guidefit.schedule import LOGSNR_CLIP, SCHEDULE
 
 
 def is_posterior_mean(spec, x_t, t, c, n, rng):
@@ -46,6 +46,13 @@ def test_mog_spec_validation():
     with pytest.raises(ValueError):
         MogSpec(means=np.zeros((2, 2)), variances=np.array([1.0, 1.0]),
                 weights=np.array([0.5, 0.6]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="means must be finite"):
+            MogSpec(means=np.array([[0.0, bad], [1.0, 1.0]]), variances=np.ones(2),
+                    weights=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="variances must lie in"):
+            MogSpec(means=np.zeros((2, 2)), variances=np.array([1.0, bad]),
+                    weights=np.array([0.5, 0.5]))
 
 
 def test_default_mixture_layout(mog):
@@ -129,9 +136,11 @@ def test_denoiser_train_config_validation():
         DenoiserTrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         DenoiserTrainConfig(cond_dropout=1.5)
-    for bad in ({"time_clamp": 0.0}, {"time_clamp": 0.5}, {"hidden": 0}):
+    for bad in ({"hidden": 0}, {"layers": -1}, {"learning_rate": float("nan")}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             DenoiserTrainConfig(**bad)
+    with pytest.raises(TypeError, match="time_clamp"):  # training times span [ZETA, 1 - ZETA]
+        DenoiserTrainConfig(time_clamp=0.01)
 
 
 def test_neural_denoiser_training_reduces_loss(mog):
@@ -168,7 +177,7 @@ def _prebreak_denoise(den, x_t, t, c=None):
     x_t = np.asarray(x_t, dtype=float)
     single = x_t.ndim == 1
     x = np.atleast_2d(x_t)
-    snr = np.clip(SCHEDULE.logsnr(t), -den.logsnr_clip, den.logsnr_clip)
+    snr = np.clip(SCHEDULE.logsnr(t), -LOGSNR_CLIP, LOGSNR_CLIP)
     snr = np.broadcast_to(np.asarray(snr, dtype=float), (x.shape[0],))
     emb = nn.sinusoidal_embedding(snr, den.time_embed_dim)
     h = np.concatenate([x, emb, nn.class_onehot(c, den.n_classes, n=x.shape[0])], axis=1)
@@ -197,7 +206,7 @@ def _oracle_denoise(den, x_t, t, c=None):
         if not run_times or ti != run_times[-1]:
             run_times.append(ti)
         run_of_row.append(len(run_times) - 1)
-    snr = np.clip(SCHEDULE.logsnr(np.array(run_times)), -den.logsnr_clip, den.logsnr_clip)
+    snr = np.clip(SCHEDULE.logsnr(np.array(run_times)), -LOGSNR_CLIP, LOGSNR_CLIP)
     time_term = nn.sinusoidal_embedding(snr, width) @ w0[:, d:d + width].T + den.net.biases[0]
     h = x @ w0[:, :d].T + time_term[run_of_row]
     if c is not None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from guidefit.guidance import (ConstantWeight, GuidanceNet, export_weight_grid,
                                guided_denoise, mean_abs_weight, weight_grid_times)
 from guidefit.rng import stream
+from guidefit.schedule import GRID_DT, ZETA
 
 
 def test_constant_weight_scalar_and_batch():
@@ -95,15 +96,6 @@ def test_guided_denoise_is_affine_in_omega_exactly(exact, omegas, t, seed):
                 assert out[i].tobytes() == scalar[i].tobytes()
 
 
-def test_relu_head_blocks_negative_weights():
-    net = GuidanceNet.create(4, stream(5, "test/ginit"), allow_negative=False,
-                             zero_init=False)
-    s, t = weight_grid_times()
-    for c in range(4):
-        out = np.asarray(net.weight(s, t, np.full(t.shape[0], c)))
-        assert np.all(out >= 0.0)
-
-
 def test_guided_denoise_endpoints_exact(mog, exact):
     x_t = stream(6, "test/gd").uniform(-10.0, 10.0, size=(12, 2))
     c = np.tile(np.arange(4), 3)
@@ -129,7 +121,8 @@ def test_guided_denoise_is_affine_in_omega(exact):
 
 
 def test_weight_grid_covers_clamped_interval():
-    s, t = weight_grid_times(dt=0.01, zeta=0.01)
+    assert (ZETA, GRID_DT) == (0.01, 0.01)
+    s, t = weight_grid_times()
     assert t.shape == (98,)
     assert np.allclose(t - s, 0.01, atol=1e-12)
     assert t[0] == pytest.approx(0.02)

@@ -98,9 +98,9 @@ def test_dropout_forward_backward_consistent_with_tape_masks():
 
 
 @pytest.mark.parametrize("rows", [1, 3, 4096])
-@pytest.mark.parametrize("hidden, output", [("gelu_tanh", "identity"), ("relu", "identity"),
-                                            ("identity", "identity"), ("gelu_tanh", "gelu_tanh")],
-                         ids=["gelu-identity", "relu-identity", "identity-identity", "gelu-gelu"])
+@pytest.mark.parametrize("hidden, output", [("gelu_tanh", "identity"), ("identity", "identity"),
+                                            ("gelu_tanh", "gelu_tanh")],
+                         ids=["gelu-identity", "identity-identity", "gelu-gelu"])
 def test_tape_free_forward_is_bit_equal(hidden, output, rows):
     net = nn.Mlp([6, 32, 32, 3], hidden_activation=hidden,
                  output_activation=output).init_glorot(stream(12, "test/init"))

@@ -17,7 +17,7 @@ from guidefit.objectives import (REWARDS, MmdParams, ParticleBatch, TimePairSamp
                                  mmd_loss, reward_loss)
 from guidefit.denoisers import mixture_score
 from guidefit.rng import stream
-from guidefit.schedule import DdimTransition, ddim_transition
+from guidefit.schedule import ZETA, DdimTransition, ddim_transition
 
 
 def make_batch(mog, exact, m=8, n=6, churn=1.0, seed=0):
@@ -43,19 +43,21 @@ def test_mmd_params_validation():
         MmdParams(beta=0.0)
     with pytest.raises(ValueError):
         MmdParams(beta=2.5)
-    with pytest.raises(ValueError):
-        MmdParams(lam=-0.1)
+    for lam in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="lam must lie in"):
+            MmdParams(lam=lam)
 
 
 def test_time_pair_sampler_ranges():
-    sampler = TimePairSampler(s_min=0.2, zeta=0.01, delta=0.1)
+    sampler = TimePairSampler(s_min=0.2, delta=0.1)
     s, t = sampler.sample(5000, stream(0, "test/times"))
     assert np.all(s >= 0.2)
-    assert np.all(s <= 1.0 - 0.01 - 0.1)
+    assert np.all(s <= 1.0 - ZETA - 0.1)
     assert np.all(t - s >= 0.1)
-    assert np.all(t <= 0.99 + 1e-12)
-    with pytest.raises(ValueError):
-        TimePairSampler(s_min=0.005, zeta=0.01)
+    assert np.all(t <= 1.0 - ZETA + 1e-12)
+    assert TimePairSampler(s_min=ZETA).s_min == 0.01  # allowed: under_trained.json sets it
+    with pytest.raises(ValueError, match="s_min must be at least ZETA"):
+        TimePairSampler(s_min=0.005)
     with pytest.raises(ValueError):
         TimePairSampler(s_min=0.8, delta=0.3)
     with pytest.raises(ValueError):

@@ -15,9 +15,7 @@ def test_sample_config_validation_and_grid():
         SampleConfig(steps=0)
     with pytest.raises(ValueError):
         SampleConfig(churn=1.5)
-    with pytest.raises(ValueError):
-        SampleConfig(zeta=0.6)
-    grid = SampleConfig(steps=4, zeta=0.01).grid()
+    grid = SampleConfig(steps=4).grid()
     assert grid.shape == (5,)
     assert grid[0] == 0.01
     assert grid[-1] == 0.99

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guidefit.rng import stream
-from guidefit.schedule import SCHEDULE, ddim_transition, noise_sample
+from guidefit.schedule import (LOGSNR_CLIP, SCHEDULE, ZETA, ddim_transition, logsnr_feature,
+                               noise_sample)
 
 
 def test_alpha_sigma_endpoints_exact():
@@ -27,6 +28,16 @@ def test_logsnr_matches_definition():
     assert np.allclose(SCHEDULE.logsnr(t), expected, rtol=0.0, atol=1e-15)
     assert SCHEDULE.logsnr(0.0) == np.inf
     assert SCHEDULE.logsnr(1.0) == -np.inf
+
+
+def test_logsnr_clip_moves_no_time_in_the_pipeline_range():
+    """|logSNR| stays below the clip on [ZETA, 1 - ZETA], so the clip changes no
+    feature there; it only keeps the features finite at t = 0 and t = 1."""
+    edges = np.array([ZETA, 1.0 - ZETA])
+    assert np.all(np.abs(SCHEDULE.logsnr(edges)) < LOGSNR_CLIP)
+    t = np.linspace(ZETA, 1.0 - ZETA, 99)
+    assert logsnr_feature(t).tobytes() == SCHEDULE.logsnr(t).tobytes()
+    assert logsnr_feature(np.array([0.0, 1.0])).tolist() == [LOGSNR_CLIP, -LOGSNR_CLIP]
 
 
 def test_noise_sample_replay():

@@ -123,8 +123,8 @@ def test_divergence_raises_and_restores_last_checkpoint(mog, exact):
 
 
 def test_time_sampler_is_honored(mog, exact):
-    # an s_min near 1 - zeta - delta pins every pair into a narrow band
-    sampler = TimePairSampler(s_min=0.85, delta=0.1, zeta=0.01)
+    # an s_min near 1 - ZETA - delta pins every pair into a narrow band
+    sampler = TimePairSampler(s_min=0.85, delta=0.1)
     config = short_config(iterations=2, time_sampler=sampler)
     net, record = train_guidance(fresh_net(), exact, exact, mog, config)
     assert np.all(np.isfinite(record.loss))
@@ -226,8 +226,7 @@ def test_probe_reuses_one_reference_per_run(mog, exact, monkeypatch):
     def recording_probe(net, cond, uncond, data, cfg, reference):
         references.append(reference)
         val = probe_mmd(net, cond, uncond, data, cfg, reference)
-        xs, _ = sample(SampleConfig(steps=10, count=cfg.probe_size, churn=0.0,
-                                    zeta=cfg.time_sampler.zeta),
+        xs, _ = sample(SampleConfig(steps=10, count=cfg.probe_size, churn=0.0),
                        cond, uncond, net, class_weights=data.weights, seed=cfg.seed)
         ref, _ = data.sample_joint(cfg.probe_size, stream(cfg.seed, "probe/reference"))
         probes.append((val, energy_mmd(xs, ref)))
