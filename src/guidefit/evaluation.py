@@ -15,7 +15,10 @@ over each distance matrix: an all-ones column gives the full estimate, a
 column per class the per-class scores, and half-size resample columns the
 error bar (their scatter scaled by sqrt(1/2) back to full size). A set's own
 pairs are summed over blocks with j >= i, pairs past the diagonal block
-once with doubled weight.
+once with doubled weight. Blocks are BLOCK_ROWS = 256 rows; cdist builds
+each on the caller's thread while one worker thread computes the indicator
+product of the block before it, and the partial sums are added in block
+order, so every result is the same as that of a serial loop.
 
 A sweep scores every row against one shared reference with one subsample
 stream, so the sums over the reference's own pairs are the same for every
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +38,15 @@ from scipy.spatial.distance import cdist
 from .rng import stream
 
 
-# Rows per distance block: 512 x 4096 float64 is 16 MB, so no estimate ever
-# holds a full n x n matrix.
-BLOCK_ROWS = 512
+# Rows per distance block: 256 x 4096 float64 is 8 MB, and at most two blocks
+# are alive at once (one built, one reduced), so no estimate ever holds a full
+# n x n matrix.
+BLOCK_ROWS = 256
+
+
+def _block_sums(wa, d, w):
+    """Column sums wa[:, k] @ d @ w[:, k] of one distance block."""
+    return np.einsum("ir,ir->r", wa, d @ w)
 
 
 def _pair_sums(a, b, beta: float, wa, wb):
@@ -45,20 +55,34 @@ def _pair_sums(a, b, beta: float, wa, wb):
     Column k of wa (n_a, r) and wb (n_b, r) sums wa[:, k] @ D @ wb[:, k], D
     built BLOCK_ROWS rows at a time. For b is a (wb the columns of wa) rows
     lo:hi build cdist(a[lo:hi], a[lo:]) only: the diagonal block holds its
-    pairs in both orders and exact zeros on the diagonal, and the weight rows
-    past it are doubled in a copy of wb (cdist is bitwise symmetric, x2 exact).
+    pairs in both orders and exact zeros on the diagonal, and the block gets
+    its own weight rows, doubled past the diagonal block (cdist is bitwise
+    symmetric, x2 exact).
+
+    The calling thread builds block k + 1 (cdist, then the power) while one
+    worker thread reduces block k by _block_sums. The caller adds each
+    block's partial sums in block order before it submits the next block, so
+    the result does not depend on thread timing and at most two blocks are
+    alive. The worker lives for this call only.
     """
     own = b is a
-    w = 2.0 * wb if own else wb
     sums = np.zeros(wa.shape[1])
-    for lo in range(0, a.shape[0], BLOCK_ROWS):
-        hi, start = lo + BLOCK_ROWS, lo if own else 0
-        if own:
-            w[lo:hi] = wb[lo:hi]
-        d = cdist(a[lo:hi], b[start:])
-        if beta != 1.0:
-            d **= beta
-        sums += np.einsum("ir,ir->r", wa[lo:hi], d @ w[start:])
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = None
+        for lo in range(0, a.shape[0], BLOCK_ROWS):
+            hi, start = lo + BLOCK_ROWS, lo if own else 0
+            d = cdist(a[lo:hi], b[start:])
+            if beta != 1.0:
+                d **= beta
+            w = wb
+            if own:
+                w = 2.0 * wb[start:]
+                w[:hi - lo] = wb[lo:hi]
+            if pending is not None:
+                sums += pending.result()
+            pending = pool.submit(_block_sums, wa[lo:hi], d, w)
+        if pending is not None:
+            sums += pending.result()
     return sums
 
 

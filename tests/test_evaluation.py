@@ -1,6 +1,8 @@
 """Evaluation estimator and report plumbing."""
 
 import json
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -49,12 +51,16 @@ def _two_sets(nx, ny, dim=2, seed=0):
     return rng.standard_normal((nx, dim)), rng.standard_normal((ny, dim)) + 0.3
 
 
-@pytest.mark.parametrize("nx,ny", [(2, 3), (3, 2), (511, 513), (513, 512),
-                                   (512, 1100), (1100, 511)])
+B = BLOCK_ROWS
+
+
+# sizes straddling one block and two, and more than four blocks against fewer than two
+@pytest.mark.parametrize("nx,ny", [(2, 3), (3, 2), (B - 1, B + 1), (B + 1, B),
+                                   (2 * B - 1, 2 * B + 1), (2 * B + 1, 2 * B),
+                                   (2 * B, 1100), (1100, 2 * B - 1)])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 1.75, 2.0])
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_blocked_estimator_matches_oracle(nx, ny, beta, lam):
-    assert BLOCK_ROWS == 512  # the sizes above straddle one block
     x, y = _two_sets(nx, ny)
     np.testing.assert_allclose(energy_mmd(x, y, beta, lam), _oracle_energy(x, y, beta, lam),
                                rtol=1e-12, atol=1e-12)
@@ -87,7 +93,71 @@ def test_mmd_with_se_never_holds_a_full_distance_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4096 * 4096 * 8 // 2, peak
+    # one block built and one reduced, plus the indicator columns: a third
+    # block in flight would pass the bound
+    assert peak < 2 * BLOCK_ROWS * 4096 * 8 + 4 * 2**20, peak
+
+
+def _serial_pair_sums(a, b, beta, wa, wb):
+    """_pair_sums as one thread's loop over the same blocks, with one doubled
+    weight copy whose diagonal rows are reset in place."""
+    own = b is a
+    w = 2.0 * wb if own else wb
+    sums = np.zeros(wa.shape[1])
+    for lo in range(0, a.shape[0], BLOCK_ROWS):
+        hi, start = lo + BLOCK_ROWS, lo if own else 0
+        if own:
+            w[lo:hi] = wb[lo:hi]
+        d = cdist(a[lo:hi], b[start:])
+        if beta != 1.0:
+            d **= beta
+        sums += np.einsum("ir,ir->r", wa[lo:hi], d @ w[start:])
+    return sums
+
+
+def _indicators(n, r, seed):
+    w = (stream(seed, "test/indicators").random((n, r)) < 0.5).astype(float)
+    w[:, 0] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("slow", [None, "_block_sums", "cdist"])
+@pytest.mark.parametrize("beta", [1.0, 1.75])
+@pytest.mark.parametrize("n,m", [(2 * BLOCK_ROWS + 37, BLOCK_ROWS + 5), (BLOCK_ROWS - 3, 3)])
+def test_overlapped_pair_sums_equal_a_serial_loop(monkeypatch, slow, beta, n, m):
+    from guidefit import evaluation
+
+    if slow is not None:  # force one stage to finish last at every block
+        real = getattr(evaluation, slow)
+
+        def slowed(*args):
+            time.sleep(0.005)
+            return real(*args)
+        monkeypatch.setattr(evaluation, slow, slowed)
+    x, y = _two_sets(n, m)
+    wx, wy = _indicators(n, 7, 1), _indicators(m, 7, 2)
+    for a, b, wa, wb in ((x, x, wx, wx), (x, y, wx, wy), (y, x, wy, wx), (y, y, wy, wy)):
+        got = evaluation._pair_sums(a, b, beta, wa, wb)
+        assert np.array_equal(got, _serial_pair_sums(a, b, beta, wa, wb))
+
+
+@pytest.mark.parametrize("fail_at", [0, 2])
+def test_worker_exception_surfaces_and_leaves_no_thread(monkeypatch, fail_at):
+    from guidefit import evaluation
+
+    real, calls = evaluation._block_sums, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) > fail_at:
+            raise RuntimeError("reduction failed")
+        return real(*args)
+    monkeypatch.setattr(evaluation, "_block_sums", failing)
+    x, y = _two_sets(3 * BLOCK_ROWS + 1, 5)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="reduction failed"):
+        energy_mmd(x, y)
+    assert threading.active_count() == before
 
 
 def test_energy_mmd_two_point_hand_value():
@@ -166,7 +236,7 @@ def test_energy_mmd_builds_own_pairs_over_upper_blocks(monkeypatch, n, m):
     x, y = _two_sets(n, m)
     energy_mmd(x, y)
     assert sum(pairs) == n * m + _own_pairs(n) + _own_pairs(m)
-    assert _own_pairs(1024) == 512 * 1024 + 512 * 512
+    assert _own_pairs(1024) == 256 * 1024 + 256 * 768 + 256 * 512 + 256 * 256
 
 
 def test_report_lookup_and_serialization(tmp_path):

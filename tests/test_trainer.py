@@ -1,20 +1,27 @@
 """Trainer checks: config validation, determinism, EMA, divergence recovery."""
 
 import csv
+import dataclasses
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from guidefit import evaluation, trainer
+from guidefit.config import load_config
+from guidefit.denoisers import AnalyticDenoiser
 from guidefit.evaluation import energy_mmd
-from guidefit.guidance import GuidanceNet
+from guidefit.guidance import GuidanceNet, mean_abs_weight
 from guidefit.objectives import (REWARDS, MmdParams, TimePairSampler, build_gsm,
                                  build_particles, guided_score_matching_loss, l2_loss,
                                  mmd_loss, reward_loss)
 from guidefit.rng import stream
 from guidefit.sampler import SampleConfig, sample
+from guidefit.schedule import GRID_DT, ZETA
 from guidefit.trainer import TrainConfig, TrainingDiverged, loss_param_grad, train_guidance
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def short_config(**overrides):
@@ -246,3 +253,56 @@ def test_probe_reuses_one_reference_per_run(mog, exact, monkeypatch):
         assert val == fresh
     assert all(ref is references[0] for ref in references)
     assert own_pairs == [config.probe_size]
+
+
+class _StepRecorder:
+    """Weight function omega = 0 that records every (s, t) it is asked for."""
+
+    def __init__(self):
+        self.steps = []
+
+    def weight(self, s, t, c):
+        self.steps.append((float(np.max(s)), float(np.max(t))))
+        return np.zeros(np.shape(c))
+
+
+def _outside_support(sampler: TimePairSampler, s: float, t: float):
+    """Why (s, t) is not a pair TimePairSampler can draw; empty if it can."""
+    reasons = set()
+    if t - s < sampler.delta:
+        reasons.add("gap < delta")
+    if s < sampler.s_min:
+        reasons.add("s < s_min")
+    if s > 1.0 - ZETA - sampler.delta:
+        reasons.add("s > 1 - ZETA - delta")
+    return reasons
+
+
+@pytest.mark.parametrize("name,s_min", [("guided_sm", 0.2), ("reward", 0.2),
+                                        ("under_trained", 0.01), ("well_trained", 0.2)])
+def test_sampler_and_probe_steps_lie_outside_the_training_support(name, s_min):
+    """A diagnostic of the shipped configs, not a statement of what they should do:
+    every step the 10-step sampler takes, and every pair mean_abs_weight reads,
+    has a gap below the trained delta, and some steps' s lie outside [s_min, 1 - ZETA - delta]."""
+    config = load_config(CONFIGS / f"{name}.json")
+    support = config.train.time_sampler
+    assert (support.s_min, support.delta, config.sample.steps) == (s_min, 0.1, 10)
+    recorder = _StepRecorder()
+    exact = AnalyticDenoiser(config.mog)
+    sample(dataclasses.replace(config.sample, count=2), exact, exact, recorder,
+           class_weights=config.mog.weights)
+    s, t = np.array(recorder.steps).T
+    np.testing.assert_allclose(s, [0.892, 0.794, 0.696, 0.598, 0.5, 0.402, 0.304, 0.206,
+                                   0.108, 0.01], atol=1e-12)
+    np.testing.assert_allclose(t - s, 0.098, atol=1e-12)
+    want = [{"gap < delta", "s > 1 - ZETA - delta"}] + [{"gap < delta"}] * 9
+    if s_min > 0.108:
+        want[-2:] = [{"gap < delta", "s < s_min"}] * 2
+    assert [_outside_support(support, *step) for step in recorder.steps] == want
+
+    probe = _StepRecorder()
+    mean_abs_weight(probe, config.mog.n_classes)
+    s, t = np.array(probe.steps).T
+    np.testing.assert_allclose(t - s, GRID_DT, atol=1e-12)
+    assert GRID_DT * 10 == pytest.approx(support.delta)
+    assert all("gap < delta" in _outside_support(support, *step) for step in probe.steps)
