@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .denoisers import AnalyticDenoiser, MogSpec, NeuralDenoiser
-from .guidance import ConstantWeight, GuidanceNet
+from .guidance import GuidanceNet
 from .schedule import LOGSNR_CLIP
 
 FORMAT_VERSION = 1
@@ -164,18 +164,14 @@ def load_denoiser(path, sections: dict | None = None):
 
 
 def save_weight_fn(path, fn, metadata: dict | None = None):
-    if isinstance(fn, ConstantWeight):
-        _write(path, "guidance/constant", {"omega": fn.omega}, [], metadata)
-    elif isinstance(fn, GuidanceNet):
-        arch = {"embed": _mlp_arch(fn.embed), "trunk": _mlp_arch(fn.trunk),
-                "n_classes": fn.n_classes, "logsnr_clip": LOGSNR_CLIP}
-        _write(path, "guidance/net", arch, fn.params, metadata)
-    else:
+    if not isinstance(fn, GuidanceNet):
         raise CheckpointError(f"cannot checkpoint weight function type {type(fn).__name__}")
+    arch = {"embed": _mlp_arch(fn.embed), "trunk": _mlp_arch(fn.trunk),
+            "n_classes": fn.n_classes, "logsnr_clip": LOGSNR_CLIP}
+    _write(path, "guidance/net", arch, fn.params, metadata)
 
 
 _WEIGHT_FNS = {
-    "guidance/constant": lambda arch, params: (ConstantWeight(arch["omega"]), 0),
     "guidance/net": lambda arch, params: (
         GuidanceNet(_mlp_kwargs(arch["embed"]), _mlp_kwargs(arch["trunk"]), arch["n_classes"],
                     params), params.size),

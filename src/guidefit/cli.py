@@ -91,6 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_setup(args):
     config = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:  # checked here: with_seed's ValueError is not a ConfigError
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         config = config.with_seed(args.seed)
     os.makedirs(args.out, exist_ok=True)
     digest = config_digest(config)
@@ -113,9 +115,8 @@ def _checkpoint(path, default, load, config: ExperimentConfig, quiet: bool):
     if not quiet:
         print(f"loading {path}")
     obj = load(path, sections=section_digests(config))
-    n = getattr(obj, "n_classes", config.mog.n_classes)
-    if n != config.mog.n_classes:
-        raise ConfigError(f"checkpoint {path} is for {n} classes, "
+    if obj.n_classes != config.mog.n_classes:
+        raise ConfigError(f"checkpoint {path} is for {obj.n_classes} classes, "
                           f"the config's mog has {config.mog.n_classes}")
     return obj
 
@@ -261,6 +262,9 @@ def cmd_eval_mmd(args) -> int:
 
 def cmd_sweep(args) -> int:
     config, digest, header = _load_setup(args)
+    if config.sample.count < 2:
+        raise ConfigError(f"sample.count must be at least 2 for the sweep's MMD, "
+                          f"got {config.sample.count}")
     learned = _checkpoint(args.guidance, None, load_weight_fn, config, args.quiet)
     denoiser = _denoiser(args, config)
     report = run_figure_protocol(

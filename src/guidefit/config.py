@@ -67,11 +67,10 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.mog.dim != 2:  # every artifact's columns are x,y
             raise ValueError(f"mog.means must hold 2-D points, got {self.mog.dim}-D")
-        cond = self.sample.conditioning
-        if cond is not None and not 0 <= cond < self.mog.n_classes:
-            raise ValueError(f"sample.conditioning {cond} is not in [0, {self.mog.n_classes})")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """Override every seed in the config tree (the CLI --seed flag)."""

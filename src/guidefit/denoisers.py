@@ -37,6 +37,8 @@ class MogSpec:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
         object.__setattr__(self, "weights", weights)
+        if means.ndim != 2:
+            raise ValueError(f"means must be a (K, d) matrix, got shape {means.shape}")
         k = means.shape[0]
         if variances.shape != (k,) or weights.shape != (k,):
             raise ValueError("means, variances, weights must agree on component count")
@@ -241,6 +243,10 @@ class DenoiserTrainConfig:
             raise ValueError(f"hidden must be at least 1, got {self.hidden}")
         if self.layers < 0:
             raise ValueError(f"layers must be at least 0, got {self.layers}")
+        if self.time_embed_dim < 0:
+            raise ValueError(f"time_embed_dim must be at least 0, got {self.time_embed_dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.learning_rate < np.inf:  # NaN fails too
             raise ValueError(f"learning_rate must lie in [0, inf), got {self.learning_rate}")
         if np.isnan(self.clip_norm):  # inf or <= 0 means no clipping

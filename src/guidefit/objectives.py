@@ -25,7 +25,6 @@ the schedule's range [ZETA, 1 - ZETA].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -172,14 +171,6 @@ def _pow_and_factor(sq, beta):
     return out_pow, factor
 
 
-@lru_cache(maxsize=8)
-def _pairs(m: int):
-    """Indices (j, k) of the m (m - 1) / 2 particle pairs with j < k, read-only."""
-    j, k = np.triu_indices(m, 1)
-    j.flags.writeable = k.flags.writeable = False
-    return j, k
-
-
 def mmd_loss(batch: ParticleBatch, params: MmdParams, omega):
     """Per-item self-consistency loss and d loss / d omega, both shape (n,).
 
@@ -199,7 +190,7 @@ def mmd_loss(batch: ParticleBatch, params: MmdParams, omega):
     dloss = (cross_fac * _dot(u, slope)).mean(axis=-1)
 
     if params.lam > 0.0 and m > 1:
-        j, k = _pairs(m)
+        j, k = np.triu_indices(m, 1)
         v = np.take(props, j, axis=-1) - np.take(props, k, axis=-1)
         dv = np.take(slope, j, axis=-1) - np.take(slope, k, axis=-1)
         v_pow, v_fac = _pow_and_factor(_dot(v, v), params.beta)

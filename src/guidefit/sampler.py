@@ -9,14 +9,15 @@ only through its class, so each step evaluates the weight function once on
 every class and gathers by c: one row per class, and the same rows however
 many chains run.
 
-Randomness is per chain: chain i draws from substream (seed, "sample/chain",
-i), so its draws do not depend on how many chains run. Neither do its
-results with the analytic teacher; a neural teacher's matrix products round
-a row differently by how many rows share the call, so there chain i of a
-3-chain run and of a 4096-chain run can differ in the last bits. A trajectory
-is therefore recorded inside the run it belongs to. The draws of the last
-call are kept, read-only: a sweep samples every row with the same seed, so
-its rows share one set of draws.
+Every chain draws its class from class_weights, the data's mixture weights.
+Randomness is per chain: chain i draws its class uniform, then its noise,
+from substream (seed, "sample/chain", i), so its draws do not depend on how
+many chains run. Neither do its results with the analytic teacher; a neural
+teacher's matrix products round a row differently by how many rows share the
+call, so there chain i of a 3-chain run and of a 4096-chain run can differ
+in the last bits. A trajectory is therefore recorded inside the run it
+belongs to. The draws of the last call are kept, read-only: a sweep samples
+every row with the same seed, so its rows share one set of draws.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class SampleConfig:
     steps: int = 10
     count: int = 4096
     churn: float = 0.0
-    conditioning: int | None = None  # None samples classes from class_weights
 
     def __post_init__(self):
         if self.steps < 1 or self.count < 1:
@@ -50,16 +50,14 @@ class SampleConfig:
 
 
 @lru_cache(maxsize=1)
-def _chain_draws(count: int, steps: int, draw_class: bool, dim: int, seed: int):
-    """Per-chain class uniforms (zeros unless draw_class), initial noise, and
-    step noise, as read-only arrays."""
-    u = np.zeros(count)
+def _chain_draws(count: int, steps: int, dim: int, seed: int):
+    """Per-chain class uniforms, initial noise, and step noise, as read-only arrays."""
+    u = np.empty(count)
     x_init = np.empty((count, dim))
     z = np.empty((count, steps, dim))
     for i in range(count):
         g = stream(seed, "sample/chain", i)
-        if draw_class:
-            u[i] = g.random()
+        u[i] = g.random()
         x_init[i] = g.standard_normal(dim)
         z[i] = g.standard_normal((steps, dim))
     for a in (u, x_init, z):
@@ -72,19 +70,10 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
     """(x, c, states, omegas): every chain's final state and class, and chain's
     state before and after each step with each step's weight (none if chain is None)."""
     n_classes = cond.n_classes
-    if class_weights is None:
-        class_weights = np.full(n_classes, 1.0 / n_classes)
-    class_weights = np.asarray(class_weights, dtype=float)
-    dim = cond.dim
     grid = config.grid()
 
-    u, x_init, z = _chain_draws(config.count, config.steps,
-                                config.conditioning is None, dim, seed)
-    if config.conditioning is None:
-        c = np.searchsorted(np.cumsum(class_weights), u).astype(int)
-        c = np.minimum(c, n_classes - 1)
-    else:
-        c = np.full(config.count, int(config.conditioning))
+    u, x_init, z = _chain_draws(config.count, config.steps, cond.dim, seed)
+    c = np.minimum(np.searchsorted(np.cumsum(class_weights), u), n_classes - 1)
     classes = np.arange(n_classes)
 
     _, sigma_top = SCHEDULE.alpha_sigma(grid[-1])
@@ -103,8 +92,8 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
     return x, c, states, omegas
 
 
-def sample(config: SampleConfig, cond, uncond, weight_fn, class_weights=None, seed: int = 0):
-    """Draw config.count guided samples.
+def sample(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int = 0):
+    """Draw config.count guided samples, each chain's class drawn from class_weights (K,).
 
     Returns:
         (x, c) with x of shape (count, d) at time ZETA and the class labels
@@ -115,7 +104,7 @@ def sample(config: SampleConfig, cond, uncond, weight_fn, class_weights=None, se
 
 
 def sample_trajectory(config: SampleConfig, cond, uncond, weight_fn,
-                      class_weights=None, seed: int = 0, chain: int = 0):
+                      class_weights, seed: int = 0, chain: int = 0):
     """The sample() run, with every state of one of its chains recorded.
 
     Returns:

@@ -6,10 +6,11 @@ matching), get per-item loss values and omega-gradients from the objective,
 chain them through the net, clip, and take an Adam step. The denoisers are
 frozen teachers; only the guidance net's parameters move.
 
-Checkpoints are taken every checkpoint_every iterations. When select_best is
-on, each checkpoint (and the final iterate) is scored by sampling a small
-probe and measuring its energy distance to held-out data draws on a fixed
-stream; the best-scoring parameters are restored at the end.
+Checkpoints are taken every checkpoint_every iterations. Except under guided
+score matching, which has no probe, each checkpoint (and the final iterate)
+is scored by sampling a small probe and measuring its energy distance to
+held-out data draws on a fixed stream; the best-scoring parameters are
+restored at the end.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class TrainConfig:
     gamma_reward: float = 0.0
     reward: str | None = None
     checkpoint_every: int = 100
-    select_best: bool = True
     probe_size: int = 512
     seed: int = 0
     time_sampler: TimePairSampler = field(default_factory=TimePairSampler)
@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError(f"gamma_reward must be finite, got {self.gamma_reward}")
         if np.isnan(self.clip_norm):  # inf or <= 0 means no clipping
             raise ValueError(f"clip_norm must be a number, got {self.clip_norm}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
         if self.probing and self.probe_size < 2:
@@ -91,7 +93,7 @@ class TrainConfig:
     @property
     def probing(self) -> bool:
         """Whether checkpoints are scored by a probe sample (guided_sm has no probe)."""
-        return self.select_best and self.mode != "guided_sm"
+        return self.mode != "guided_sm"
 
 
 @dataclass
@@ -151,7 +153,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
 
     Returns (net, record). The net is mutated in place; its final parameters
     are the EMA shadow when ema_decay is set, and the best probe checkpoint
-    when select_best is on (final iterate included as a candidate). The probe
+    when config.probing (final iterate included as a candidate). The probe
     reference is drawn once per run, so its own-pair sums are computed once.
     """
     params, blocks = net.params, net.parameters()

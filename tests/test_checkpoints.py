@@ -37,17 +37,21 @@ def test_neural_denoiser_roundtrip(tmp_path, mog):
 
 
 def test_weight_fn_roundtrips(tmp_path):
-    fns = [ConstantWeight(0.8), ConstantWeight(-1.0), _small_net(2)]
+    """A GuidanceNet round-trips; a constant weight is no checkpoint, since the
+    CLI's omega = 0 default needs none."""
     s = np.linspace(0.05, 0.8, 9)
     t = s + 0.1
     c = np.arange(9) % 4
-    for fn in fns:
-        path = tmp_path / "weights.json"
-        save_weight_fn(path, fn)
-        loaded = load_weight_fn(path)
-        assert type(loaded) is type(fn)
-        assert np.array_equal(np.asarray(loaded.weight(s, t, c)),
-                              np.asarray(fn.weight(s, t, c)))
+    fn = _small_net(2)
+    path = tmp_path / "weights.json"
+    save_weight_fn(path, fn)
+    loaded = load_weight_fn(path)
+    assert type(loaded) is GuidanceNet
+    assert np.array_equal(loaded.weight(s, t, c), fn.weight(s, t, c))
+    with pytest.raises(CheckpointError, match="cannot checkpoint weight function type "
+                                              "ConstantWeight"):
+        save_weight_fn(tmp_path / "constant.json", ConstantWeight(0.8))
+    assert not (tmp_path / "constant.json").exists()
 
 
 def test_guidance_net_roundtrip(tmp_path):
@@ -174,7 +178,8 @@ def test_mismatched_declared_shapes_are_checkpoint_errors(tmp_path, mog):
 
 
 # Kinds that earlier versions wrote and nothing produces any more.
-RETIRED_KINDS = [(load_weight_fn, "guidance/table", {"shape": [2, 3, 4], "zeta": 0.01},
+RETIRED_KINDS = [(load_weight_fn, "guidance/constant", {"omega": 0.8}, []),
+                 (load_weight_fn, "guidance/table", {"shape": [2, 3, 4], "zeta": 0.01},
                   [1.0] * 24),
                  (load_weight_fn, "guidance/limited_interval",
                   {"omega": 1.5, "t_lo": 0.4, "t_hi": 0.9}, []),
@@ -186,7 +191,8 @@ RETIRED_KINDS = [(load_weight_fn, "guidance/table", {"shape": [2, 3, 4], "zeta":
 
 def test_table_and_analytic_params_must_match(tmp_path, exact):
     """Surplus or truncated params never load, and neither does a retired
-    table, limited-interval or corrupted-denoiser checkpoint, whatever its params."""
+    constant, table, limited-interval or corrupted-denoiser checkpoint,
+    whatever its params."""
     path = tmp_path / "bad.json"
     save_weight_fn(path, _small_net())
     payload = json.loads(path.read_text())
@@ -222,7 +228,6 @@ def test_checkpoint_bytes_match_json_dump(tmp_path, mog):
     big = GuidanceNet.create(4, stream(7, "test/gn4"), embed_hidden=64, embed_dim=64,
                              trunk_hidden=8, trunk_layers=2, zero_init=False)
     cases = [(save_weight_fn, _small_net()), (save_weight_fn, big),
-             (save_weight_fn, ConstantWeight(0.25)),
              *((_save_params, v) for v in vectors),
              (save_denoiser, _small_neural_denoiser(mog))]
     for save, obj in cases:

@@ -20,7 +20,6 @@ from guidefit.cli import _read_samples, main
 from guidefit.config import (ExperimentConfig, config_digest, config_from_dict, config_to_dict,
                              load_config)
 from guidefit.evaluation import write_table
-from guidefit.guidance import ConstantWeight
 from guidefit.schedule import LOGSNR_CLIP
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -144,10 +143,20 @@ def test_samples_round_trip_bit_equal(x, class_seed):
     assert c_read.tobytes() == c.tobytes()
 
 
+def _overflowing_net(tmp_path, tiny_config):
+    """A guidance/net checkpoint whose params are finite but whose weights overflow."""
+    from guidefit.config import build_guidance_net
+
+    net = build_guidance_net(load_config(tiny_config))
+    net.params[:] = 1e300
+    path = tmp_path / "huge.json"
+    save_weight_fn(path, net)
+    return path
+
+
 def test_non_finite_weights_are_numerical_failure(tmp_path, tiny_config):
-    path = tmp_path / "inf.json"
-    save_weight_fn(path, ConstantWeight(float("inf")))
-    with np.errstate(invalid="ignore"):
+    path = _overflowing_net(tmp_path, tiny_config)
+    with np.errstate(over="ignore", invalid="ignore"):
         code = run("sample", "--config", tiny_config, "--out", str(tmp_path / "o"),
                    "--quiet", "--guidance", str(path))
     assert code == 3
@@ -226,10 +235,9 @@ def test_non_finite_error_bar_is_numerical_failure(tmp_path, capsys):
 
 
 def test_non_finite_sweep_is_numerical_failure(tmp_path, tiny_config):
-    path = tmp_path / "nan.json"
-    save_weight_fn(path, ConstantWeight(float("nan")))
+    path = _overflowing_net(tmp_path, tiny_config)
     out = tmp_path / "o"
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         code = run("sweep", "--config", tiny_config, "--out", str(out), "--quiet",
                    "--guidance", str(path))
     assert code == 3
@@ -259,7 +267,8 @@ def test_malformed_checkpoints_are_usage_errors(tmp_path, tiny_config, capsys):
 def test_retired_weight_kinds_are_usage_errors(tmp_path, tiny_config, capsys):
     from guidefit.checkpoints import _write
 
-    for kind, arch, params in (("guidance/table", {"shape": [2, 3, 4], "zeta": 0.01},
+    for kind, arch, params in (("guidance/constant", {"omega": 0.5}, []),
+                               ("guidance/table", {"shape": [2, 3, 4], "zeta": 0.01},
                                 [0.5] * 24),
                                ("guidance/limited_interval",
                                 {"omega": 1.5, "t_lo": 0.4, "t_hi": 0.9}, [])):
@@ -327,12 +336,7 @@ def test_checkpoints_of_another_time_feature_or_head_are_usage_errors(tmp_path, 
 
 
 def test_overflowing_weights_are_numerical_failure(tmp_path, tiny_config):
-    from guidefit.config import build_guidance_net
-
-    net = build_guidance_net(load_config(tiny_config))
-    net.params[:] = 1e300
-    path = tmp_path / "huge.json"
-    save_weight_fn(path, net)
+    path = _overflowing_net(tmp_path, tiny_config)
     out = tmp_path / "o"
     with np.errstate(over="ignore", invalid="ignore"):
         code = run("export-weights", "--config", tiny_config, "--out", str(out),
@@ -365,10 +369,6 @@ def test_checkpoint_for_another_class_count_is_usage_error(tmp_path, tiny_config
         err = capsys.readouterr().err
         assert str(path) in err and "4 classes" in err and "mog has 2" in err, err
         assert not (out / artifact).exists(), (command, flag)
-    # a constant weight has no class count and is accepted
-    save_weight_fn(guidance, ConstantWeight(0.5))
-    assert run("export-weights", "--config", str(two), "--out", str(tmp_path / "c"),
-               "--quiet", "--guidance", str(guidance)) == 0
 
 
 def test_checkpoint_from_another_config_section_is_usage_error(tmp_path, capsys):
@@ -409,7 +409,7 @@ def test_diverged_run_leaves_its_record(tmp_path):
     # the learning_rate=1e200 set-up of test_trainer's divergence test
     config = dict(TINY, guidance=dict(TINY["guidance"], dropout=0.0),
                   train=dict(TINY["train"], iterations=6, checkpoint_every=4,
-                             select_best=False, learning_rate=1e200, clip_norm=1.0))
+                             learning_rate=1e200, clip_norm=1.0))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "run"
@@ -472,6 +472,7 @@ def _with(base, **sections):
 MOG_1D = {"means": [[0.0], [5.0]], "variances": [1.0, 1.0], "weights": [0.5, 0.5]}
 MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
           "weights": [0.5, 0.5]}
+MOG_NESTED = {"means": [[[1.0, 2.0]]], "variances": [1.0], "weights": [1.0]}
 NAN, INF = float("nan"), float("inf")
 REWARD = {"mode": "reward", "reward": "distance_to_mean"}
 
@@ -491,7 +492,7 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
     ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
                                                                     "time_embed_dim": 3}}},
      3, "invalid denoiser: train.time_embed_dim "),
-    ("sample", {"sample": {"conditioning": 7}}, 3, "invalid config: sample.conditioning "),
+    ("sample", {"sample": {"conditioning": 2}}, 3, "unknown key(s) ['conditioning'] in sample"),
     ("train-guidance", {"train": {"churn": 2}}, 3, "invalid train: churn "),
     ("pretrain-denoiser", {"denoiser": {"kind": "neural", "train": {"iterations": 1,
                                                                     "time_clamp": 0.01}}},
@@ -550,6 +551,12 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
      "unknown key(s) ['zeta'] in train.time_sampler"),
     ("train-guidance", {"guidance": {"allow_negative": False}}, 3,
      "unknown key(s) ['allow_negative'] in guidance"),
+    ("train-guidance", {"train": {"select_best": False}}, 3,
+     "unknown key(s) ['select_best'] in train"),
+    ("sample", {"mog": MOG_NESTED}, 3, "invalid mog: means must be a (K, d) matrix"),
+    ("sweep", {"sample": {"count": 1}}, 3, "sample.count must be at least 2"),
+    ("sample --seed -1", {}, 3, "--seed must be non-negative, got -1"),
+    ("sweep --seed -1", {}, 3, "--seed must be non-negative, got -1"),
 ], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
         "one-row-csv", "eval-mmd-1d-reference", "eval-mmd-3d-reference",
         "train.checkpoint_every", "train.probe_size", "train.ema_decay",
@@ -565,7 +572,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
         "train.gamma_reward-nan", "train.gamma_reward-inf", "train.gamma_reward-neg-inf",
         "guidance.logsnr_clip-nan", "denoiser.train.learning_rate-nan",
         "denoiser.train.clip_norm-nan", "train.reward_sign", "sample.zeta",
-        "train.time_sampler.zeta", "guidance.allow_negative"])
+        "train.time_sampler.zeta", "guidance.allow_negative", "train.select_best",
+        "mog-nested", "sweep-sample.count-1", "sample--seed-neg", "sweep--seed-neg"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_with(TINY, **sections)))
@@ -574,10 +582,12 @@ def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections,
     write_table(generated, None, ["c", "x", "y"], [(0, 0.1 * i, 0.2) for i in range(rows)])
     write_table(reference, None, ["c", *"xyz"[:ref_dim]],
                 [(1, 0.3, 0.1 * i, 0.5)[:1 + ref_dim] for i in range(3)])
+    command, *flags = command.split()
     extra = ["--generated", str(generated), "--reference", str(reference)] \
         if command == "eval-mmd" else []
     out = tmp_path / "o"
-    assert run(command, "--config", str(path), "--out", str(out), "--quiet", *extra) == 2
+    assert run(command, "--config", str(path), "--out", str(out), "--quiet", *flags,
+               *extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and \
         named.format(generated=generated, reference=reference) in err, err
@@ -585,15 +595,15 @@ def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections,
     assert not out.exists() or not any(out.iterdir())
 
 
-def _numeric_leaves(node, path=()):
-    """Key path of every number in a config dict, list indices included."""
+def _numeric_leaves(node, path=(), kinds=(int, float)):
+    """Key path of every number of kinds in a config dict, list indices included."""
     if isinstance(node, dict):
         for key, value in node.items():
-            yield from _numeric_leaves(value, path + (key,))
+            yield from _numeric_leaves(value, path + (key,), kinds)
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            yield from _numeric_leaves(value, path + (i,))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield from _numeric_leaves(value, path + (i,), kinds)
+    elif isinstance(node, kinds) and not isinstance(node, bool):
         yield path
 
 
@@ -606,12 +616,9 @@ NON_FINITE = [(path, value) for path in _numeric_leaves(config_to_dict(config_fr
               for value in (NAN, INF) if not (path[-1] == "clip_norm" and value == INF)]
 
 
-@pytest.mark.parametrize("path, value", NON_FINITE,
-                         ids=[f"{_dotted(p)}-{v}" for p, v in NON_FINITE])
-def test_non_finite_config_number_is_usage_error(tmp_path, capsys, path, value):
-    """Every number of the config tree rejects NaN and +inf at load, naming its
-    section and key: a range check or, for an integer, the type check."""
-    data = config_to_dict(config_from_dict(TINY))
+def _load_fails_naming(tmp_path, capsys, data, path, value):
+    """Set data's leaf at path to value and assert that export-weights exits 2
+    at load, naming the leaf's section and key: a range check or the type check."""
     node = data
     for key in path[:-1]:
         node = node[key]
@@ -626,7 +633,32 @@ def test_non_finite_config_number_is_usage_error(tmp_path, capsys, path, value):
     assert (err.startswith(f"error: {_dotted(path)} must be ")
             or (err.startswith(f"error: invalid {section or 'config'}: ")
                 and re.search(rf"\b{key}\b", err.split(": ", 2)[2]))), err
+    assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value", NON_FINITE,
+                         ids=[f"{_dotted(p)}-{v}" for p, v in NON_FINITE])
+def test_non_finite_config_number_is_usage_error(tmp_path, capsys, path, value):
+    """Every number of the config tree rejects NaN and +inf at load, naming its
+    section and key: a range check or, for an integer, the type check."""
+    _load_fails_naming(tmp_path, capsys, config_to_dict(config_from_dict(TINY)), path, value)
+
+
+def _tiny_data(kind):
+    return config_to_dict(config_from_dict(_with(TINY, denoiser={"kind": kind})))
+
+
+NEGATIVE = [(kind, path) for kind in ("analytic", "neural")
+            for path in _numeric_leaves(_tiny_data(kind), kinds=int)]
+
+
+@pytest.mark.parametrize("kind, path", NEGATIVE,
+                         ids=[f"{_dotted(p)}-{kind}" for kind, p in NEGATIVE])
+def test_negative_config_integer_is_usage_error(tmp_path, capsys, kind, path):
+    """Every integer of the config tree, seeds and sizes alike, rejects -1 at
+    load under either denoiser kind, naming its section and key."""
+    _load_fails_naming(tmp_path, capsys, _tiny_data(kind), path, -1)
 
 
 NEURAL = _with(TINY, denoiser={"kind": "neural", "train": {"iterations": 30}},

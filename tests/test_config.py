@@ -45,7 +45,7 @@ def test_unknown_key_names_its_section(data, section):
 @pytest.mark.parametrize("data, path", [
     ({"seed": {}}, "seed"),
     ({"train": {"reward": {"name": "distance_to_mean"}}}, "train.reward"),
-    ({"sample": {"conditioning": {"class": 1}}}, "sample.conditioning"),
+    ({"sample": {"churn": {"value": 0.5}}}, "sample.churn"),
 ])
 def test_object_for_a_plain_field_is_rejected(data, path):
     with pytest.raises(ConfigError, match=rf"^{path} does not accept an object$"):
@@ -54,11 +54,11 @@ def test_object_for_a_plain_field_is_rejected(data, path):
 
 def test_cli_rejects_object_for_plain_field(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"sample": {"conditioning": {"class": 1}}}))
+    path.write_text(json.dumps({"sample": {"churn": {"value": 0.5}}}))
     assert main(["sample", "--config", str(path), "--out", str(tmp_path / "run"),
                  "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "sample.conditioning does not accept an object" in err
+    assert "sample.churn does not accept an object" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run" / "samples.csv").exists()
 
@@ -87,7 +87,7 @@ def test_cli_rejects_a_leaf_of_the_wrong_type(tmp_path, capsys, data, message):
 
 def test_range_checks_skip_what_the_run_does_not_use():
     config = config_from_dict({"denoiser": {"kind": "analytic", "train": {"time_embed_dim": 3}},
-                               "train": {"select_best": False, "probe_size": 1}})
+                               "train": {"mode": "guided_sm", "probe_size": 1}})
     assert config.denoiser.train.time_embed_dim == 3 and config.train.probe_size == 1
     with pytest.raises(ConfigError, match=r"^invalid denoiser: train.time_embed_dim must be even"):
         config_from_dict({"denoiser": {"kind": "neural", "train": {"time_embed_dim": 3}}})
@@ -95,9 +95,9 @@ def test_range_checks_skip_what_the_run_does_not_use():
 
 def test_shipped_config_digests():
     digests = {p.stem: config_digest(load_config(p)) for p in CONFIGS.glob("*.json")}
-    assert digests == {"guided_sm": "33678705822e08cc", "reward": "fe12956709d21519",
-                       "under_trained": "d7fa2f832990651a",
-                       "well_trained": "ad18f93877fa8301"}
+    assert digests == {"guided_sm": "f197af8872367a74", "reward": "ce899ae895692500",
+                       "under_trained": "a83a2551d90ff652",
+                       "well_trained": "0ee486e9b93f6ff0"}
 
 
 def test_section_digests_leave_out_seeds_only():

@@ -53,6 +53,8 @@ def test_mog_spec_validation():
         with pytest.raises(ValueError, match="variances must lie in"):
             MogSpec(means=np.zeros((2, 2)), variances=np.array([1.0, bad]),
                     weights=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"means must be a \(K, d\) matrix, got shape \(1, 1, 2\)"):
+        MogSpec(means=[[[1.0, 2.0]]], variances=[1.0], weights=[1.0])
 
 
 def test_default_mixture_layout(mog):
@@ -136,7 +138,8 @@ def test_denoiser_train_config_validation():
         DenoiserTrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         DenoiserTrainConfig(cond_dropout=1.5)
-    for bad in ({"hidden": 0}, {"layers": -1}, {"learning_rate": float("nan")}):
+    for bad in ({"hidden": 0}, {"layers": -1}, {"learning_rate": float("nan")},
+                {"time_embed_dim": -2}, {"seed": -1}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             DenoiserTrainConfig(**bad)
     with pytest.raises(TypeError, match="time_clamp"):  # training times span [ZETA, 1 - ZETA]

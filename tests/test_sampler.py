@@ -59,12 +59,6 @@ def test_neural_trajectory_is_the_sampled_row(mog):
         assert states[-1].tobytes() == x[chain].tobytes(), chain
 
 
-def test_conditioning_fixes_class(exact):
-    config = SampleConfig(steps=3, count=10, conditioning=2)
-    x, c = sample(config, exact, exact, ConstantWeight(0.0), seed=0)
-    assert np.all(c == 2)
-
-
 def test_degenerate_class_weights(exact, mog):
     config = SampleConfig(steps=3, count=32)
     weights = np.array([0.0, 0.0, 1.0, 0.0])
@@ -118,7 +112,7 @@ class _CountingWeight:
 def _per_row_sample(config, cond, uncond, fn, class_weights, seed):
     """The sampler loop with omega evaluated on every chain's own row."""
     grid = config.grid()
-    u, x_init, z = _chain_draws(config.count, config.steps, True, cond.dim, seed)
+    u, x_init, z = _chain_draws(config.count, config.steps, cond.dim, seed)
     c = np.minimum(np.searchsorted(np.cumsum(class_weights), u), cond.n_classes - 1)
     x = SCHEDULE.alpha_sigma(grid[-1])[1] * x_init
     for k in range(config.steps - 1, -1, -1):
@@ -168,13 +162,13 @@ def test_net_weighted_chains_reproduce_bytewise(exact, mog):
 
 
 def test_chain_draws_are_kept_read_only_and_do_not_depend_on_count(exact, mog):
-    u, x_init, z = _chain_draws(40, 4, True, 2, 11)
-    assert _chain_draws(40, 4, True, 2, 11)[2] is z  # kept for the next call
+    u, x_init, z = _chain_draws(40, 4, 2, 11)
+    assert _chain_draws(40, 4, 2, 11)[2] is z  # kept for the next call
     for a in (u, x_init, z):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
-    few = _chain_draws(7, 4, True, 2, 11)
+    few = _chain_draws(7, 4, 2, 11)
     for a, b in zip(few, (u, x_init, z)):
         assert a.tobytes() == b[:7].tobytes()
     config = SampleConfig(steps=4, count=40)

@@ -26,7 +26,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def short_config(**overrides):
     base = dict(iterations=8, batch_size=16, particles=4, checkpoint_every=4,
-                probe_size=32, select_best=False, seed=0)
+                probe_size=32, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -50,9 +50,12 @@ def test_train_config_validation():
                 {"churn": -0.5}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad)
-    # probe_size is checked only where a probe runs
-    for unprobed in ({"select_best": False}, {"mode": "guided_sm"}):
-        assert not TrainConfig(probe_size=1, **unprobed).probing
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
+    # probe_size is checked only where a probe runs: every mode but guided_sm
+    assert not TrainConfig(probe_size=1, mode="guided_sm").probing
+    assert all(TrainConfig(mode=mode, particles=1, reward="distance_to_mean").probing
+               for mode in ("self_consistency", "l2", "reward"))
 
 
 def test_training_is_deterministic(mog, exact):
@@ -107,7 +110,7 @@ def test_ema_anchors_near_init(mog, exact):
 
 
 def test_select_best_runs_probes(mog, exact):
-    config = short_config(select_best=True)
+    config = short_config()
     net, record = train_guidance(fresh_net(), exact, exact, mog, config)
     assert np.all(np.isfinite(record.loss))
 
@@ -227,7 +230,7 @@ def test_loss_param_grad_bytes_match_per_mode_oracle(mog, exact):
 def test_probe_reuses_one_reference_per_run(mog, exact, monkeypatch):
     """Every checkpoint's probe equals an energy_mmd against freshly drawn
     reference points, and the reference's own pairs are summed once a run."""
-    config = short_config(select_best=True, iterations=12, checkpoint_every=4)
+    config = short_config(iterations=12, checkpoint_every=4)
     probes, references, own_pairs = [], [], []
 
     def recording_probe(net, cond, uncond, data, cfg, reference):
