@@ -94,9 +94,16 @@ def _load_setup(args):
         if args.seed < 0:  # checked here: with_seed's ValueError is not a ConfigError
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         config = config.with_seed(args.seed)
-    os.makedirs(args.out, exist_ok=True)
     digest = config_digest(config)
     return config, digest, f"seed={config.seed} config_digest={digest}"
+
+
+def _artifact(path):
+    """path, once its directory exists. Every artifact is written through it, so
+    --out appears with the first artifact and a usage error found before that
+    leaves no directory behind."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return path
 
 
 def _checkpoint(path, default, load, config: ExperimentConfig, quiet: bool):
@@ -163,7 +170,7 @@ def cmd_pretrain_denoiser(args) -> int:
     config, digest, _ = _load_setup(args)
     denoiser = build_denoiser(config, quiet=args.quiet)
     path = os.path.join(args.out, "denoiser.json")
-    save_denoiser(path, denoiser,
+    save_denoiser(_artifact(path), denoiser,
                   {"seed": config.seed, "config_digest": digest,
                    "kind": config.denoiser.kind,
                    "section_digests": section_digests(config, ("mog", "denoiser"))})
@@ -182,11 +189,11 @@ def cmd_train_guidance(args) -> int:
         net, record = train_guidance(net, denoiser, denoiser, config.mog, config.train,
                                      quiet=args.quiet)
     except TrainingDiverged as exc:
-        exc.record.write_csv(os.path.join(args.out, "train_record.csv"), header)
+        exc.record.write_csv(_artifact(os.path.join(args.out, "train_record.csv")), header)
         with open(os.path.join(args.out, "diverged.json"), "w") as fh:
             fh.write(json.dumps({"diverged_at": exc.iteration, "config_digest": digest}) + "\n")
         raise
-    record.write_csv(os.path.join(args.out, "train_record.csv"), header)
+    record.write_csv(_artifact(os.path.join(args.out, "train_record.csv")), header)
     path = os.path.join(args.out, "guidance.json")
     save_weight_fn(path, net, {"seed": config.seed, "config_digest": digest,
                                "mode": config.train.mode,
@@ -221,13 +228,14 @@ def cmd_sample(args) -> int:
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("sampler produced non-finite values")
         source = "model"
-    write_table(out_path, f"{header} source={source}", ["c", "x", "y"],
+    write_table(_artifact(out_path), f"{header} source={source}", ["c", "x", "y"],
                 zip(c, x[:, 0], x[:, 1]))
     if not args.quiet:
         print(f"wrote {out_path} ({x.shape[0]} {source} draws)")
     if args.trajectory is not None:
         traj_path = os.path.join(args.out, "trajectory.csv")
-        write_table(traj_path, f"{header} chain={args.trajectory} class={c[args.trajectory]}",
+        write_table(_artifact(traj_path),
+                    f"{header} chain={args.trajectory} class={c[args.trajectory]}",
                     ["k", "t_k", "x", "y", "omega"],
                     zip(range(times.shape[0] - 1, -1, -1), times, states[:, 0],
                         states[:, 1], [None, *omegas]))
@@ -254,7 +262,7 @@ def cmd_eval_mmd(args) -> int:
                                       count=gen.shape[0])],
                         beta=config.eval.beta, lam=config.eval.lam,
                         seed=config.seed, config_digest=digest)
-    report.write_json(os.path.join(args.out, "eval.json"))
+    report.write_json(_artifact(os.path.join(args.out, "eval.json")))
     print(f"mmd {mmd!r} se {se!r} (beta={config.eval.beta:g}, lam={config.eval.lam:g}, "
           f"n={gen.shape[0]} vs {ref.shape[0]})")
     return 0
@@ -275,7 +283,7 @@ def cmd_sweep(args) -> int:
         config_digest=digest, quiet=args.quiet)
     if not all(np.isfinite([r.mmd, r.se]).all() for r in report.rows):
         raise FloatingPointError("sweep evaluation produced a non-finite value")
-    report.write_csv(os.path.join(args.out, "sweep.csv"), header)
+    report.write_csv(_artifact(os.path.join(args.out, "sweep.csv")), header)
     report.write_json(os.path.join(args.out, "sweep.json"))
     if not args.quiet:
         print(f"wrote sweep.csv and sweep.json ({len(report.rows)} rows)")
@@ -289,7 +297,7 @@ def cmd_export_weights(args) -> int:
     if not np.all(np.isfinite(omegas)):
         raise FloatingPointError("weight function produced non-finite values")
     path = os.path.join(args.out, "weights.csv")
-    write_table(path, header, ["class", "t", "omega"],
+    write_table(_artifact(path), header, ["class", "t", "omega"],
                 ((cls, tj, w) for cls, row in enumerate(omegas) for tj, w in zip(t, row)))
     if not args.quiet:
         print(f"wrote {path} ({omegas.size} rows)")

@@ -215,10 +215,15 @@ class NeuralDenoiser:
         return pre0
 
     def denoise(self, x_t, t, c=None):
+        """xhat0 at (x_t, t, c), in float64. Layer 0 is built in float64; the
+        hidden layers and the head run in float32 on weights cast from the live
+        net.params on this call: the teacher is frozen while it is queried, and
+        its own error dwarfs float32 rounding."""
         x_t = np.asarray(x_t, dtype=float)
         single = x_t.ndim == 1
         x = np.atleast_2d(x_t)
-        out, _ = self.net.forward(x, tape=False, pre0=self._layer0(x, t, c))
+        out, _ = self.net.forward(x, tape=False, pre0=self._layer0(x, t, c), dtype=np.float32)
+        out = out.astype(float)
         return out[0] if single else out
 
 

@@ -7,6 +7,8 @@ sinusoidal feature embedding used for time conditioning.
 
 Inference (teacher calls, weight evaluation) runs forward(tape=False): no
 per-layer arrays are kept and activations run in place, with bit-equal output.
+The neural teacher's calls also pass dtype=float32, on weights cast from the
+float64 params on every call.
 GeLU is the tanh form; the tape keeps its 1 + tanh(u), so backward needs no
 transcendental.
 
@@ -34,10 +36,11 @@ _CK = _C * 0.044715
 
 def gelu(x, out=None):
     """Tanh-form GeLU 0.5 x (1 + tanh u) (Hendrycks & Gimpel, 2016); out=x works
-    in place. Returns (y, cdf) with cdf = 1 + tanh u, for gelu_grad."""
+    in place. Returns (y, cdf) with cdf = 1 + tanh u, for gelu_grad. The
+    constants take x's dtype, so float32 input is computed in float32."""
     cdf = x * x
-    cdf *= _CK
-    cdf += _C
+    cdf *= x.dtype.type(_CK)
+    cdf += x.dtype.type(_C)
     cdf *= x
     np.tanh(cdf, out=cdf)
     cdf += 1.0
@@ -124,7 +127,7 @@ class Mlp:
         """Canonical parameter blocks [W0, b0, W1, b1, ...], views of params."""
         return self._blocks(self.params)
 
-    def forward(self, x, train=False, rng=None, tape=True, pre0=None):
+    def forward(self, x, train=False, rng=None, tape=True, pre0=None, dtype=np.float64):
         """Run the net on x of shape (n, d_in).
 
         Returns (y, tape). Dropout (inverted, rate self.dropout_rate) is applied
@@ -134,12 +137,20 @@ class Mlp:
 
         pre0, shape (n, sizes[1]), replaces layer 0's affine map x W0^T + b0 for
         a caller that computes it in parts; x is then not read, and pre0 is
-        overwritten. It needs tape=False.
+        overwritten (or cast to dtype). It needs tape=False.
+
+        dtype is the precision of the activations and of y. In another precision
+        than params, the weights and biases are cast from params on every call,
+        so the pass follows in-place updates of params.
         """
-        h = np.atleast_2d(np.asarray(x, dtype=float))
+        h = np.atleast_2d(np.asarray(x, dtype=dtype))
         del x  # without a tape, the input is freed once the first layer has read it
         if pre0 is not None and (tape or pre0.shape != (h.shape[0], self.sizes[1])):
             raise ValueError(f"pre0 needs tape=False and shape {(h.shape[0], self.sizes[1])}")
+        weights, biases = self.weights, self.biases
+        if h.dtype != self.params.dtype:
+            blocks = self._blocks(self.params.astype(h.dtype))
+            weights, biases = blocks[0::2], blocks[1::2]
         act, _ = _ACTIVATIONS[self.hidden_activation]
         out_act, _ = _ACTIVATIONS[self.output_activation]
         use_dropout = train and self.dropout_rate > 0.0
@@ -148,10 +159,10 @@ class Mlp:
         keep = 1.0 - self.dropout_rate
 
         pre, post, masks, kept = [], [h] if tape else [], [], []
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        last = len(weights) - 1
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if i == 0 and pre0 is not None:
-                z, pre0 = pre0, None  # held by z alone, so freed with it
+                z, pre0 = pre0.astype(h.dtype, copy=False), None  # held by z alone
             else:
                 z = h @ w.T
                 z += b

@@ -9,7 +9,9 @@ tests run neither. The tracer's counters read guidefit's arguments too
 (`_count_mmd_loss` reads a ParticleBatch), so the tiny workloads also run
 traced here. These tests run the benchmark's own code in a fresh
 interpreter (the tracer rebinds module attributes, which must not leak into
-this process). They read perfbench/ and change nothing there.
+this process). They read perfbench/ and change nothing there. Each tiny
+script runs once per module, and the traced run's artifacts must equal the
+untraced run's byte for byte, as `perfbench/run.py --trace 1` requires.
 """
 
 import json
@@ -17,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -31,9 +35,9 @@ def test_tracer_installs_on_current_package():
 
 
 # Runs every workload's set-up and timed commands at the tiny size and prints
-# {workload: the errors workloads.check reports, plus any nonzero exit code and a
+# {workload: [the errors workloads.check reports, plus any nonzero exit code and a
 # quality metric (worker._quality, which calls the sampler and energy_mmd
-# directly) that is not a finite float}.
+# directly) that is not a finite float; the artifacts' digests]}.
 _RUN_TINY = """
 import json, math, os, sys
 import worker, workloads
@@ -50,21 +54,38 @@ for name in workloads.WORKLOADS:
     quality = worker._quality(name, inputs, out)
     if not (isinstance(quality, float) and math.isfinite(quality)):
         errors[name].append(f"quality_mmd {quality!r}")
+    errors[name] = [errors[name], workloads.digests(name, out)]
 print(json.dumps(errors))
 """
 
 
-def test_benchmark_artifact_checks_pass_on_tiny_workloads(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", _RUN_TINY, str(ROOT), str(tmp_path)],
+def _run_script(script, work):
+    """The JSON last line a tiny-workload script prints, run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script, str(ROOT), str(work)],
                           cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    errors = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    return _run_script(_RUN_TINY, tmp_path_factory.mktemp("untraced"))
+
+
+@pytest.fixture(scope="module")
+def tiny_traced(tmp_path_factory):
+    return _run_script(_RUN_TINY_TRACED, tmp_path_factory.mktemp("traced"))
+
+
+def test_benchmark_artifact_checks_pass_on_tiny_workloads(tiny):
+    errors = {name: result[0] for name, result in tiny.items()}
     assert errors == {name: [] for name in errors} and len(errors) == 3, errors
 
 
 # The same tiny runs with the tracer installed, as `perfbench/run.py --trace 1`
 # runs them: set-up and timed command under worker._run_cli, counters reset
-# before the timed command. Prints {workload: [errors, layer metrics, train config]}.
+# before the timed command. Prints {workload: [errors, layer metrics, train config,
+# the artifacts' digests]}.
 _RUN_TINY_TRACED = """
 import json, os, sys
 import tracing, worker, workloads
@@ -86,23 +107,28 @@ for name in workloads.WORKLOADS:
     errors = [f"exit {c}" for c in codes if c] + workloads.check(name, inputs, out)
     with open(inputs["config"]) as fh:
         train = json.load(fh)["train"]
-    result[name] = [errors, layers, train]
+    result[name] = [errors, layers, train, workloads.digests(name, out)]
 print(json.dumps(result))
 """
 
 
-def test_tracer_counters_run_on_tiny_workloads(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", _RUN_TINY_TRACED, str(ROOT), str(tmp_path)],
-                          cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+def test_tracer_counters_run_on_tiny_workloads(tiny_traced):
+    result = tiny_traced
     assert len(result) == 3
-    for name, (errors, layers, _) in result.items():
+    for name, (errors, layers, _, _) in result.items():
         assert errors == [], (name, errors)
         assert all(isinstance(v, (int, float)) for v in layers.values()), name
-    _, layers, train = result["train-neural"]
+    _, layers, train, _ = result["train-neural"]
     assert layers["trainer.iterations"] == train["iterations"]
     # one mmd_loss call per iteration on batch_size items of particles^2 pairs
     assert layers["objectives.mmd_loss.pair_elems"] == (
         train["batch_size"] * train["particles"] ** 2 * train["iterations"]) == 384
     assert result["train-gsm"][1]["objectives.mmd_loss.pair_elems"] == 0
+
+
+def test_traced_artifacts_equal_untraced(tiny, tiny_traced):
+    # the tracer must not change what a run computes, or every --trace 1 run fails
+    untraced = {name: result[-1] for name, result in tiny.items()}
+    traced = {name: result[-1] for name, result in tiny_traced.items()}
+    assert len(untraced) == 3 and all(untraced.values()), untraced
+    assert traced == untraced

@@ -557,6 +557,11 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
     ("sweep", {"sample": {"count": 1}}, 3, "sample.count must be at least 2"),
     ("sample --seed -1", {}, 3, "--seed must be non-negative, got -1"),
     ("sweep --seed -1", {}, 3, "--seed must be non-negative, got -1"),
+    ("sample --trajectory 48", {}, 3, "--trajectory 48 is not a chain in [0, 48)"),
+    ("sample --denoiser no-such-dir/denoiser.json", {}, 3,
+     "checkpoint no-such-dir/denoiser.json not found"),
+    ("sweep --guidance no-such-dir/guidance.json", {}, 3,
+     "checkpoint no-such-dir/guidance.json not found"),
 ], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
         "one-row-csv", "eval-mmd-1d-reference", "eval-mmd-3d-reference",
         "train.checkpoint_every", "train.probe_size", "train.ema_decay",
@@ -573,7 +578,9 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
         "guidance.logsnr_clip-nan", "denoiser.train.learning_rate-nan",
         "denoiser.train.clip_norm-nan", "train.reward_sign", "sample.zeta",
         "train.time_sampler.zeta", "guidance.allow_negative", "train.select_best",
-        "mog-nested", "sweep-sample.count-1", "sample--seed-neg", "sweep--seed-neg"])
+        "mog-nested", "sweep-sample.count-1", "sample--seed-neg", "sweep--seed-neg",
+        "sample--trajectory-out-of-range", "sample--denoiser-missing",
+        "sweep--guidance-missing"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_with(TINY, **sections)))
@@ -592,7 +599,18 @@ def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections,
     assert err.startswith("error: ") and \
         named.format(generated=generated, reference=reference) in err, err
     assert "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()  # --out is made only when the first artifact is written
+
+
+def test_usage_error_keeps_an_existing_out_directory(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_with(TINY, sample={"count": 1})))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert run("sweep", "--config", str(path), "--out", str(out), "--quiet") == 2
+    assert "sample.count must be at least 2" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 def _numeric_leaves(node, path=(), kinds=(int, float)):

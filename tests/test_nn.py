@@ -297,6 +297,20 @@ def test_gelu_and_grad_bytes_match_oracle():
         assert np.array_equal(grad[-6:], [0.5, 0.5, 0.5, 0.5, 1.0, 0.0])
 
 
+def test_gelu_computes_in_its_input_dtype():
+    # float32 input stays float32 throughout, with the constants rounded to
+    # float32; float64 input keeps the bytes of the float64 oracle
+    x = stream(8, "test/gelu_dtype").standard_normal(4096) * 4.0
+    y64, _ = nn.gelu(x)
+    assert y64.tobytes() == _oracle_gelu(x).tobytes()
+    x32 = x.astype(np.float32)
+    c, ck = np.float32(_C), np.float32(_CK)
+    want = 0.5 * x32 * (1.0 + np.tanh((x32 * x32 * ck + c) * x32))
+    y32, cdf32 = nn.gelu(x32)
+    assert y32.dtype == cdf32.dtype == np.float32
+    assert y32.tobytes() == want.tobytes()
+
+
 def test_adam_and_ema_steps_bytes_match_oracle():
     rng = stream(8, "test/adam_bytes")
     net = nn.Mlp([5, 16, 1], rng.standard_normal(nn.n_params([5, 16, 1])))

@@ -88,6 +88,45 @@ def test_churn_one_also_recovers_means(exact, mog):
         assert np.max(np.abs(got - mog.means[cls])) < 0.6
 
 
+def _omega0_law(spec, config, cls):
+    """Exact mean (d,) and per-coordinate variance of class cls's samples at
+    omega = 0 with the analytic teacher. Its conditional denoiser is affine in
+    x_t, g_t x_t + h_t mu_c, so each transition N(A x_t + B xhat0, Sigma I) maps
+    a Gaussian to a Gaussian: with L = A + B g_t,
+    m <- L m + B h_t mu_c and v <- L^2 v + Sigma, from m = 0, v = sigma_top^2."""
+    grid = config.grid()
+    s2 = spec.variances[cls]
+    m, v = np.zeros(spec.dim), SCHEDULE.alpha_sigma(grid[-1])[1] ** 2
+    for k in range(config.steps - 1, -1, -1):
+        alpha, sigma = SCHEDULE.alpha_sigma(grid[k + 1])
+        trans = ddim_transition(grid[k], grid[k + 1], config.churn)
+        a, b = trans.mean_coeff_xt, trans.mean_coeff_x0
+        denom = alpha**2 * s2 + sigma**2
+        lin = a + b * alpha * s2 / denom
+        m = lin * m + b * (sigma**2 / denom) * spec.means[cls]
+        v = lin**2 * v + trans.cov_scale
+    return m, v
+
+
+@pytest.mark.parametrize("churn", [0.0, 1.0])
+def test_unguided_sampler_matches_exact_gaussian_law(exact, mog, churn):
+    """At omega = 0 each class's samples are exactly N(m_c, v_c I) (_omega0_law);
+    their means and variances lie within 4 SE of it. Ten steps leave a
+    discretization error, a variance well below s_c^2, that this pins."""
+    config = SampleConfig(steps=10, count=4096, churn=churn)
+    x, c = sample(config, exact, exact, ConstantWeight(0.0),
+                  class_weights=mog.weights, seed=11)
+    for cls in range(mog.n_classes):
+        pts = x[c == cls]
+        n, d = pts.shape
+        m, v = _omega0_law(mog, config, cls)
+        assert np.all(np.abs(pts.mean(axis=0) - m) < 4.0 * np.sqrt(v / n)), cls
+        var_se = v * np.sqrt(2.0 / (d * (n - 1)))
+        assert abs(pts.var(axis=0, ddof=1).mean() - v) < 4.0 * var_se, cls
+        # the law is not the data's: the test sees the discretization error
+        assert abs(v - mog.variances[cls]) > 4.0 * var_se, cls
+
+
 def test_seed_changes_samples(exact, mog):
     config = SampleConfig(steps=4, count=8)
     x1, _ = sample(config, exact, exact, ConstantWeight(0.0),
