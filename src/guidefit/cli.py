@@ -273,6 +273,9 @@ def cmd_sweep(args) -> int:
     if config.sample.count < 2:
         raise ConfigError(f"sample.count must be at least 2 for the sweep's MMD, "
                           f"got {config.sample.count}")
+    if not config.eval.omega_grid and args.guidance is None:
+        raise ConfigError("eval.omega_grid is empty and no --guidance is given: "
+                          "the sweep has nothing to score")
     learned = _checkpoint(args.guidance, None, load_weight_fn, config, args.quiet)
     denoiser = _denoiser(args, config)
     report = run_figure_protocol(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 import typing
 from dataclasses import dataclass, field
 
@@ -36,7 +37,8 @@ class DenoiserConfig:
 
     def __post_init__(self):
         if self.kind not in ("analytic", "neural"):
-            raise ConfigError(f"unknown denoiser kind {self.kind!r}")
+            raise ConfigError(f"unknown denoiser kind {self.kind!r}: "
+                              "denoiser.kind must be 'analytic' or 'neural'")
         if self.kind == "neural" and self.train.time_embed_dim % 2:
             raise ValueError(f"train.time_embed_dim must be even, got {self.train.time_embed_dim}")
 
@@ -142,8 +144,20 @@ _EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "true 
              tuple: "a list of numbers", np.ndarray: "an array of numbers"}
 
 
+def _is_numeric_array(value) -> bool:
+    """Whether value is a number or a nesting of lists of numbers that is not ragged."""
+    try:
+        return np.array(value).dtype.kind in "iuf"
+    except ValueError:  # ragged nesting
+        return False
+
+
 def _leaf(hint, value, path: str):
-    """value checked against its field annotation; bool is not a number here."""
+    """value checked against its field annotation; bool is not a number here.
+
+    A float field keeps an int within int64 as it is, since numpy's range
+    checks take those, and holds a larger one as its nearest float.
+    """
     if isinstance(value, dict):
         raise ConfigError(f"{path} does not accept an object")
     if value is None and type(None) in typing.get_args(hint):
@@ -151,8 +165,13 @@ def _leaf(hint, value, path: str):
     hint = (typing.get_args(hint) or (hint,))[0]  # X of X | None
     if hint is tuple and isinstance(value, (list, tuple)):
         return tuple(float(_leaf(float, v, f"{path}[{i}]")) for i, v in enumerate(value))
-    if hint is np.ndarray and np.array(value).dtype.kind in "iuf":
+    if hint is np.ndarray and _is_numeric_array(value):
         return np.array(value, dtype=float)
+    if hint is float and type(value) is int and not -2**63 <= value < 2**63:
+        if abs(value) > sys.float_info.max:
+            raise ConfigError(f"{path} must be a number within float range, "
+                              f"got {json.dumps(value)}")
+        return float(value)
     if isinstance(value, (int, float) if hint is float else hint) and \
             (hint is bool or not isinstance(value, bool)):
         return value

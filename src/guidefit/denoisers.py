@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import nn
 from .rng import stream
@@ -95,16 +94,37 @@ def _log_joint(spec: MogSpec, x, means, var):
             - 0.5 * spec.dim * np.log(2.0 * np.pi * var))
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) over the last axis, kept as an axis of one.
+
+    scipy.special.logsumexp's steps for real input, so its bytes are scipy's:
+    log1p(rest / m) + log(m) + max, rest the shifted sum without the m entries
+    at the row's max; log(sum(exp(a))) where that is not finite.
+    """
+    a_max = np.max(a, axis=-1, keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max, axis=-1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / m)
+        out = np.log1p(rest) + np.log(m) + a_max
+    bad = ~np.isfinite(out[..., 0])
+    if bad.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[bad, 0] = np.log(np.sum(np.exp(a[bad]), axis=-1))
+    return out
+
+
 def _log_posterior(log_joint):
     """log p(c | x): the log-joint normalized over components."""
-    return log_joint - logsumexp(log_joint, axis=-1, keepdims=True)
+    return log_joint - _logsumexp(log_joint)
 
 
 def mixture_log_density(spec: MogSpec, x, t=0.0):
     """log p_t(x) of the noised mixture; t = 0 gives the data density."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     _, _, means, var = _noised_components(spec, t)
-    return logsumexp(_log_joint(spec, x, means, var), axis=-1)
+    return _logsumexp(_log_joint(spec, x, means, var))[..., 0]
 
 
 def mixture_score(spec: MogSpec, x, t=0.0):

@@ -23,17 +23,20 @@ order, so every result is the same as that of a serial loop.
 A sweep scores every row against one shared reference with one subsample
 stream, so the sums over the reference's own pairs are the same for every
 row; they are computed once per sweep and reused (see _Reference).
+
+scipy supplies cdist and nothing else here, and it is imported when the
+first _Reference is built: a command that scores nothing never loads it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .rng import stream
 
@@ -42,6 +45,18 @@ from .rng import stream
 # are alive at once (one built, one reduced), so no estimate ever holds a full
 # n x n matrix.
 BLOCK_ROWS = 256
+
+
+@functools.cache
+def _scipy_cdist():
+    """scipy.spatial.distance.cdist, imported at the first call."""
+    from scipy.spatial.distance import cdist as euclidean
+    return euclidean
+
+
+def cdist(a, b):
+    """Euclidean distances between the rows of a and the rows of b, shape (n_a, n_b)."""
+    return _scipy_cdist()(a, b)
 
 
 def _block_sums(wa, d, w):
@@ -94,6 +109,7 @@ class _Reference:
     """
 
     def __init__(self, points):
+        _scipy_cdist()  # scipy's modules load here, before the scoring's arrays
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self._sums = {}
 

@@ -17,8 +17,8 @@ from hypothesis.extra import numpy as hnp
 
 from guidefit.checkpoints import save_weight_fn
 from guidefit.cli import _read_samples, main
-from guidefit.config import (ExperimentConfig, config_digest, config_from_dict, config_to_dict,
-                             load_config)
+from guidefit.config import (ConfigError, ExperimentConfig, config_digest, config_from_dict,
+                             config_to_dict, load_config)
 from guidefit.evaluation import write_table
 from guidefit.schedule import LOGSNR_CLIP
 
@@ -464,6 +464,36 @@ def test_teacher_calls_stop_faulting_after_malloc_thresholds():
     assert result["faults"] < 200
 
 
+_SCIPY_LOADS = """
+import json, sys
+import numpy as np
+from guidefit import cli, evaluation
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+config, out = sys.argv[1:]
+loaded = {"import": scipy_modules()}
+for command in ("pretrain-denoiser", "export-weights", "sample"):
+    code = cli.main([command, "--config", config, "--out", out, "--quiet"])
+    loaded[command] = scipy_modules() if code == 0 else f"exit {code}"
+evaluation.energy_mmd(np.zeros((3, 2)), np.ones((3, 2)))
+loaded["energy_mmd"] = "scipy.spatial.distance" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_when_samples_are_scored(tmp_path, tiny_config):
+    # a fresh process, so modules that other tests imported cannot matter
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADS, tiny_config, str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [], "pretrain-denoiser": [], "export-weights": [], "sample": [],
+        "energy_mmd": True}
+
+
 def _with(base, **sections):
     """base with each named section's keys updated (one level deep)."""
     return dict(base, **{k: dict(base.get(k, {}), **v) for k, v in sections.items()})
@@ -555,6 +585,7 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
      "unknown key(s) ['select_best'] in train"),
     ("sample", {"mog": MOG_NESTED}, 3, "invalid mog: means must be a (K, d) matrix"),
     ("sweep", {"sample": {"count": 1}}, 3, "sample.count must be at least 2"),
+    ("sweep", {"eval": {"omega_grid": []}}, 3, "eval.omega_grid is empty and no --guidance"),
     ("sample --seed -1", {}, 3, "--seed must be non-negative, got -1"),
     ("sweep --seed -1", {}, 3, "--seed must be non-negative, got -1"),
     ("sample --trajectory 48", {}, 3, "--trajectory 48 is not a chain in [0, 48)"),
@@ -578,7 +609,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
         "guidance.logsnr_clip-nan", "denoiser.train.learning_rate-nan",
         "denoiser.train.clip_norm-nan", "train.reward_sign", "sample.zeta",
         "train.time_sampler.zeta", "guidance.allow_negative", "train.select_best",
-        "mog-nested", "sweep-sample.count-1", "sample--seed-neg", "sweep--seed-neg",
+        "mog-nested", "sweep-sample.count-1", "sweep-eval.omega_grid-empty",
+        "sample--seed-neg", "sweep--seed-neg",
         "sample--trajectory-out-of-range", "sample--denoiser-missing",
         "sweep--guidance-missing"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
@@ -677,6 +709,68 @@ def test_negative_config_integer_is_usage_error(tmp_path, capsys, kind, path):
     """Every integer of the config tree, seeds and sizes alike, rejects -1 at
     load under either denoiser kind, naming its section and key."""
     _load_fails_naming(tmp_path, capsys, _tiny_data(kind), path, -1)
+
+
+def _leaf_paths(node, path=()):
+    """Key path of every leaf of a config dict: each field that is not a
+    section, and each element of a list field, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+        return
+    if path:
+        yield path
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+
+
+def _names_leaf(message, path):
+    """Whether a load error names the leaf at path: its dotted field path, or
+    "invalid <section>: " followed by the rest of that path, for the leaf's
+    section or one that holds it."""
+    names = [p for p in path if isinstance(p, str)]
+    if ".".join(names) in message:
+        return True
+    for i in range(len(names)):
+        prefix = f"invalid {'.'.join(names[:i]) or 'config'}: "
+        rest = re.escape(".".join(names[i:]))
+        if message.startswith(prefix) and re.search(rf"\b{rest}\b", message[len(prefix):]):
+            return True
+    return False
+
+
+# Any JSON value, the edges of its number types included: huge ints, NaN,
+# +/-inf and subnormals, strings, and nested lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers(-2**70, 2**70) | st.sampled_from([10**400, -10**400, 2**63, -2**63 - 1])
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6)
+
+LEAVES = [(kind, path) for kind in ("analytic", "neural")
+          for path in _leaf_paths(_tiny_data(kind))]
+
+
+@pytest.mark.parametrize("kind, path", LEAVES, ids=[f"{_dotted(p)}-{kind}" for kind, p in LEAVES])
+@settings(max_examples=8, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_json_value_at_a_leaf_loads_or_names_it(kind, path, value):
+    """A drawn JSON value at any leaf either loads or raises a ConfigError
+    naming the leaf; no other exception escapes. Only the config is built,
+    so no drawn size is ever allocated."""
+    data = _tiny_data(kind)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        config_from_dict(data)
+    except ConfigError as exc:
+        assert _names_leaf(str(exc), path), str(exc)
 
 
 NEURAL = _with(TINY, denoiser={"kind": "neural", "train": {"iterations": 30}},

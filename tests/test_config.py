@@ -76,6 +76,10 @@ def test_cli_rejects_object_for_plain_field(tmp_path, capsys):
     ({"mog": 5}, "mog must be an object"),
     ({"mog": {"variances": [1.0, 2.0]}},
      "mog needs key(s) ['means', 'weights'], which have no default"),
+    ({"mog": {"means": [[1, 2], [3]]}},
+     "mog.means must be an array of numbers, got [[1, 2], [3]]"),
+    ({"mog": {"variances": [[1], [1, 2]]}},
+     "mog.variances must be an array of numbers, got [[1], [1, 2]]"),
 ])
 def test_cli_rejects_a_leaf_of_the_wrong_type(tmp_path, capsys, data, message):
     path = tmp_path / "config.json"

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec,
+from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec, _logsumexp,
                                 mixture_log_density, mixture_score, posterior_mean,
                                 train_neural_denoiser)
 from guidefit.rng import stream
@@ -409,3 +409,27 @@ def test_mixture_functions_bytes_match_per_function_oracle(mog):
     den = AnalyticDenoiser(mog)
     assert _same(den.denoise(x, times["per row"], None),
                  _oracle_posterior_mean(mog, x, times["per row"], None))
+
+
+def test_logsumexp_bytes_match_scipy():
+    """The package's log-sum-exp is scipy's, byte for byte and NaN for NaN, on
+    finite rows at every scale, tied maxima, -inf, +inf and NaN entries."""
+    from scipy.special import logsumexp
+
+    rng = stream(12, "test/logsumexp")
+    inf, nan = np.inf, np.nan
+    rows = [rng.standard_normal((64, 4)) * scale for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3)]
+    rows.append(np.array([[2.5, 2.5, -1.0, 0.3], [-7.0, 0.1, -7.0, 0.1],
+                          [3.0, 3.0, 3.0, 3.0], [-1e3, -1e3, -1e3, -1e3]]))
+    rows.append(np.array([[-inf, 0.2, -1.5, 4.0], [-inf, -inf, -inf, -inf],
+                          [inf, 0.2, -1.5, 4.0], [inf, inf, -inf, 1.0],
+                          [nan, 0.2, -1.5, 4.0], [nan, -inf, inf, 1.0]]))
+    mixture = rng.standard_normal((32, 4)) * 30.0
+    mixture[:, 1] = -inf  # a component of zero weight
+    rows.append(mixture)
+    for a in rows:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = logsumexp(a, axis=-1, keepdims=True)
+        got = _logsumexp(a)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
