@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoisers import AnalyticDenoiser, DenoiserTrainConfig, MogSpec, train_neural_denoiser
+from .domains import check_fields, within
 from .guidance import GuidanceArch, GuidanceNet
-from .objectives import MmdParams
 from .rng import stream
 from .sampler import SampleConfig
 from .trainer import TrainConfig
@@ -45,22 +45,18 @@ class DenoiserConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    beta: float = 1.0
-    lam: float = 1.0
-    omega_grid: tuple = (0.0, 0.5, 1.0, 2.0, 4.0)
-    resamples: int = 20
+    beta: float = within(1.0, 0.0, 2.0, "(]")  # MmdParams' domains
+    lam: float = within(1.0, 0.0)
+    omega_grid: tuple = within((0.0, 0.5, 1.0, 2.0, 4.0), -np.inf, np.inf, "()")
+    resamples: int = within(20, 2)
 
     def __post_init__(self):
-        MmdParams(self.beta, self.lam)  # validates the pair
-        if not np.all(np.isfinite(self.omega_grid)):
-            raise ValueError(f"omega_grid must hold finite weights, got {list(self.omega_grid)}")
-        if self.resamples < 2:
-            raise ValueError(f"resamples must be at least 2, got {self.resamples}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seed: int = 0
+    seed: int = within(0, 0)
     mog: MogSpec = field(default_factory=MogSpec.default_2d)
     denoiser: DenoiserConfig = field(default_factory=DenoiserConfig)
     guidance: GuidanceArch = field(default_factory=GuidanceArch)
@@ -69,8 +65,7 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_fields(self)
         if self.mog.dim != 2:  # every artifact's columns are x,y
             raise ValueError(f"mog.means must hold 2-D points, got {self.mog.dim}-D")
 
@@ -145,9 +140,11 @@ _EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "true 
 
 
 def _is_numeric_array(value) -> bool:
-    """Whether value is a number or a nesting of lists of numbers that is not ragged."""
+    """Whether value is a number or a nesting of lists of numbers that is not
+    ragged; a bool among numbers, which numpy would take for a number, is not one."""
     try:
-        return np.array(value).dtype.kind in "iuf"
+        return np.array(value).dtype.kind in "iuf" and \
+            bool not in map(type, np.array(value, dtype=object).flat)
     except ValueError:  # ragged nesting
         return False
 
@@ -155,8 +152,8 @@ def _is_numeric_array(value) -> bool:
 def _leaf(hint, value, path: str):
     """value checked against its field annotation; bool is not a number here.
 
-    A float field keeps an int within int64 as it is, since numpy's range
-    checks take those, and holds a larger one as its nearest float.
+    A float field keeps an int within int64 as it is, since numpy takes
+    those, and holds a larger one as its nearest float.
     """
     if isinstance(value, dict):
         raise ConfigError(f"{path} does not accept an object")

@@ -12,11 +12,12 @@ implementations share that interface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from . import nn
+from .domains import check_fields, within
 from .rng import stream
 from .schedule import SCHEDULE, ZETA, logsnr_feature, noise_sample
 
@@ -25,9 +26,9 @@ from .schedule import SCHEDULE, ZETA, logsnr_feature, noise_sample
 class MogSpec:
     """Isotropic Gaussian mixture: p0(x) = sum_c weights[c] N(x; means[c], variances[c] I)."""
 
-    means: np.ndarray      # (K, d)
-    variances: np.ndarray  # (K,)
-    weights: np.ndarray    # (K,), sums to 1
+    means: np.ndarray = within(MISSING, -np.inf, np.inf, "()")   # (K, d)
+    variances: np.ndarray = within(MISSING, 0.0, np.inf, "()")   # (K,)
+    weights: np.ndarray = within(MISSING, 0.0)                   # (K,), sums to 1
 
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
@@ -41,12 +42,10 @@ class MogSpec:
         k = means.shape[0]
         if variances.shape != (k,) or weights.shape != (k,):
             raise ValueError("means, variances, weights must agree on component count")
-        if not np.all(np.isfinite(means)):
-            raise ValueError(f"means must be finite, got {means.tolist()}")
-        if not np.all((variances > 0.0) & (variances < np.inf)):  # NaN fails too
-            raise ValueError(f"variances must lie in (0, inf), got {variances.tolist()}")
-        if np.any(weights < 0.0) or not np.isclose(weights.sum(), 1.0):
-            raise ValueError("weights must be nonnegative and sum to 1")
+        check_fields(self)
+        # Generator.choice, which draws the classes, allows a sum this far from 1
+        if not abs(weights.sum() - 1.0) <= np.sqrt(np.finfo(float).eps):
+            raise ValueError(f"weights must sum to 1, got {weights.tolist()}")
 
     @classmethod
     def default_2d(cls) -> "MogSpec":
@@ -249,33 +248,18 @@ class NeuralDenoiser:
 
 @dataclass(frozen=True)
 class DenoiserTrainConfig:
-    iterations: int = 10_000
-    batch_size: int = 128
-    learning_rate: float = 1e-4
-    clip_norm: float = 1.0
-    hidden: int = 64
-    layers: int = 4
-    time_embed_dim: int = 128
-    cond_dropout: float = 0.1
-    seed: int = 0
+    iterations: int = within(10_000, 0)
+    batch_size: int = within(128, 1)
+    learning_rate: float = within(1e-4, 0.0)
+    clip_norm: float = within(1.0, -np.inf, np.inf, "[]")  # inf or <= 0 means no clipping
+    hidden: int = within(64, 1)
+    layers: int = within(4, 0)
+    time_embed_dim: int = within(128, 0)
+    cond_dropout: float = within(0.1, 0.0, 1.0, "[]")
+    seed: int = within(0, 0)
 
     def __post_init__(self):
-        if self.iterations < 0 or self.batch_size <= 0:
-            raise ValueError("iterations must be >= 0 and batch_size > 0")
-        if not 0.0 <= self.cond_dropout <= 1.0:
-            raise ValueError("cond_dropout must lie in [0, 1]")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be at least 1, got {self.hidden}")
-        if self.layers < 0:
-            raise ValueError(f"layers must be at least 0, got {self.layers}")
-        if self.time_embed_dim < 0:
-            raise ValueError(f"time_embed_dim must be at least 0, got {self.time_embed_dim}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.learning_rate < np.inf:  # NaN fails too
-            raise ValueError(f"learning_rate must lie in [0, inf), got {self.learning_rate}")
-        if np.isnan(self.clip_norm):  # inf or <= 0 means no clipping
-            raise ValueError(f"clip_norm must be a number, got {self.clip_norm}")
+        check_fields(self)
 
 
 def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):

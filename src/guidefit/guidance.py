@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .domains import check_fields, within
 from .schedule import GRID_DT, ZETA, logsnr_feature
 
 
@@ -37,20 +38,15 @@ class ConstantWeight:
 class GuidanceArch:
     """The architecture GuidanceNet.create builds; the config's guidance section."""
 
-    embed_hidden: int = 256
-    embed_dim: int = 512
-    trunk_hidden: int = 64
-    trunk_layers: int = 6
-    dropout: float = 0.3
+    embed_hidden: int = within(256, 1)
+    embed_dim: int = within(512, 1)
+    trunk_hidden: int = within(64, 1)
+    trunk_layers: int = within(6, 0)
+    dropout: float = within(0.3, 0.0, 1.0, "[)")
     zero_init: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        for name, least in (("embed_hidden", 1), ("embed_dim", 1), ("trunk_hidden", 1),
-                            ("trunk_layers", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        check_fields(self)
 
 
 class GuidanceNet:

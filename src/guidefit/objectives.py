@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import MogSpec, mixture_log_density, mixture_score
+from .domains import check_fields, within
 from .guidance import guided_denoise
 from .schedule import ZETA, DdimTransition, ddim_transition, noise_sample
 
@@ -37,28 +38,22 @@ from .schedule import ZETA, DdimTransition, ddim_transition, noise_sample
 class MmdParams:
     """Energy-kernel exponent beta in (0, 2] and finite repulsion weight lam >= 0."""
 
-    beta: float = 1.75
-    lam: float = 1.0
+    beta: float = within(1.75, 0.0, 2.0, "(]")
+    lam: float = within(1.0, 0.0)
 
     def __post_init__(self):
-        if not 0.0 < self.beta <= 2.0:
-            raise ValueError(f"beta must lie in (0, 2], got {self.beta}")
-        if not 0.0 <= self.lam < np.inf:  # NaN fails too
-            raise ValueError(f"lam must lie in [0, inf), got {self.lam}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class TimePairSampler:
     """Draw training time pairs: s ~ U[s_min, 1 - ZETA - delta], t = s + U[delta, 1 - ZETA - s]."""
 
-    s_min: float = 0.2
-    delta: float = 0.1
+    s_min: float = within(0.2, ZETA)
+    delta: float = within(0.1, 0.0, np.inf, "()")
 
     def __post_init__(self):
-        if not self.delta > 0.0:  # NaN fails too
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not ZETA <= self.s_min:  # NaN fails too
-            raise ValueError(f"s_min must be at least ZETA = {ZETA}, got {self.s_min}")
+        check_fields(self)
         if not self.s_min + self.delta < 1.0 - ZETA:
             raise ValueError(f"need s_min + delta < 1 - ZETA = {1.0 - ZETA}, "
                              f"got {self.s_min} + {self.delta}")

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .domains import check_fields, within
 from .guidance import guided_denoise
 from .rng import stream
 from .schedule import SCHEDULE, ZETA, ddim_transition
@@ -34,15 +35,12 @@ from .schedule import SCHEDULE, ZETA, ddim_transition
 
 @dataclass(frozen=True)
 class SampleConfig:
-    steps: int = 10
-    count: int = 4096
-    churn: float = 0.0
+    steps: int = within(10, 1)
+    count: int = within(4096, 1)
+    churn: float = within(0.0, 0.0, 1.0, "[]")
 
     def __post_init__(self):
-        if self.steps < 1 or self.count < 1:
-            raise ValueError("steps and count must be positive")
-        if not 0.0 <= self.churn <= 1.0:
-            raise ValueError("churn must lie in [0, 1]")
+        check_fields(self)
 
     def grid(self):
         """Uniform time grid t_0 = ZETA < ... < t_steps = 1 - ZETA."""

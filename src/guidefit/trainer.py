@@ -22,6 +22,7 @@ import numpy as np
 
 from . import nn
 from .denoisers import MogSpec
+from .domains import check_fields, one_of, within
 from .evaluation import _Reference, energy_mmd, write_table
 from .guidance import GuidanceNet
 from .objectives import (REWARDS, MmdParams, TimePairSampler, build_gsm, build_particles,
@@ -44,51 +45,31 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    mode: str = "self_consistency"
-    iterations: int = 1000
-    batch_size: int = 128
-    particles: int = 32
-    beta: float = 1.75
-    lam: float = 1.0
-    churn: float = 1.0
-    learning_rate: float = 5e-4
-    clip_norm: float = 1.0
-    ema_decay: float | None = None
-    gamma_reward: float = 0.0
-    reward: str | None = None
-    checkpoint_every: int = 100
-    probe_size: int = 512
-    seed: int = 0
+    mode: str = one_of("self_consistency", MODES)
+    iterations: int = within(1000, 0)
+    batch_size: int = within(128, 1)
+    particles: int = within(32, 1)
+    beta: float = within(1.75, 0.0, 2.0, "(]")  # MmdParams' domains
+    lam: float = within(1.0, 0.0)
+    churn: float = within(1.0, 0.0, 1.0, "[]")
+    learning_rate: float = within(5e-4, 0.0)
+    clip_norm: float = within(1.0, -np.inf, np.inf, "[]")  # inf or <= 0 means no clipping
+    ema_decay: float | None = within(None, 0.0, 1.0, "[)")
+    gamma_reward: float = within(0.0, -np.inf, np.inf, "()")
+    reward: str | None = one_of(None, REWARDS)
+    checkpoint_every: int = within(100, 1)
+    probe_size: int = within(512, 1)
+    seed: int = within(0, 0)
     time_sampler: TimePairSampler = field(default_factory=TimePairSampler)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_fields(self)
         if self.mode == "l2" and self.particles != 1:
             raise ValueError("the l2 objective uses exactly one particle")
         if self.mode == "reward" and self.reward is None:
             raise ValueError("reward mode needs a reward function name")
-        if self.reward is not None and self.reward not in REWARDS:
-            raise ValueError(f"reward must be one of {tuple(REWARDS)}, got {self.reward!r}")
-        if self.iterations < 0 or self.batch_size <= 0 or self.particles <= 0:
-            raise ValueError("iterations >= 0, batch_size > 0, particles > 0 required")
-        MmdParams(self.beta, self.lam)  # validates the pair
-        if not 0.0 <= self.churn <= 1.0:
-            raise ValueError(f"churn must lie in [0, 1], got {self.churn}")
-        if not 0.0 <= self.learning_rate < np.inf:  # NaN fails too
-            raise ValueError(f"learning_rate must lie in [0, inf), got {self.learning_rate}")
-        if not np.isfinite(self.gamma_reward):
-            raise ValueError(f"gamma_reward must be finite, got {self.gamma_reward}")
-        if np.isnan(self.clip_norm):  # inf or <= 0 means no clipping
-            raise ValueError(f"clip_norm must be a number, got {self.clip_norm}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
         if self.probing and self.probe_size < 2:
             raise ValueError(f"probe_size must be at least 2 to probe, got {self.probe_size}")
-        if self.ema_decay is not None and not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
 
     @property
     def probing(self) -> bool:

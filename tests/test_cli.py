@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -503,6 +504,9 @@ MOG_1D = {"means": [[0.0], [5.0]], "variances": [1.0, 1.0], "weights": [0.5, 0.5
 MOG_3D = {"means": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], "variances": [1.0, 1.0],
           "weights": [0.5, 0.5]}
 MOG_NESTED = {"means": [[[1.0, 2.0]]], "variances": [1.0], "weights": [1.0]}
+# a sum within np.isclose of 1 but past what Generator.choice allows (about 1.5e-8)
+MOG_OFF_SUM = {"means": [[10.0, 10.0], [-10.0, 10.0], [10.0, -10.0], [-10.0, -10.0]],
+               "variances": [5.0, 1.0, 1.0, 1.0], "weights": [0.25, 0.25, 0.25, 0.250005]}
 NAN, INF = float("nan"), float("inf")
 REWARD = {"mode": "reward", "reward": "distance_to_mean"}
 
@@ -593,6 +597,7 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
      "checkpoint no-such-dir/denoiser.json not found"),
     ("sweep --guidance no-such-dir/guidance.json", {}, 3,
      "checkpoint no-such-dir/guidance.json not found"),
+    ("sample --from-data", {"mog": MOG_OFF_SUM}, 3, "invalid mog: weights "),
 ], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
         "one-row-csv", "eval-mmd-1d-reference", "eval-mmd-3d-reference",
         "train.checkpoint_every", "train.probe_size", "train.ema_decay",
@@ -612,7 +617,7 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
         "mog-nested", "sweep-sample.count-1", "sweep-eval.omega_grid-empty",
         "sample--seed-neg", "sweep--seed-neg",
         "sample--trajectory-out-of-range", "sample--denoiser-missing",
-        "sweep--guidance-missing"])
+        "sweep--guidance-missing", "mog.weights-sum"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_with(TINY, **sections)))
@@ -771,6 +776,84 @@ def test_any_json_value_at_a_leaf_loads_or_names_it(kind, path, value):
         config_from_dict(data)
     except ConfigError as exc:
         assert _names_leaf(str(exc), path), str(exc)
+
+
+def _leaf_fields(cls=ExperimentConfig, path=()):
+    """(key path, field, annotation) of every leaf field of the config tree."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _leaf_fields(hints[f.name], path + (f.name,))
+        else:
+            yield path + (f.name,), f, hints[f.name]
+
+
+def test_every_leaf_declares_its_domain():
+    """A number, list of numbers or array declares within(); a name declares
+    one_of(), but for denoiser.kind, whose own check names the two kinds."""
+    fields = list(_leaf_fields())
+    assert len(fields) == 44
+    for path, f, hint in fields:
+        hint = (typing.get_args(hint) or (hint,))[0]  # X of X | None
+        if hint in (int, float, tuple, np.ndarray):
+            assert "within" in f.metadata, path
+        elif hint is str and path != ("denoiser", "kind"):
+            assert "one_of" in f.metadata, path
+
+
+def _edges(lo, hi, closed, integer):
+    """(value, loads) at each end of a domain: a closed end loads and the next
+    value outward does not; an open end does not and the next value inward does.
+    Nothing lies past an infinite end."""
+    for bound, is_closed, out in ((lo, closed[0] == "[", -1), (hi, closed[1] == "]", 1)):
+        yield bound, is_closed
+        if np.isfinite(bound):
+            step = out if is_closed else -out
+            yield (bound + step if integer else float(np.nextafter(bound, step * INF))), \
+                not is_closed
+
+
+def _set_leaf(data, path, value):
+    """Put value at the leaf at path, in a list at its first element. The rest
+    of mog.weights' mass is spread evenly, so the weights still sum to 1."""
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    key = path[-1]
+    if key == "weights":
+        k = len(node[key])
+        node[key] = [value] + [(1.0 - value) / (k - 1)] * (k - 1)
+        return
+    while isinstance(node[key], list):
+        node, key = node[key], 0
+    node[key] = value
+
+
+# probe_size's domain starts at 1; a probing mode's need for 2 is a rule of its own
+EDGE_CONTEXT = {("train", "probe_size"): {"train": {"mode": "guided_sm"}}}
+DECLARED = [(kind, path, f, hint) for kind in ("analytic", "neural")
+            for path, f, hint in _leaf_fields() if f.metadata]
+
+
+@pytest.mark.parametrize("kind, path, field, hint", DECLARED,
+                         ids=[f"{_dotted(p)}-{kind}" for kind, p, _, _ in DECLARED])
+def test_each_domain_edge_loads_or_names_its_leaf(kind, path, field, hint):
+    """Read from the declarations: at each end of a leaf's interval the last
+    value inside loads and the first outside raises a ConfigError naming the
+    leaf, as does a name outside a one_of. Only the config is built."""
+    if "one_of" in field.metadata:
+        cases = [("no such name", False)]
+    else:
+        cases = list(_edges(*field.metadata["within"], integer=hint is int))
+    for value, loads in cases:
+        data = _with(_tiny_data(kind), **EDGE_CONTEXT.get(path, {}))
+        _set_leaf(data, path, value)
+        if loads:
+            config_from_dict(data)  # a ConfigError here names the value
+            continue
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert _names_leaf(str(info.value), path), (value, str(info.value))
 
 
 NEURAL = _with(TINY, denoiser={"kind": "neural", "train": {"iterations": 30}},

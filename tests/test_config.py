@@ -80,6 +80,11 @@ def test_cli_rejects_object_for_plain_field(tmp_path, capsys):
      "mog.means must be an array of numbers, got [[1, 2], [3]]"),
     ({"mog": {"variances": [[1], [1, 2]]}},
      "mog.variances must be an array of numbers, got [[1], [1, 2]]"),
+    # numpy would take a bool among numbers for a number
+    ({"mog": {"means": [[True, 0], [1, 1]]}},
+     "mog.means must be an array of numbers, got [[true, 0], [1, 1]]"),
+    ({"mog": {"variances": [1, True]}}, "mog.variances must be an array of numbers, got [1, true]"),
+    ({"mog": {"weights": [0.0, True]}}, "mog.weights must be an array of numbers, got [0.0, true]"),
 ])
 def test_cli_rejects_a_leaf_of_the_wrong_type(tmp_path, capsys, data, message):
     path = tmp_path / "config.json"

@@ -49,7 +49,7 @@ def test_mog_spec_validation():
         MogSpec(means=np.zeros((2, 2)), variances=np.array([1.0, 1.0]),
                 weights=np.array([0.5, 0.6]))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="means must be finite"):
+        with pytest.raises(ValueError, match=r"means must lie in \(-inf, inf\)"):
             MogSpec(means=np.array([[0.0, bad], [1.0, 1.0]]), variances=np.ones(2),
                     weights=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="variances must lie in"):

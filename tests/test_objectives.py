@@ -56,7 +56,7 @@ def test_time_pair_sampler_ranges():
     assert np.all(t - s >= 0.1)
     assert np.all(t <= 1.0 - ZETA + 1e-12)
     assert TimePairSampler(s_min=ZETA).s_min == 0.01  # allowed: under_trained.json sets it
-    with pytest.raises(ValueError, match="s_min must be at least ZETA"):
+    with pytest.raises(ValueError, match=r"s_min must lie in \[0\.01, inf\)"):
         TimePairSampler(s_min=0.005)
     with pytest.raises(ValueError):
         TimePairSampler(s_min=0.8, delta=0.3)
