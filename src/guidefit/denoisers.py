@@ -89,8 +89,9 @@ def _log_joint(spec: MogSpec, x, means, var):
     """log(w_c N(x; means_c, var_c I)) per point and component, shape (n, K)."""
     diff = x[:, None, :] - means
     sq = np.sum(diff * diff, axis=-1)
-    return (np.log(spec.weights) - 0.5 * sq / var
-            - 0.5 * spec.dim * np.log(2.0 * np.pi * var))
+    with np.errstate(divide="ignore"):  # a zero weight's log prior is -inf
+        log_w = np.log(spec.weights)
+    return log_w - 0.5 * sq / var - 0.5 * spec.dim * np.log(2.0 * np.pi * var)
 
 
 def _logsumexp(a):
@@ -145,7 +146,7 @@ def posterior_mean(spec: MogSpec, x_t, t, c=None):
     Args:
         x_t: points of shape (n, d) (a single (d,) point is promoted).
         t: scalar or (n,) array.
-        c: None, an int, or an int array of shape (n,).
+        c: None, or labels in [0, K): an int or an int array of shape (n,).
 
     Returns:
         array of shape (n, d), or (d,) when a single point was given.
@@ -161,10 +162,7 @@ def posterior_mean(spec: MogSpec, x_t, t, c=None):
         resp = np.exp(_log_posterior(_log_joint(spec, x, means, var)))
         out = np.sum(resp[..., None] * comp_post, axis=1)
     else:
-        c = np.asarray(c)
-        if c.ndim == 0:
-            c = np.full(x.shape[0], int(c))
-        out = comp_post[np.arange(x.shape[0]), c]
+        out = comp_post[np.arange(x.shape[0]), nn.class_labels(c, spec.n_classes, x.shape[0])]
     return out[0] if single else out
 
 
@@ -194,6 +192,8 @@ class NeuralDenoiser:
     """
 
     def __init__(self, net: nn.Mlp, n_classes: int, time_embed_dim: int = 128):
+        if time_embed_dim < 0 or time_embed_dim % 2:
+            raise ValueError(f"time_embed_dim must be even and non-negative, got {time_embed_dim}")
         if net.sizes[0] != net.sizes[-1] + time_embed_dim + n_classes:
             raise ValueError(f"layer sizes do not fit: net input {net.sizes[0]} != output "
                              f"{net.sizes[-1]} + time_embed_dim {time_embed_dim} "

@@ -5,8 +5,7 @@ The guided estimate is
     xhat(x_t, c; omega) = xhat(x_t, c) + omega * (xhat(x_t, c) - xhat(x_t))
 
 so omega = 0 is the conditional denoiser and omega = -1 the unconditional
-one; both endpoints are returned exactly, without arithmetic on the
-difference. Two weight functions exist: a constant, the classifier-free
+one. Two weight functions exist: a constant, the classifier-free
 guidance baseline, and a small neural net over (logSNR s, logSNR t, one-hot
 c), the learned weights. The net's time features and the weight table's time
 grid are the schedule's (schedule.logsnr_feature, ZETA, GRID_DT).
@@ -118,23 +117,11 @@ def guided_denoise(cond, uncond, x_t, t, c, omega):
         omega: scalar or (n,) array of per-row weights.
 
     Returns:
-        (guided, delta) where delta = xhat_c - xhat_uncond. Scalar omega 0
-        and -1 return the conditional and unconditional estimates exactly.
+        (xhat_c + omega delta, delta) where delta = xhat_c - xhat_uncond.
     """
     xc = cond.denoise(x_t, t, c)
-    xu = uncond.denoise(x_t, t, None)
-    delta = xc - xu
-    omega_arr = np.asarray(omega, dtype=float)
-    if omega_arr.ndim > 0 and omega_arr.size > 0 and np.all(omega_arr == omega_arr.flat[0]):
-        omega_arr = omega_arr.flat[0]  # uniform weights take the scalar path
-    if omega_arr.ndim == 0:
-        w = float(omega_arr)
-        if w == 0.0:
-            return xc, delta
-        if w == -1.0:
-            return xu, delta
-        return xc + w * delta, delta
-    return xc + omega_arr[:, None] * delta, delta
+    delta = xc - uncond.denoise(x_t, t, None)
+    return xc + np.asarray(omega, dtype=float)[..., None] * delta, delta
 
 
 def weight_grid_times():

@@ -69,14 +69,6 @@ def _per_item(omega, n: int):
     return np.broadcast_to(np.asarray(omega, dtype=float), (n,))
 
 
-def _items(x0, c, *times):
-    """x0 as (n, d), then c and each time as (n,); a single (d,) point is one item."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    n = x0.shape[0]
-    return (x0, np.broadcast_to(np.asarray(c), (n,)),
-            *(np.broadcast_to(np.asarray(u, dtype=float), (n,)) for u in times))
-
-
 @dataclass
 class ParticleBatch:
     """Cached draws for n batch items with m particles each.
@@ -121,9 +113,9 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, churn: float, rng) -> Par
     """Draw targets, proposals, and the transition pieces for a training batch.
 
     Args:
-        x0: clean points (n, d); a single (d,) point is promoted to n = 1.
-        c: class labels (n,) or an int.
-        s, t: time pairs, scalars or (n,) arrays with s < t elementwise.
+        x0: clean points (n, d).
+        c: class labels (n,).
+        s, t: time pairs (n,) with s < t elementwise.
         m: particles per item.
         cond, uncond: denoisers evaluated at the proposal noisy points.
         churn: transition noise level in [0, 1].
@@ -132,7 +124,6 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, churn: float, rng) -> Par
     """
     if m < 1:
         raise ValueError("need at least one particle")
-    x0, c, s, t = _items(x0, c, s, t)
     n, d = x0.shape
 
     trans = ddim_transition(s, t, churn)
@@ -242,14 +233,14 @@ def reward_loss(batch: ParticleBatch, reward, omega):
 
 
 def build_gsm(x0, c, t, cond, uncond, rng) -> ParticleBatch:
-    """Noise each item to its t once and cache the denoiser pair there.
+    """Noise each clean point x0 (n, d) to its time t (n,) once and cache the
+    denoiser pair there at its label c (n,).
 
     The guided-score-matching batch is a ParticleBatch with one particle per
     item and the transition A = 0, B = 1, Sigma = 0: the target is x0
     itself, so proposals() are the guided estimates and the loss regresses
     them onto the clean points.
     """
-    x0, c, t = _items(x0, c, t)
     n = x0.shape[0]
     x_t, _ = noise_sample(x0, t, rng)
     xc, delta = guided_denoise(cond, uncond, x_t, t, c, 0.0)

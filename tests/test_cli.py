@@ -372,6 +372,50 @@ def test_checkpoint_for_another_class_count_is_usage_error(tmp_path, tiny_config
         assert not (out / artifact).exists(), (command, flag)
 
 
+def test_checkpoint_with_an_odd_time_embed_dim_is_usage_error(tmp_path, tiny_config, capsys):
+    from guidefit import nn
+    from guidefit.checkpoints import save_denoiser
+    from guidefit.denoisers import NeuralDenoiser
+
+    # NeuralDenoiser(nn.Mlp([2 + 3 + 4, 8, 2]), 4, 3) on disk: the layer sizes
+    # fit, but the sinusoidal time embedding needs an even width
+    path = tmp_path / "odd.json"
+    save_denoiser(path, NeuralDenoiser(nn.Mlp([2 + 4 + 3, 8, 2]), 3, 4))
+    payload = json.loads(path.read_text())
+    payload["architecture"].update(n_classes=4, time_embed_dim=3)
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert run("sample", "--config", tiny_config, "--out", str(out), "--quiet",
+               "--denoiser", str(path)) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "time_embed_dim must be even and non-negative, got 3" in err, err
+    assert "Traceback" not in err and not (out / "samples.csv").exists()
+
+
+_ZERO_WEIGHT = """
+import json, sys
+from guidefit.cli import main
+
+config, out = sys.argv[1:]
+print(json.dumps([main([command, "--config", config, "--out", out, "--quiet"])
+                  for command in ("train-guidance", "sample", "sweep")]))
+"""
+
+
+def test_a_zero_mixture_weight_runs_without_warnings(tmp_path):
+    # the zero weight's log prior is -inf by design; numpy must not warn about it
+    path = tmp_path / "config.json"
+    mog = {"means": [[10.0, 10.0], [-10.0, 10.0], [10.0, -10.0], [-10.0, -10.0]],
+           "variances": [5.0, 1.0, 1.0, 1.0], "weights": [0.0, 1 / 3, 1 / 3, 1 / 3]}
+    path.write_text(json.dumps(dict(TINY, mog=mog)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _ZERO_WEIGHT, str(path), str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
+
+
 def test_checkpoint_from_another_config_section_is_usage_error(tmp_path, capsys):
     wide = dict(TINY, guidance=dict(TINY["guidance"], trunk_hidden=64))
     narrow = dict(wide, guidance=dict(wide["guidance"], trunk_hidden=32))

@@ -13,8 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec, _logsumexp,
-                                mixture_log_density, mixture_score, posterior_mean,
+from guidefit import nn
+from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec, NeuralDenoiser,
+                                _logsumexp, mixture_log_density, mixture_score, posterior_mean,
                                 train_neural_denoiser)
 from guidefit.rng import stream
 from guidefit.schedule import LOGSNR_CLIP, SCHEDULE
@@ -128,6 +129,27 @@ def test_posterior_mean_single_point_and_scalar_class(mog):
     assert np.array_equal(out, batch[0])
 
 
+def test_both_teachers_reject_out_of_range_labels(mog):
+    neural, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=0, seed=4))
+    k = mog.n_classes
+    teachers = {"posterior_mean": lambda x, c: posterior_mean(mog, x, 0.6, c),
+                "analytic": lambda x, c: AnalyticDenoiser(mog).denoise(x, 0.6, c),
+                "neural": lambda x, c: neural.denoise(x, 0.6, c)}
+    x = np.zeros((3, 2))
+    for name, denoise in teachers.items():
+        for c in (-1, k, np.array([0, k, 1])):
+            with pytest.raises(ValueError, match="class label out of range"):
+                denoise(x, c)
+        assert denoise(x, np.array([0, k - 1, 1])).shape == (3, 2), name
+
+
+def test_neural_denoiser_rejects_an_odd_or_negative_time_embed_dim():
+    for ted in (3, -2):
+        with pytest.raises(ValueError, match=f"time_embed_dim must be even and non-negative, "
+                                             f"got {ted}"):
+            NeuralDenoiser(nn.Mlp([2 + ted + 4, 8, 2]), 4, ted)
+
+
 def test_posterior_mean_collapses_to_data_at_small_noise(mog):
     # at t -> 0 the conditional posterior mean approaches x_t itself
     x0, c = mog.sample_joint(20, stream(5, "test/small_t"))
@@ -179,8 +201,6 @@ def _gelu(h):
 def _prebreak_denoise(den, x_t, t, c=None):
     """NeuralDenoiser.denoise before its first layer was split: one embedding
     row per input row, concatenated features, out-of-place bias add and GeLU."""
-    from guidefit import nn
-
     x_t = np.asarray(x_t, dtype=float)
     single = x_t.ndim == 1
     x = np.atleast_2d(x_t)
@@ -201,8 +221,6 @@ def _oracle_denoise(den, x_t, t, c=None, dtype=np.float32):
     time term emb W_e^T + b0 of each row's run of equal t (runs found by walking
     the rows), plus the class column; then, in dtype on weights cast from
     den.net.params, out-of-place GeLU layers; the output in float64."""
-    from guidefit import nn
-
     x_t = np.asarray(x_t, dtype=float)
     single = x_t.ndim == 1
     x = np.atleast_2d(x_t)

@@ -84,31 +84,14 @@ def test_guided_denoise_is_affine_in_omega_exactly(exact, omegas, t, seed):
     x_t = stream(seed, "test/gd_prop").uniform(-12.0, 12.0, size=(6, 2))
     c = np.arange(6) % 4
     xc, xu = exact.denoise(x_t, t, c), exact.denoise(x_t, t, None)
-    out, delta = guided_denoise(exact, exact, x_t, t, c, np.array(omegas))
-    assert delta.tobytes() == (xc - xu).tobytes()
-    for i, w in enumerate(omegas):
+    delta = xc - xu
+    out, got_delta = guided_denoise(exact, exact, x_t, t, c, np.array(omegas))
+    assert got_delta.tobytes() == delta.tobytes()
+    assert out.tobytes() == (xc + np.array(omegas)[:, None] * delta).tobytes()
+    for w in omegas:
         scalar, _ = guided_denoise(exact, exact, x_t, t, c, w)
-        if w in (0.0, -1.0):  # the endpoints come back exactly
-            assert scalar.tobytes() == (xc if w == 0.0 else xu).tobytes()
-        else:
-            assert scalar.tobytes() == (xc + w * delta).tobytes()
-            if len(set(omegas)) > 1:  # uniform arrays take the scalar path
-                assert out[i].tobytes() == scalar[i].tobytes()
-
-
-def test_guided_denoise_endpoints_exact(mog, exact):
-    x_t = stream(6, "test/gd").uniform(-10.0, 10.0, size=(12, 2))
-    c = np.tile(np.arange(4), 3)
-    xc = exact.denoise(x_t, 0.7, c)
-    xu = exact.denoise(x_t, 0.7, None)
-    out0, delta = guided_denoise(exact, exact, x_t, 0.7, c, 0.0)
-    assert np.array_equal(out0, xc)
-    assert np.array_equal(delta, xc - xu)
-    outm1, _ = guided_denoise(exact, exact, x_t, 0.7, c, -1.0)
-    assert np.array_equal(outm1, xu)
-    # uniform per-row arrays collapse onto the scalar path
-    out_arr, _ = guided_denoise(exact, exact, x_t, 0.7, c, np.zeros(12))
-    assert np.array_equal(out_arr, xc)
+        uniform, _ = guided_denoise(exact, exact, x_t, t, c, np.full(6, w))
+        assert scalar.tobytes() == uniform.tobytes() == (xc + w * delta).tobytes()
 
 
 def test_guided_denoise_is_affine_in_omega(exact):
