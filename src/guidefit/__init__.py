@@ -11,7 +11,7 @@ from .denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec, NeuralDe
                         posterior_mean, train_neural_denoiser)
 from .evaluation import EvalReport, EvalRow, energy_mmd, mmd_with_se, run_figure_protocol
 from .guidance import ConstantWeight, GuidanceNet, guided_denoise, mean_abs_weight
-from .objectives import (MmdParams, ParticleBatch, TimePairSampler, build_particles,
+from .objectives import (ParticleBatch, TimePairSampler, build_particles,
                          guided_score_matching_loss, l2_loss, mmd_loss, reward_loss)
 from .sampler import SampleConfig, sample, sample_trajectory
 from .schedule import NoiseSchedule, ddim_transition, noise_sample
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticDenoiser", "ConstantWeight", "DenoiserTrainConfig", "EvalReport", "EvalRow",
-    "GuidanceNet", "MmdParams", "MogSpec", "NeuralDenoiser", "NoiseSchedule", "ParticleBatch",
+    "GuidanceNet", "MogSpec", "NeuralDenoiser", "NoiseSchedule", "ParticleBatch",
     "SampleConfig", "TimePairSampler", "TrainConfig", "TrainRecord",
     "TrainingDiverged", "build_particles", "ddim_transition", "energy_mmd",
     "guided_denoise", "guided_score_matching_loss", "l2_loss", "loss_param_grad",

@@ -71,11 +71,11 @@ def _write(path, kind: str, architecture: dict, params, metadata: dict | None):
 
 
 def _read(path) -> dict:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path} is not valid JSON: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise CheckpointError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path} does not hold a JSON object")
     version = payload.get("format_version")

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Every command reads one JSON experiment config and writes its artifacts into
-an output directory. Outputs are byte-deterministic given (config, seed):
-float fields are written at full precision and each artifact carries the
-config digest and seed in its header or metadata instead of timestamps.
+an output directory. Outputs are byte-deterministic given (config, seed) at
+one BLAS thread count; another count sums matrix products in another order,
+which moves trained weights and what follows from them. Float fields are
+written at full precision and each artifact carries the config digest and
+seed in its header or metadata instead of timestamps.
 
 Commands:
     pretrain-denoiser  build or train the denoiser, write denoiser.json
@@ -22,6 +24,7 @@ import argparse
 import csv
 import ctypes
 import json
+import math
 import os
 import sys
 
@@ -143,24 +146,33 @@ def _weight_fn(args, config: ExperimentConfig):
 
 
 def _read_samples(path):
+    """(x, c) from a sample CSV: rows of a class label and finite coordinates,
+    under an optional "c, ..." header. Anything else is a ConfigError naming path:line."""
     xs, cs = [], []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.startswith("#") or not line.strip():
-                continue
-            row = next(csv.reader([line]))
-            if row[0] == "c":
-                width = len(row)
-                continue
-            width = width or max(len(row), 2)
-            if len(row) != width:
-                raise ConfigError(f"{path}:{lineno}: {len(row)} columns, expected {width}")
-            try:
-                cs.append(int(row[0]))
-                xs.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.startswith("#") or not line.strip():
+                    continue
+                row = next(csv.reader([line]))
+                if row[0] == "c":
+                    if len(row) < 2:
+                        raise ConfigError(f"{path}:{lineno}: the header names no coordinate")
+                    width = len(row)
+                    continue
+                width = width or max(len(row), 2)
+                if len(row) != width:
+                    raise ConfigError(f"{path}:{lineno}: {len(row)} columns, expected {width}")
+                try:
+                    cs.append(int(row[0]))
+                    xs.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+                if not all(map(math.isfinite, xs[-1])):
+                    raise ConfigError(f"{path}:{lineno}: non-finite coordinate")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not valid UTF-8: {exc}") from None
     if not xs:
         raise ConfigError(f"{path} contains no samples")
     return np.array(xs), np.array(cs)
@@ -338,7 +350,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingDiverged, FloatingPointError) as exc:

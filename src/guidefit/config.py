@@ -45,7 +45,7 @@ class DenoiserConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    beta: float = within(1.0, 0.0, 2.0, "(]")  # MmdParams' domains
+    beta: float = within(1.0, 0.0, 2.0, "(]")
     lam: float = within(1.0, 0.0)
     omega_grid: tuple = within((0.0, 0.5, 1.0, 2.0, 4.0), -np.inf, np.inf, "()")
     resamples: int = within(20, 2)
@@ -207,10 +207,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return config_from_dict(data)
 
 

@@ -289,7 +289,7 @@ def train_neural_denoiser(spec: MogSpec, config: DenoiserTrainConfig):
     for it in range(config.iterations):
         x0, c = spec.sample_joint(config.batch_size, data_rng)
         t = time_rng.uniform(ZETA, 1.0 - ZETA, size=config.batch_size)
-        x_t, _ = noise_sample(x0, t, noise_rng)
+        x_t = noise_sample(x0, t, noise_rng.standard_normal(x0.shape))
         onehot = nn.class_onehot(c, spec.n_classes)
         if config.cond_dropout > 0.0:
             onehot[drop_rng.random(config.batch_size) < config.cond_dropout] = 0.0

@@ -45,6 +45,8 @@ from .rng import stream
 # are alive at once (one built, one reduced), so no estimate ever holds a full
 # n x n matrix.
 BLOCK_ROWS = 256
+# mmd_with_se's resamples each keep this share of both point sets.
+SUBSET_FRACTION = 0.5
 
 
 @functools.cache
@@ -149,26 +151,24 @@ def energy_mmd(x, y, beta: float = 1.0, lam: float = 1.0) -> float:
 
 
 def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20,
-                fraction: float = 0.5, seed: int = 0, *, classes=None):
+                seed: int = 0, *, classes=None):
     """energy_mmd plus a subsampling standard error, and per-class scores on request.
 
-    n_resamples subsets of both sets are drawn without replacement at the
-    given fraction; the standard deviation of the subset estimates, scaled by
-    sqrt(fraction), estimates the standard error at full size. classes =
+    n_resamples subsets of both sets are drawn without replacement at
+    SUBSET_FRACTION; the standard deviation of the subset estimates, scaled by
+    sqrt(SUBSET_FRACTION), estimates the standard error at full size. classes =
     (cx, cy), the labels of x and y, adds a dict class -> energy MMD of that
     class's points to the return, for each class with at least two points on
     both sides. All estimates are indicator columns of one pass (all-ones,
     resample, class).
     """
     x, y = _checked_points(x, y, beta, lam)
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
     rng = stream(seed, "eval/subsample")
     n, m = x.shape[0], y.points.shape[0]
-    nx = max(2, int(round(fraction * n)))
-    ny = max(2, int(round(fraction * m)))
+    nx = max(2, int(round(SUBSET_FRACTION * n)))
+    ny = max(2, int(round(SUBSET_FRACTION * m)))
     eligible = [] if classes is None else [
         cls for cls in range(int(max(map(np.max, classes))) + 1)
         if min(np.sum(classes[0] == cls), np.sum(classes[1] == cls)) >= 2]
@@ -181,7 +181,7 @@ def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20
     for col, cls in enumerate(eligible, 1 + n_resamples):
         wx[classes[0] == cls, col] = wy[classes[1] == cls, col] = 1.0
     est = _energy(x, y, beta, lam, wx, wy)
-    se = float(np.std(est[1:1 + n_resamples], ddof=1) * np.sqrt(fraction))
+    se = float(np.std(est[1:1 + n_resamples], ddof=1) * np.sqrt(SUBSET_FRACTION))
     if classes is None:
         return float(est[0]), se
     return float(est[0]), se, dict(zip(eligible, map(float, est[1 + n_resamples:])))

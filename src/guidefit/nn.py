@@ -281,8 +281,9 @@ class EmaState:
         self.shadow += (1.0 - self.decay) * params
 
 
-def sinusoidal_embedding(x, dim: int, max_period: float = 1e4):
-    """Map scalars to dim-dimensional [sin, cos] features at geometric frequencies.
+def sinusoidal_embedding(x, dim: int):
+    """Map scalars to dim-dimensional [sin, cos] features at geometric frequencies
+    from 1 down to 1 / 1e4.
 
     Args:
         x: array of shape (...,).
@@ -295,7 +296,7 @@ def sinusoidal_embedding(x, dim: int, max_period: float = 1e4):
         raise ValueError(f"embedding dim must be even, got {dim}")
     x = np.asarray(x, dtype=float)
     half = dim // 2
-    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
+    freqs = np.exp(-np.log(1e4) * np.arange(half) / half)
     angles = x[..., None] * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
@@ -314,19 +315,9 @@ def class_labels(c, n_classes: int, n: int | None = None):
     return c
 
 
-def class_onehot(c, n_classes: int, n: int | None = None):
-    """One-hot rows for class labels; c = None is the null token (all zeros).
-
-    Args:
-        c: None, an int, or an int array of shape (n,).
-        n_classes: width of the encoding.
-        n: row count, required when c is None or scalar and a batch is wanted.
-    """
-    if c is None:
-        if n is None:
-            raise ValueError("need n to build null-token rows")
-        return np.zeros((n, n_classes))
-    c = class_labels(c, n_classes, n)
+def class_onehot(c, n_classes: int):
+    """One-hot rows, (n, n_classes), for class labels c: an int (one row) or an (n,) int array."""
+    c = class_labels(c, n_classes)
     out = np.zeros((c.shape[0], n_classes))
     out[np.arange(c.shape[0]), c] = 1.0
     return out

@@ -35,17 +35,6 @@ from .schedule import ZETA, DdimTransition, ddim_transition, noise_sample
 
 
 @dataclass(frozen=True)
-class MmdParams:
-    """Energy-kernel exponent beta in (0, 2] and finite repulsion weight lam >= 0."""
-
-    beta: float = within(1.75, 0.0, 2.0, "(]")
-    lam: float = within(1.0, 0.0)
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
 class TimePairSampler:
     """Draw training time pairs: s ~ U[s_min, 1 - ZETA - delta], t = s + U[delta, 1 - ZETA - s]."""
 
@@ -100,9 +89,7 @@ class ParticleBatch:
 
     def proposals(self, omega):
         """Proposal particles: the guided transition from prop_noisy at weights omega."""
-        x, _ = self.trans.sample(self.guided_estimates(omega), self.prop_noisy,
-                                 noise=self.trans_noise)
-        return x
+        return self.trans.sample(self.guided_estimates(omega), self.prop_noisy, self.trans_noise)
 
     def slope(self):
         """d proposals / d omega = B delta, shape (n, m, d)."""
@@ -127,8 +114,8 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, churn: float, rng) -> Par
     n, d = x0.shape
 
     trans = ddim_transition(s, t, churn)
-    targets, _ = noise_sample(x0[:, None, :], s, noise=rng.standard_normal((n, m, d)))
-    prop_noisy, _ = noise_sample(x0[:, None, :], t, noise=rng.standard_normal((n, m, d)))
+    targets = noise_sample(x0[:, None, :], s, rng.standard_normal((n, m, d)))
+    prop_noisy = noise_sample(x0[:, None, :], t, rng.standard_normal((n, m, d)))
 
     xc, delta = guided_denoise(cond, uncond, prop_noisy.reshape(n * m, d), np.repeat(t, m),
                                np.repeat(c, m), 0.0)
@@ -157,13 +144,14 @@ def _pow_and_factor(sq, beta):
     return out_pow, factor
 
 
-def mmd_loss(batch: ParticleBatch, params: MmdParams, omega):
+def mmd_loss(batch: ParticleBatch, beta: float, lam: float, omega):
     """Per-item self-consistency loss and d loss / d omega, both shape (n,).
 
-    omega is a scalar or one weight per item (n,); the cached draws are
-    reused, so the map omega -> loss is smooth and exactly replayable. The
-    repulsion kernel is symmetric, so its sum over j != k is taken as twice
-    the sum over j < k.
+    beta in (0, 2] is the energy-kernel exponent and lam >= 0 the repulsion
+    weight, as TrainConfig declares them. omega is a scalar or one weight per
+    item (n,); the cached draws are reused, so the map omega -> loss is smooth
+    and exactly replayable. The repulsion kernel is symmetric, so its sum over
+    j != k is taken as twice the sum over j < k.
     """
     m = batch.n_particles
     # coordinate-first views (d, n, m): each coordinate's pair arrays are contiguous
@@ -171,18 +159,18 @@ def mmd_loss(batch: ParticleBatch, params: MmdParams, omega):
     slope = np.moveaxis(batch.slope(), -1, 0)
 
     u = props - np.moveaxis(batch.targets, -1, 0)
-    cross_pow, cross_fac = _pow_and_factor(_dot(u, u), params.beta)
+    cross_pow, cross_fac = _pow_and_factor(_dot(u, u), beta)
     loss = cross_pow.mean(axis=-1)
     dloss = (cross_fac * _dot(u, slope)).mean(axis=-1)
 
-    if params.lam > 0.0 and m > 1:
+    if lam > 0.0 and m > 1:
         j, k = np.triu_indices(m, 1)
         v = np.take(props, j, axis=-1) - np.take(props, k, axis=-1)
         dv = np.take(slope, j, axis=-1) - np.take(slope, k, axis=-1)
-        v_pow, v_fac = _pow_and_factor(_dot(v, v), params.beta)
+        v_pow, v_fac = _pow_and_factor(_dot(v, v), beta)
         norm = 1.0 / (m * (m - 1))
-        loss = loss - params.lam * v_pow.sum(axis=-1) * norm
-        dloss = dloss - params.lam * norm * (v_fac * _dot(v, dv)).sum(axis=-1)
+        loss = loss - lam * v_pow.sum(axis=-1) * norm
+        dloss = dloss - lam * norm * (v_fac * _dot(v, dv)).sum(axis=-1)
     return loss, dloss
 
 
@@ -242,7 +230,7 @@ def build_gsm(x0, c, t, cond, uncond, rng) -> ParticleBatch:
     them onto the clean points.
     """
     n = x0.shape[0]
-    x_t, _ = noise_sample(x0, t, rng)
+    x_t = noise_sample(x0, t, rng.standard_normal(x0.shape))
     xc, delta = guided_denoise(cond, uncond, x_t, t, c, 0.0)
     return ParticleBatch(c, x0[:, None], x_t[:, None], xc[:, None], delta[:, None],
                          DdimTransition(np.zeros(n), np.ones(n), np.zeros(n)),

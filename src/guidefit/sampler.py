@@ -83,7 +83,7 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
         omega = weight_fn.weight(s, t, classes)[c]
         guided, _ = guided_denoise(cond, uncond, x, t, c, omega)
         trans = ddim_transition(s, t, config.churn)
-        x, _ = trans.sample(guided, x, noise=z[:, k])
+        x = trans.sample(guided, x, z[:, k])
         if chain is not None:
             states.append(x[chain].copy())
             omegas.append(omega[chain])

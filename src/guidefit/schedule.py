@@ -62,26 +62,16 @@ def logsnr_feature(t):
     return np.clip(SCHEDULE.logsnr(t), -LOGSNR_CLIP, LOGSNR_CLIP)
 
 
-def noise_sample(x0, t, rng=None, noise=None):
-    """Draw x_t = alpha_t x0 + sigma_t xi for xi ~ N(0, I).
+def noise_sample(x0, t, noise):
+    """x_t = alpha_t x0 + sigma_t noise for standard normals noise (x0's shape).
 
     Args:
         x0: clean points, shape (..., d).
         t: scalar or array broadcastable against the leading axes of x0.
-        rng: generator used when noise is not supplied.
-        noise: optional pre-drawn standard normals, same shape as x0. Passing
-            them makes the draw replayable.
-
-    Returns:
-        (x_t, noise) with x_t.shape == x0.shape.
+        noise: standard normals, same shape as x0.
     """
-    x0 = np.asarray(x0, dtype=float)
     alpha, sigma = SCHEDULE.alpha_sigma(t)
-    if noise is None:
-        noise = rng.standard_normal(x0.shape)
-    alpha = _align(alpha, x0.ndim)
-    sigma = _align(sigma, x0.ndim)
-    return alpha * x0 + sigma * noise, noise
+    return _align(alpha, np.ndim(x0)) * x0 + _align(sigma, np.ndim(x0)) * noise
 
 
 @dataclass(frozen=True)
@@ -95,20 +85,11 @@ class DdimTransition:
     mean_coeff_x0: np.ndarray
     cov_scale: np.ndarray
 
-    def mean(self, x0, x_t):
-        x0 = np.asarray(x0, dtype=float)
-        x_t = np.asarray(x_t, dtype=float)
-        a = _align(self.mean_coeff_xt, x_t.ndim)
-        b = _align(self.mean_coeff_x0, x_t.ndim)
-        return a * x_t + b * x0
-
-    def sample(self, x0, x_t, rng=None, noise=None):
-        """Draw x_s from the transition; returns (x_s, noise) for replay."""
-        mean = self.mean(x0, x_t)
-        if noise is None:
-            noise = rng.standard_normal(mean.shape)
-        std = _align(np.sqrt(self.cov_scale), mean.ndim)
-        return mean + std * noise, noise
+    def sample(self, x0, x_t, noise):
+        """x_s = A x_t + B x0 + sqrt(Sigma) noise for standard normals noise (x_t's shape)."""
+        ndim = np.ndim(x_t)
+        return (_align(self.mean_coeff_xt, ndim) * x_t + _align(self.mean_coeff_x0, ndim) * x0
+                + _align(np.sqrt(self.cov_scale), ndim) * noise)
 
 
 def ddim_transition(s, t, churn: float) -> DdimTransition:

@@ -25,7 +25,7 @@ from .denoisers import MogSpec
 from .domains import check_fields, one_of, within
 from .evaluation import _Reference, energy_mmd, write_table
 from .guidance import GuidanceNet
-from .objectives import (REWARDS, MmdParams, TimePairSampler, build_gsm, build_particles,
+from .objectives import (REWARDS, TimePairSampler, build_gsm, build_particles,
                          guided_score_matching_loss, l2_loss, mmd_loss, reward_loss)
 from .rng import stream
 from .sampler import SampleConfig, sample
@@ -49,7 +49,7 @@ class TrainConfig:
     iterations: int = within(1000, 0)
     batch_size: int = within(128, 1)
     particles: int = within(32, 1)
-    beta: float = within(1.75, 0.0, 2.0, "(]")  # MmdParams' domains
+    beta: float = within(1.75, 0.0, 2.0, "(]")
     lam: float = within(1.0, 0.0)
     churn: float = within(1.0, 0.0, 1.0, "[]")
     learning_rate: float = within(5e-4, 0.0)
@@ -109,7 +109,7 @@ def _objective(config: TrainConfig, x0, c, s, t, omega, cond, uncond, reward, rn
     if config.mode == "l2":
         loss_items, grad_items = l2_loss(batch, omega)
     else:
-        loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam), omega)
+        loss_items, grad_items = mmd_loss(batch, config.beta, config.lam, omega)
     if reward is None:
         return loss_items, grad_items, np.nan
     r_loss, r_grad = reward_loss(batch, reward, omega)

@@ -19,7 +19,7 @@ from guidefit.config import build_denoiser, build_guidance_net, load_config
 from guidefit.denoisers import mixture_score, posterior_mean
 from guidefit.evaluation import mmd_with_se
 from guidefit.guidance import GuidanceNet, mean_abs_weight
-from guidefit.objectives import (MmdParams, ParticleBatch, build_gsm, build_particles,
+from guidefit.objectives import (ParticleBatch, build_gsm, build_particles,
                                  distance_to_mean, guided_score_matching_loss, l2_loss,
                                  mmd_loss, reward_loss)
 from guidefit.rng import stream
@@ -56,9 +56,9 @@ def test_transition_marginal_consistency():
     for churn in (0.0, 0.5, 1.0):
         for s, t in ((0.2, 0.5), (0.5, 0.8), (0.1, 0.95)):
             rng = stream(0, f"acc/marginal/{churn}/{s}/{t}")
-            x_t, _ = noise_sample(np.broadcast_to(x0, (k, 2)), t, rng)
+            x_t = noise_sample(np.broadcast_to(x0, (k, 2)), t, rng.standard_normal((k, 2)))
             trans = ddim_transition(s, t, churn)
-            x_s, _ = trans.sample(x0, x_t, rng)
+            x_s = trans.sample(x0, x_t, rng.standard_normal((k, 2)))
             alpha_s, sigma_s = sched.alpha_sigma(s)
             mean_se = sigma_s / np.sqrt(k)
             var_se = sigma_s**2 * np.sqrt(2.0 / (k - 1))
@@ -112,7 +112,7 @@ def test_gradient_suite(mog, exact):
     """
     reward = partial(distance_to_mean, mog)
     omega_losses = {
-        "self_consistency": lambda b, w: mmd_loss(b, MmdParams(1.75, 1.0), w),
+        "self_consistency": lambda b, w: mmd_loss(b, 1.75, 1.0, w),
         "l2": lambda b, w: l2_loss(b, w),
         "reward": lambda b, w: reward_loss(b, reward, w),
         "guided_sm": guided_score_matching_loss,
@@ -212,11 +212,10 @@ def test_estimator_identities(mog, exact):
     s = rng.uniform(0.3, 0.6, size=16)
     t = rng.uniform(0.7, 0.95, size=16)
     batch = build_particles(x0, c, s, t, 1, exact, exact, 1.0, rng)
-    quad = MmdParams(beta=2.0, lam=0.0)
     id_err = 0.0
     for w in (0.5, -0.5, 1.5):
         lv, lg = l2_loss(batch, w)
-        mv, mg = mmd_loss(batch, quad, w)
+        mv, mg = mmd_loss(batch, 2.0, 0.0, w)
         id_err = max(id_err, float(np.max(np.abs(lv - mv))), float(np.max(np.abs(lg - mg))))
 
     x, _ = mog.sample_joint(4096, stream(9, "acc/halves"))
@@ -229,7 +228,7 @@ def test_estimator_identities(mog, exact):
         delta=zeros.copy(), trans=DdimTransition(np.array([1.0]), np.array([0.0]),
                                                  np.array([0.0])),
         trans_noise=zeros.copy())
-    hand_loss = mmd_loss(hand, MmdParams(beta=1.0, lam=1.0), 0.0)[0][0]
+    hand_loss = mmd_loss(hand, 1.0, 1.0, 0.0)[0][0]
 
     verdict("estimator identities",
             id_err < 1e-12 and abs(mmd) < 4.0 * se and hand_loss == -1.0,

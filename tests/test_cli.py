@@ -202,7 +202,8 @@ def test_trajectory_from_data_is_usage_error(tmp_path, tiny_config, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
-@pytest.mark.parametrize("bad_row", ["1,0.5", "1,0.5,abc", "x,0.5,0.5", "1,0.5,0.5,0.5"])
+@pytest.mark.parametrize("bad_row", ["1,0.5", "1,0.5,abc", "x,0.5,0.5", "1,0.5,0.5,0.5",
+                                     "1,nan,0.5", "1,0.5,inf", "1,1e400,0.5"])
 def test_malformed_sample_row_is_usage_error(tmp_path, tiny_config, bad_row, capsys):
     good = tmp_path / "good.csv"
     good.write_text("# header\nc,x,y\n0,0.1,0.2\n1,0.3,0.4\n2,0.5,0.6\n")
@@ -213,6 +214,52 @@ def test_malformed_sample_row_is_usage_error(tmp_path, tiny_config, bad_row, cap
                "--generated", str(bad), "--reference", str(good)) == 2
     assert f"{bad}:4" in capsys.readouterr().err
     assert not (out / "eval.json").exists()
+
+
+def test_sample_header_without_coordinates_is_usage_error(tmp_path, tiny_config, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# header\nc\n0\n1\n2\n")
+    out = tmp_path / "o"
+    assert run("eval-mmd", "--config", tiny_config, "--out", str(out), "--quiet",
+               "--generated", str(bad), "--reference", str(bad)) == 2
+    assert f"{bad}:2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, bad", [
+    ("sample", "--config", "dir"), ("sample", "--denoiser", "dir"),
+    ("sample", "--guidance", "dir"), ("eval-mmd", "--generated", "dir"),
+    ("eval-mmd", "--reference", "dir"), ("sample --from-data", "--out", "file"),
+    ("sample --from-data", "--output", "dir"),
+    ("sample", "--config", "not-utf8"), ("sample", "--denoiser", "not-utf8"),
+    ("sample", "--guidance", "not-utf8"), ("eval-mmd", "--generated", "not-utf8"),
+    ("eval-mmd", "--reference", "not-utf8"),
+    ("sample", "--config", "deep"), ("sample", "--denoiser", "deep"),
+])
+def test_bad_path_or_encoding_is_usage_error(tmp_path, tiny_config, capsys, command, flag,
+                                             bad):
+    # a directory where a file is read or written, a file where --out makes a
+    # directory, bytes that are not UTF-8, JSON nested past the parser's depth
+    good = tmp_path / "samples.csv"
+    write_table(good, None, ["c", "x", "y"], [(0, 0.1 * i, 0.2) for i in range(3)])
+    path = tmp_path / "bad"
+    if bad == "dir":
+        path.mkdir()
+    elif bad == "file":
+        path.write_text("")
+    elif bad == "not-utf8":
+        path.write_bytes(b"c,x,y\n0,0.1,\xff\n" if flag in ("--generated", "--reference")
+                         else b'{"seed": "\xff"}\n')
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    command, *argv = command.split()
+    paths = {"--config": tiny_config, "--out": str(tmp_path / "o")}
+    if command == "eval-mmd":
+        paths.update({"--generated": str(good), "--reference": str(good)})
+    paths[flag] = str(path)
+    assert run(command, "--quiet", *argv, *(v for kv in paths.items() for v in kv)) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err, err
 
 
 def test_non_finite_error_bar_is_numerical_failure(tmp_path, capsys):

@@ -207,7 +207,9 @@ def _prebreak_denoise(den, x_t, t, c=None):
     snr = np.clip(SCHEDULE.logsnr(t), -LOGSNR_CLIP, LOGSNR_CLIP)
     snr = np.broadcast_to(np.asarray(snr, dtype=float), (x.shape[0],))
     emb = nn.sinusoidal_embedding(snr, den.time_embed_dim)
-    h = np.concatenate([x, emb, nn.class_onehot(c, den.n_classes, n=x.shape[0])], axis=1)
+    onehot = (np.zeros((x.shape[0], den.n_classes)) if c is None else
+              nn.class_onehot(np.broadcast_to(c, x.shape[:1]), den.n_classes))
+    h = np.concatenate([x, emb, onehot], axis=1)
     last = len(den.net.weights) - 1
     for i, (w, b) in enumerate(zip(den.net.weights, den.net.biases)):
         h = h @ w.T + b

@@ -13,6 +13,10 @@ definition; tests do not count, so a helper left behind by a refactor fails.
 A public module-level name must be read the same way, outside the package's
 re-exports, or be listed in `guidefit.__all__`: a function that only tests
 call is either part of the package's interface or dead code.
+
+A parameter with a default must be set by some call in src/, or be listed
+with its reason in `UNSET_DEFAULTS`: a default that no caller overrides is a
+constant, and belongs in the body.
 """
 
 import ast
@@ -130,3 +134,71 @@ def test_every_public_name_is_read_in_src_or_exported():
     unread = unread_names({p.name: p.read_text() for p in SRC if p.name != "__init__.py"},
                           private=False)
     assert [(path, name) for path, name in unread if name not in guidefit.__all__] == []
+
+
+def _callee(call):
+    """The name a call reaches its function by: f(...) and obj.f(...) both give "f"."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unset_defaults(sources: dict):
+    """(file, function, parameter) of each parameter with a default that no call
+    in sources sets: by keyword to any callee (so obj.f and a function passed
+    around count), by position to a callee of the function's name (its class's
+    for __init__), or through * or ** unpacking to such a callee."""
+    keywords, positional, unpacked, defaults = set(), {}, set(), []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        owner = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for f in cls.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _callee(node)
+                keywords.update(k.arg for k in node.keywords if k.arg)
+                starred = [isinstance(a, ast.Starred) for a in node.args]
+                if any(starred) or any(k.arg is None for k in node.keywords):
+                    unpacked.add(name)
+                n = starred.index(True) if any(starred) else len(starred)
+                positional[name] = max(positional.get(name, 0), n)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                pos = args.posonlyargs + args.args
+                bound = id(node) in owner and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                callee = owner[id(node)] if node.name == "__init__" else node.name
+                first = len(pos) - len(args.defaults)
+                defaults += [(path, node.name, a.arg, callee, i - bound)
+                             for i, a in enumerate(pos[first:], first)]
+                defaults += [(path, node.name, a.arg, callee, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return sorted((path, fn, arg) for path, fn, arg, callee, i in defaults
+                  if arg not in keywords and callee not in unpacked
+                  and (i is None or positional.get(callee, 0) <= i))
+
+
+def test_default_walk_flags_unset_and_keeps_set():
+    sources = {"a.py": "def f(x, k=1, pos=2, unset=3, *, kw=4):\n    pass\n\n"
+                       "class C:\n    def __init__(self, a=1, b=2):\n        pass\n\n"
+                       "    def m(self, p=1, q=2):\n        pass\n\n"
+                       "def g(a=1, b=2):\n    pass\n",
+               "b.py": "from a import C, f, g\n\nf(0, 1, 2, kw=5)\nC(1)\nC().m(1)\n"
+                       "h = f\nh(0, unset=1)\ng(*[1, 2])\n"}
+    assert unset_defaults(sources) == [("a.py", "__init__", "b"), ("a.py", "m", "q")]
+
+
+# Parameters kept with a default that no call in src/ sets, each with its reason.
+UNSET_DEFAULTS = {
+    ("cli.py", "main", "argv"): "the entry point: None reads sys.argv, tests pass a list",
+    ("denoisers.py", "mixture_log_density", "t"):
+        "p_t at t > 0 is what mixture_score(t) is the gradient of; the reward reads t = 0",
+    ("denoisers.py", "mixture_score", "t"):
+        "the Tweedie acceptance check's reference at t > 0; the reward reads t = 0",
+}
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    """A default that no src/ caller overrides is a constant in disguise."""
+    unset = unset_defaults({p.name: p.read_text() for p in SRC})
+    assert [key for key in unset if key not in UNSET_DEFAULTS] == []
+    assert sorted(UNSET_DEFAULTS) == unset  # no stale allowlist entry

@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from guidefit.objectives import (REWARDS, MmdParams, ParticleBatch, TimePairSampler,
+from guidefit.objectives import (REWARDS, ParticleBatch, TimePairSampler,
                                  build_gsm, build_particles, distance_to_mean,
                                  guided_score_matching_loss, l2_loss, log_density,
                                  mmd_loss, reward_loss)
@@ -36,16 +36,6 @@ def fd_check(loss_fn, batch, w0=0.3, atol=1e-8, rtol=1e-6):
     down, _ = loss_fn(batch, w0 - h)
     fd = (up - down) / (2.0 * h)
     assert np.all(np.abs(fd - grad) <= atol + rtol * np.abs(fd))
-
-
-def test_mmd_params_validation():
-    with pytest.raises(ValueError):
-        MmdParams(beta=0.0)
-    with pytest.raises(ValueError):
-        MmdParams(beta=2.5)
-    for lam in (-0.1, np.inf, np.nan):
-        with pytest.raises(ValueError, match="lam must lie in"):
-            MmdParams(lam=lam)
 
 
 def test_time_pair_sampler_ranges():
@@ -111,13 +101,12 @@ def test_proposals_affine_in_omega(mog, exact):
 def test_mmd_loss_gradient_matches_finite_differences(mog, exact):
     for churn in (0.0, 1.0):
         batch = make_batch(mog, exact, churn=churn, seed=2)
-        params = MmdParams(beta=1.75, lam=1.0)
-        fd_check(lambda b, w: mmd_loss(b, params, w), batch)
+        fd_check(lambda b, w: mmd_loss(b, 1.75, 1.0, w), batch)
 
 
 def test_mmd_loss_interaction_off_when_lam_zero(mog, exact):
     batch = make_batch(mog, exact, seed=3)
-    full, _ = mmd_loss(batch, MmdParams(beta=1.5, lam=0.0), 0.3)
+    full, _ = mmd_loss(batch, 1.5, 0.0, 0.3)
     u = batch.proposals(0.3) - batch.targets
     direct = np.mean(np.sqrt(np.sum(u * u, axis=-1)) ** 1.5, axis=-1)
     assert np.allclose(full, direct, atol=1e-12)
@@ -125,10 +114,9 @@ def test_mmd_loss_interaction_off_when_lam_zero(mog, exact):
 
 def test_l2_equals_quadratic_energy_single_particle(mog, exact):
     batch = make_batch(mog, exact, m=1, seed=4)
-    quad = MmdParams(beta=2.0, lam=0.0)
     for w in (0.3, -0.5, 0.0, 1.5):
         l2_val, l2_grad = l2_loss(batch, w)
-        mmd_val, mmd_grad = mmd_loss(batch, quad, w)
+        mmd_val, mmd_grad = mmd_loss(batch, 2.0, 0.0, w)
         assert np.max(np.abs(l2_val - mmd_val)) < 1e-12
         assert np.max(np.abs(l2_grad - mmd_grad)) < 1e-12
     with pytest.raises(ValueError):
@@ -145,7 +133,7 @@ def test_two_point_batch_interaction_value():
         delta=zeros.copy(), trans=DdimTransition(np.array([1.0]), np.array([0.0]),
                                                  np.array([0.0])),
         trans_noise=zeros.copy())
-    loss, grad = mmd_loss(batch, MmdParams(beta=1.0, lam=1.0), 0.0)
+    loss, grad = mmd_loss(batch, 1.0, 1.0, 0.0)
     assert loss[0] == -1.0
     assert grad[0] == 0.0
 
@@ -245,15 +233,15 @@ def test_gsm_batch_is_a_one_particle_identity_transition(mog, exact, omega):
     np.testing.assert_allclose(l2_grad, gsm_grad, rtol=1e-12, atol=0.0)
 
 
-def _oracle_mmd_loss(batch, params, omega):
+def _oracle_mmd_loss(batch, beta, lam, omega):
     """mmd_loss written out: coordinate-last arrays, the j < k pairs listed in
     row-major order by a loop, one power per distance, factor = beta pow / sq."""
     def pow_and_factor(diff):
         sq = np.sum(diff * diff, axis=-1)
-        pw = sq ** (params.beta / 2.0)
+        pw = sq ** (beta / 2.0)
         factor = np.zeros_like(sq)
         nz = sq > 0.0
-        factor[nz] = params.beta * pw[nz] / sq[nz]
+        factor[nz] = beta * pw[nz] / sq[nz]
         return pw, factor
 
     m = batch.n_particles
@@ -263,26 +251,26 @@ def _oracle_mmd_loss(batch, params, omega):
     cross_pow, cross_fac = pow_and_factor(u)
     loss = cross_pow.mean(axis=-1)
     dloss = (cross_fac * np.sum(u * slope, axis=-1)).mean(axis=-1)
-    if params.lam > 0.0 and m > 1:
+    if lam > 0.0 and m > 1:
         pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
         v = np.stack([props[:, j] - props[:, k] for j, k in pairs], axis=1)
         v_pow, v_fac = pow_and_factor(v)
         dv = np.stack([slope[:, j] - slope[:, k] for j, k in pairs], axis=1)
         norm = 1.0 / (m * (m - 1))
-        loss = loss - params.lam * v_pow.sum(axis=-1) * norm
-        dloss = dloss - params.lam * norm * (v_fac * np.sum(v * dv, axis=-1)).sum(axis=-1)
+        loss = loss - lam * v_pow.sum(axis=-1) * norm
+        dloss = dloss - lam * norm * (v_fac * np.sum(v * dv, axis=-1)).sum(axis=-1)
     return loss, dloss
 
 
-def _all_pairs_mmd_loss(batch, params, omega):
+def _all_pairs_mmd_loss(batch, beta, lam, omega):
     """The all-pairs form mmd_loss had before it summed j < k only: half the sum
     over j != k, with norm^beta and beta norm^(beta - 2) as two powers."""
     def pow_and_factor(diff):
         norm = np.sqrt(np.sum(diff * diff, axis=-1))
         factor = np.zeros_like(norm)
         nz = norm > 0.0
-        factor[nz] = params.beta * norm[nz] ** (params.beta - 2.0)
-        return norm**params.beta, factor
+        factor[nz] = beta * norm[nz] ** (beta - 2.0)
+        return norm**beta, factor
 
     m = batch.n_particles
     props = batch.proposals(omega)
@@ -291,13 +279,13 @@ def _all_pairs_mmd_loss(batch, params, omega):
     cross_pow, cross_fac = pow_and_factor(u)
     loss = cross_pow.mean(axis=-1)
     dloss = (cross_fac * np.sum(u * slope, axis=-1)).mean(axis=-1)
-    if params.lam > 0.0 and m > 1:
+    if lam > 0.0 and m > 1:
         v = props[:, :, None, :] - props[:, None, :, :]
         v_pow, v_fac = pow_and_factor(v)
         dv = slope[:, :, None, :] - slope[:, None, :, :]
         norm = 1.0 / (m * (m - 1))
-        loss = loss - 0.5 * params.lam * v_pow.sum(axis=(-2, -1)) * norm
-        dloss = dloss - 0.5 * params.lam * norm * (
+        loss = loss - 0.5 * lam * v_pow.sum(axis=(-2, -1)) * norm
+        dloss = dloss - 0.5 * lam * norm * (
             v_fac * np.sum(v * dv, axis=-1)).sum(axis=(-2, -1))
     return loss, dloss
 
@@ -323,10 +311,9 @@ def _random_batch(n, m, d, seed):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mmd_loss_bytes_match_oracle(beta, lam, m, d):
     batch, weights = _random_batch(12, m, d, seed=100 * m + d)
-    params = MmdParams(beta=beta, lam=lam)
     for omega in (weights, 0.7):
-        got = mmd_loss(batch, params, omega)
-        want = _oracle_mmd_loss(batch, params, omega)
+        got = mmd_loss(batch, beta, lam, omega)
+        want = _oracle_mmd_loss(batch, beta, lam, omega)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
@@ -340,8 +327,7 @@ def test_mmd_loss_matches_all_pairs_form(beta, lam, m, d):
     # error is relative to the batch's largest value: where the cross and
     # repulsion terms cancel, an item's loss is rounding noise in both forms.
     batch, weights = _random_batch(12, m, d, seed=100 * m + d)
-    params = MmdParams(beta=beta, lam=lam)
     for omega in (weights, 0.7):
-        for got, want in zip(mmd_loss(batch, params, omega),
-                             _all_pairs_mmd_loss(batch, params, omega)):
+        for got, want in zip(mmd_loss(batch, beta, lam, omega),
+                             _all_pairs_mmd_loss(batch, beta, lam, omega)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

@@ -158,7 +158,8 @@ def _per_row_sample(config, cond, uncond, fn, class_weights, seed):
         s, t = grid[k], grid[k + 1]
         guided, _ = guided_denoise(cond, uncond, x, t, c, fn.weight(s, t, c))
         trans = ddim_transition(s, t, config.churn)
-        x = trans.mean(guided, x) + np.sqrt(trans.cov_scale) * z[:, k]
+        x = (trans.mean_coeff_xt * x + trans.mean_coeff_x0 * guided
+             + np.sqrt(trans.cov_scale) * z[:, k])
     return x, c
 
 

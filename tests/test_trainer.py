@@ -13,7 +13,7 @@ from guidefit.config import load_config
 from guidefit.denoisers import AnalyticDenoiser
 from guidefit.evaluation import energy_mmd
 from guidefit.guidance import GuidanceNet, mean_abs_weight
-from guidefit.objectives import (REWARDS, MmdParams, TimePairSampler, build_gsm,
+from guidefit.objectives import (REWARDS, TimePairSampler, build_gsm,
                                  build_particles, guided_score_matching_loss, l2_loss,
                                  mmd_loss, reward_loss)
 from guidefit.rng import stream
@@ -192,7 +192,7 @@ def _oracle_loss_param_grad(net, cond, uncond, data, x0, c, s, t, config):
         if config.mode == "l2":
             loss_items, grad_items = l2_loss(batch, omega)
         else:
-            loss_items, grad_items = mmd_loss(batch, MmdParams(config.beta, config.lam), omega)
+            loss_items, grad_items = mmd_loss(batch, config.beta, config.lam, omega)
         if config.mode == "reward":
             reward = partial(REWARDS[config.reward], data)
             r_loss, r_grad = reward_loss(batch, reward, omega)
