@@ -65,7 +65,7 @@ class TrainConfig:
     def __post_init__(self):
         check_fields(self)
         if self.mode == "l2" and self.particles != 1:
-            raise ValueError("the l2 objective uses exactly one particle")
+            raise ValueError(f"mode 'l2' uses exactly one particle, got particles {self.particles}")
         if self.mode == "reward" and self.reward is None:
             raise ValueError("reward mode needs a reward function name")
         if self.probing and self.probe_size < 2:

@@ -1,6 +1,8 @@
 """Command-line interface: the full artifact pipeline, exit codes, overrides."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -689,6 +691,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
     ("sweep --guidance no-such-dir/guidance.json", {}, 3,
      "checkpoint no-such-dir/guidance.json not found"),
     ("sample --from-data", {"mog": MOG_OFF_SUM}, 3, "invalid mog: weights "),
+    ("train-guidance", {"train": {"mode": "l2"}}, 3,
+     "invalid train: mode 'l2' uses exactly one particle, got particles 4"),
 ], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
         "one-row-csv", "eval-mmd-1d-reference", "eval-mmd-3d-reference",
         "train.checkpoint_every", "train.probe_size", "train.ema_decay",
@@ -708,7 +712,7 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
         "mog-nested", "sweep-sample.count-1", "sweep-eval.omega_grid-empty",
         "sample--seed-neg", "sweep--seed-neg",
         "sample--trajectory-out-of-range", "sample--denoiser-missing",
-        "sweep--guidance-missing", "mog.weights-sum"])
+        "sweep--guidance-missing", "mog.weights-sum", "train.mode-l2-particles"])
 def test_bad_config_or_input_is_usage_error(tmp_path, capsys, command, sections, rows, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_with(TINY, **sections)))
@@ -947,7 +951,80 @@ def test_each_domain_edge_loads_or_names_its_leaf(kind, path, field, hint):
         assert _names_leaf(str(info.value), path), (value, str(info.value))
 
 
-NEURAL = _with(TINY, denoiser={"kind": "neural", "train": {"iterations": 30}},
+# The cheapest command that reads each section's leaves (eval.omega_grid only
+# sweep reads), and the small neural denoiser whose section is fuzzed in TINY.
+FUZZ_COMMANDS = {"seed": "sample --from-data", "mog": "sample --from-data",
+                 "denoiser": "pretrain-denoiser", "guidance": "train-guidance",
+                 "train": "train-guidance", "sample": "sample", "eval": "eval-mmd",
+                 "eval.omega_grid": "sweep"}
+FUZZ_DENOISER = {"kind": "neural", "train": {"iterations": 2, "batch_size": 8, "hidden": 8,
+                                             "layers": 1, "time_embed_dim": 4}}
+
+
+def _fuzz_cases(field, hint, current):
+    """(value, placed) pairs for one leaf: each end of its domain and the next
+    value across it, NaN and +/-inf, JSON values of other types, and lists of
+    other shapes. A placed value goes where _set_leaf puts it, any other
+    replaces the whole leaf. No integer of an int leaf exceeds current, the
+    leaf's value in the fuzzed config, so no drawn size outgrows TINY."""
+    hint = (typing.get_args(hint) or (hint,))[0]  # X of X | None
+    if hint is bool:
+        edges = [True, False]
+    elif "within" in field.metadata:
+        lo = field.metadata["within"][0]
+        edges = [v for v, _ in _edges(*field.metadata["within"], integer=hint is int)]
+        edges += [lo + 1] if hint is int else []  # an odd width, where lo is 0
+    else:
+        edges = [*field.metadata.get("one_of", ("analytic", "neural")), "no such name"]
+    shapes = [[current], []]
+    if isinstance(current, list):
+        shapes += [current[:-1], [[v] for v in current]]
+    cases = [(v, True) for v in edges + [NAN, INF, -INF]]
+    cases += [(v, False) for v in ["x", True, 1, 1.5, None, {"a": 1}] + shapes]
+    return [(v, placed) for v, placed in cases
+            if not (hint is int and type(v) is int and v > current)]
+
+
+FUZZED = list(_leaf_fields())
+
+
+@pytest.mark.parametrize("path, field, hint", FUZZED, ids=[_dotted(p) for p, _, _ in FUZZED])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_value_at_a_leaf_runs_or_exits_naming_it(path, field, hint, data):
+    """Command-level fuzz: a leaf of TINY set to an edge of its domain, a
+    non-finite number, a value of another JSON type or a list of another shape,
+    then the cheapest command that reads it run in-process. It exits 0, 2 or 3,
+    no exception escapes, and an exit 2 names the leaf."""
+    config = _with(TINY, denoiser=FUZZ_DENOISER) if path[0] == "denoiser" else TINY
+    config = config_to_dict(config_from_dict(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    value, placed = data.draw(st.sampled_from(_fuzz_cases(field, hint, node[path[-1]])))
+    if placed:
+        _set_leaf(config, path, value)
+    else:
+        node[path[-1]] = value
+    command, *flags = FUZZ_COMMANDS.get(".".join(path), FUZZ_COMMANDS[path[0]]).split()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        Path(work, "config.json").write_text(json.dumps(config))
+        if command == "eval-mmd":
+            for name, c in (("generated", 0), ("reference", 1)):
+                write_table(Path(work, f"{name}.csv"), None, ["c", "x", "y"],
+                            [(c, 0.1 * i + c, 0.2) for i in range(3)])
+                flags += [f"--{name}", str(Path(work, f"{name}.csv"))]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, "--config", str(Path(work, "config.json")),
+                       "--out", str(Path(work, "o")), "--quiet", *flags)
+    assert code in (0, 2, 3), (value, code, err.getvalue())
+    if code == 2:
+        message = err.getvalue()
+        assert message.startswith("error: ") and _names_leaf(message[7:], path), (value, message)
+
+
+NEURAL =_with(TINY, denoiser={"kind": "neural", "train": {"iterations": 30}},
                sample={"steps": 5, "count": 64})
 
 
