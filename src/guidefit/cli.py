@@ -261,8 +261,9 @@ def cmd_eval_mmd(args) -> int:
     gen, _ = _read_samples(args.generated)
     ref, _ = _read_samples(args.reference)
     for path, x in ((args.generated, gen), (args.reference, ref)):
-        if x.shape[0] < 2:
-            raise ConfigError(f"{path} holds one sample; the MMD needs at least two")
+        if x.shape[0] < 3:
+            raise ConfigError(f"{path} holds {x.shape[0]} sample(s); the MMD's error bar "
+                              "needs at least 3")
     if gen.shape[1] != ref.shape[1]:
         raise ConfigError(f"{args.generated} holds {gen.shape[1]}-D points but "
                           f"{args.reference} holds {ref.shape[1]}-D points")
@@ -282,8 +283,8 @@ def cmd_eval_mmd(args) -> int:
 
 def cmd_sweep(args) -> int:
     config, digest, header = _load_setup(args)
-    if config.sample.count < 2:
-        raise ConfigError(f"sample.count must be at least 2 for the sweep's MMD, "
+    if config.sample.count < 3:
+        raise ConfigError(f"sample.count must be at least 3 for the sweep's error bars, "
                           f"got {config.sample.count}")
     if not config.eval.omega_grid and args.guidance is None:
         raise ConfigError("eval.omega_grid is empty and no --guidance is given: "

@@ -132,20 +132,12 @@ def _energy(x, y: _Reference, beta: float, lam: float, wx, wy):
     return est
 
 
-def _checked_points(x, y, beta: float, lam: float):
-    """x as a 2D array and y as a _Reference (an array y is wrapped)."""
+def energy_mmd(x, y, beta: float = 1.0, lam: float = 1.0) -> float:
+    """Two-sample energy-kernel discrepancy between point sets x and y (an array
+    or a _Reference). beta lies in (0, 2], and with lam != 0 each set holds at
+    least two points: the config loader and the CLI check both."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = y if isinstance(y, _Reference) else _Reference(y)
-    if not 0.0 < beta <= 2.0:
-        raise ValueError(f"beta must lie in (0, 2], got {beta}")
-    if lam != 0.0 and min(x.shape[0], y.points.shape[0]) < 2:
-        raise ValueError("within-set term needs at least two points")
-    return x, y
-
-
-def energy_mmd(x, y, beta: float = 1.0, lam: float = 1.0) -> float:
-    """Two-sample energy-kernel discrepancy between point sets x and y."""
-    x, y = _checked_points(x, y, beta, lam)
     return float(_energy(x, y, beta, lam, np.ones((x.shape[0], 1)),
                          np.ones((y.points.shape[0], 1)))[0])
 
@@ -154,17 +146,17 @@ def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20
                 seed: int = 0, *, classes=None):
     """energy_mmd plus a subsampling standard error, and per-class scores on request.
 
-    n_resamples subsets of both sets are drawn without replacement at
+    n_resamples >= 2 subsets of both sets are drawn without replacement at
     SUBSET_FRACTION; the standard deviation of the subset estimates, scaled by
-    sqrt(SUBSET_FRACTION), estimates the standard error at full size. classes =
-    (cx, cy), the labels of x and y, adds a dict class -> energy MMD of that
-    class's points to the return, for each class with at least two points on
-    both sides. All estimates are indicator columns of one pass (all-ones,
-    resample, class).
+    sqrt(SUBSET_FRACTION), estimates the standard error at full size. A set of
+    two points is resampled whole, so the CLI scores sets of three or more.
+    classes = (cx, cy), the labels of x and y, adds a dict class -> energy MMD
+    of that class's points to the return, for each class with at least two
+    points on both sides. All estimates are indicator columns of one pass
+    (all-ones, resample, class).
     """
-    x, y = _checked_points(x, y, beta, lam)
-    if n_resamples < 2:
-        raise ValueError("need at least two resamples")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = y if isinstance(y, _Reference) else _Reference(y)
     rng = stream(seed, "eval/subsample")
     n, m = x.shape[0], y.points.shape[0]
     nx = max(2, int(round(SUBSET_FRACTION * n)))

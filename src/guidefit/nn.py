@@ -272,8 +272,7 @@ class EmaState:
 
     @classmethod
     def for_params(cls, params, decay):
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must lie in [0, 1), got {decay}")
+        """A shadow copy of params; decay lies in [0, 1), as TrainConfig.ema_decay."""
         return cls(decay=decay, shadow=np.array(params, dtype=float))
 
     def update(self, params):
@@ -292,8 +291,6 @@ def sinusoidal_embedding(x, dim: int):
     Returns:
         array of shape (..., dim).
     """
-    if dim % 2 != 0:
-        raise ValueError(f"embedding dim must be even, got {dim}")
     x = np.asarray(x, dtype=float)
     half = dim // 2
     freqs = np.exp(-np.log(1e4) * np.arange(half) / half)

@@ -103,14 +103,12 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, churn: float, rng) -> Par
         x0: clean points (n, d).
         c: class labels (n,).
         s, t: time pairs (n,) with s < t elementwise.
-        m: particles per item.
+        m: particles per item, at least 1 (TrainConfig.particles).
         cond, uncond: denoisers evaluated at the proposal noisy points.
         churn: transition noise level in [0, 1].
         rng: all draws (target noise, proposal noise, transition noise, in
             that order) come from this generator.
     """
-    if m < 1:
-        raise ValueError("need at least one particle")
     n, d = x0.shape
 
     trans = ddim_transition(s, t, churn)
@@ -177,11 +175,10 @@ def mmd_loss(batch: ParticleBatch, beta: float, lam: float, omega):
 def l2_loss(batch: ParticleBatch, omega):
     """Single-particle squared-error objective: ||xprop - xtgt||^2 per item.
 
-    Requires m = 1. Written directly (not via mmd_loss) so the equivalence
-    with the beta = 2, lam = 0 energy loss is a real cross-check.
+    batch holds one particle per item, as TrainConfig requires of mode 'l2'.
+    Written directly (not via mmd_loss) so the equivalence with the beta = 2,
+    lam = 0 energy loss is a real cross-check.
     """
-    if batch.n_particles != 1:
-        raise ValueError("the squared-error objective uses exactly one particle")
     u = batch.proposals(omega)[:, 0, :] - batch.targets[:, 0, :]
     residual_slope = batch.slope()[:, 0, :]
     loss = np.sum(u * u, axis=-1)

