@@ -1041,12 +1041,12 @@ def test_any_value_at_a_leaf_runs_or_exits_naming_it(path, field, hint, data):
             code = run(command, "--config", str(Path(work, "config.json")),
                        "--out", str(Path(work, "o")), "--quiet", *flags)
     assert code in (0, 2, 3), (value, code, err.getvalue())
-    if code == 2:
-        message = err.getvalue()
-        assert message.startswith("error: ") and _names_leaf(message[7:], path), (value, message)
+    message = err.getvalue()
+    assert code != 2 or (message.startswith("error: ")
+                         and _names_leaf(message.removeprefix("error: "), path)), (value, message)
 
 
-NEURAL =_with(TINY, denoiser={"kind": "neural", "train": {"iterations": 30}},
+NEURAL = _with(TINY, denoiser={"kind": "neural", "train": {"iterations": 30}},
                sample={"steps": 5, "count": 64})
 
 
