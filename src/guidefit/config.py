@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoisers import AnalyticDenoiser, DenoiserTrainConfig, MogSpec, train_neural_denoiser
-from .domains import check_fields, within
+from .domains import check_fields, one_of, within
 from .guidance import GuidanceArch, GuidanceNet
 from .rng import stream
 from .sampler import SampleConfig
@@ -32,13 +32,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DenoiserConfig:
-    kind: str = "analytic"  # analytic | neural
+    kind: str = one_of("analytic", ("analytic", "neural"))
     train: DenoiserTrainConfig = field(default_factory=DenoiserTrainConfig)
 
     def __post_init__(self):
-        if self.kind not in ("analytic", "neural"):
-            raise ConfigError(f"unknown denoiser kind {self.kind!r}: "
-                              "denoiser.kind must be 'analytic' or 'neural'")
+        check_fields(self)
         if self.kind == "neural" and self.train.time_embed_dim % 2:
             raise ValueError(f"train.time_embed_dim must be even, got {self.train.time_embed_dim}")
 
@@ -92,8 +90,6 @@ _SIMPLE = (int, float, str, bool, type(None))
 def _to_jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
     if isinstance(value, (list, tuple)):
         return [_to_jsonable(v) for v in value]
     if dataclasses.is_dataclass(value):

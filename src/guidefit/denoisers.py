@@ -121,15 +121,15 @@ def _log_posterior(log_joint):
 
 
 def mixture_log_density(spec: MogSpec, x, t=0.0):
-    """log p_t(x) of the noised mixture; t = 0 gives the data density."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """log p_t(x) of the noised mixture at points x (n, d), shape (n,); t = 0 gives
+    the data density."""
     _, _, means, var = _noised_components(spec, t)
     return _logsumexp(_log_joint(spec, x, means, var))[..., 0]
 
 
 def mixture_score(spec: MogSpec, x, t=0.0):
-    """grad_x log p_t(x): responsibility-weighted pull toward the noised means."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """grad_x log p_t(x) at points x (n, d), shape (n, d): responsibility-weighted
+    pull toward the noised means."""
     _, _, means, var = _noised_components(spec, t)
     resp = np.exp(_log_posterior(_log_joint(spec, x, means, var)))  # (n, K)
     pull = (means - x[:, None, :]) / var[..., None]                # (n, K, d)
@@ -144,26 +144,22 @@ def posterior_mean(spec: MogSpec, x_t, t, c=None):
     the marginal mean mixes the m_c with the responsibilities p(c | x_t).
 
     Args:
-        x_t: points of shape (n, d) (a single (d,) point is promoted).
+        x_t: points of shape (n, d).
         t: scalar or (n,) array.
-        c: None, or labels in [0, K): an int or an int array of shape (n,).
+        c: None, or an int array of labels in [0, K), shape (n,).
 
     Returns:
-        array of shape (n, d), or (d,) when a single point was given.
+        array of shape (n, d).
     """
-    x_t = np.asarray(x_t, dtype=float)
-    single = x_t.ndim == 1
-    x = np.atleast_2d(x_t)
+    x = np.asarray(x_t, dtype=float)
     alpha, sigma, means, var = _noised_components(spec, t)
     num = (np.expand_dims(sigma**2, (-2, -1)) * spec.means
            + np.expand_dims(alpha, (-2, -1)) * spec.variances[:, None] * x[:, None, :])
     comp_post = num / var[..., None]                               # (n, K, d)
-    if c is None:
-        resp = np.exp(_log_posterior(_log_joint(spec, x, means, var)))
-        out = np.sum(resp[..., None] * comp_post, axis=1)
-    else:
-        out = comp_post[np.arange(x.shape[0]), nn.class_labels(c, spec.n_classes, x.shape[0])]
-    return out[0] if single else out
+    if c is not None:
+        return comp_post[np.arange(x.shape[0]), nn.class_labels(c, spec.n_classes)]
+    resp = np.exp(_log_posterior(_log_joint(spec, x, means, var)))
+    return np.sum(resp[..., None] * comp_post, axis=1)
 
 
 class AnalyticDenoiser:
@@ -230,20 +226,18 @@ class NeuralDenoiser:
         pre0 = x @ w_x.T
         pre0 += np.repeat(shared, np.diff(starts, append=n), axis=0)
         if c is not None:
-            pre0 += w_c.T[nn.class_labels(c, self.n_classes, n)]
+            pre0 += w_c.T[nn.class_labels(c, self.n_classes)]
         return pre0
 
     def denoise(self, x_t, t, c=None):
-        """xhat0 at (x_t, t, c), in float64. Layer 0 is built in float64; the
-        hidden layers and the head run in float32 on weights cast from the live
-        net.params on this call: the teacher is frozen while it is queried, and
-        its own error dwarfs float32 rounding."""
-        x_t = np.asarray(x_t, dtype=float)
-        single = x_t.ndim == 1
-        x = np.atleast_2d(x_t)
+        """xhat0 (n, d) at points x_t (n, d), t a scalar or (n,) and c None or
+        labels (n,), in float64. Layer 0 is built in float64; the hidden layers
+        and the head run in float32 on weights cast from the live net.params on
+        this call: the teacher is frozen while it is queried, and its own error
+        dwarfs float32 rounding."""
+        x = np.asarray(x_t, dtype=float)
         out, _ = self.net.forward(x, tape=False, pre0=self._layer0(x, t, c), dtype=np.float32)
-        out = out.astype(float)
-        return out[0] if single else out
+        return out.astype(float)
 
 
 @dataclass(frozen=True)

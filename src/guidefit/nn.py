@@ -298,22 +298,16 @@ def sinusoidal_embedding(x, dim: int):
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
-def class_labels(c, n_classes: int, n: int | None = None):
-    """Class labels as an int array, checked to lie in [0, n_classes).
-
-    Args:
-        c: an int, repeated over n rows (1 when n is None), or an int array.
-    """
+def class_labels(c, n_classes: int):
+    """Class labels c, an (n,) int array, checked to lie in [0, n_classes)."""
     c = np.asarray(c)
-    if c.ndim == 0:
-        c = np.full(n if n is not None else 1, int(c))
     if np.any((c < 0) | (c >= n_classes)):
         raise ValueError("class label out of range")
     return c
 
 
 def class_onehot(c, n_classes: int):
-    """One-hot rows, (n, n_classes), for class labels c: an int (one row) or an (n,) int array."""
+    """One-hot rows, (n, n_classes), for class labels c, an (n,) int array."""
     c = class_labels(c, n_classes)
     out = np.zeros((c.shape[0], n_classes))
     out[np.arange(c.shape[0]), c] = 1.0

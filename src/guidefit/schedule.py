@@ -107,14 +107,11 @@ def ddim_transition(s, t, churn: float) -> DdimTransition:
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(s < 0.0) or np.any(t > 1.0) or np.any(s >= t):
+    if not (np.all(0.0 <= s) and np.all(s < t) and np.all(t <= 1.0)):  # false on NaN
         raise ValueError("need 0 <= s < t <= 1 elementwise")
+    # so sigma_t = t > s >= 0 and alpha_s = 1 - s > 1 - t >= 0: both ratios are finite
     alpha_s, sigma_s = SCHEDULE.alpha_sigma(s)
     alpha_t, sigma_t = SCHEDULE.alpha_sigma(t)
-    if np.any(sigma_t <= 0.0):
-        raise ValueError("transition undefined where sigma_t = 0")
-    if np.any(alpha_s <= 0.0):
-        raise ValueError("transition undefined where alpha_s = 0")
 
     ratio_a = alpha_t / alpha_s  # (alpha_t/alpha_s)
     ratio_s = sigma_s / sigma_t  # (sigma_s/sigma_t), std ratio

@@ -123,7 +123,7 @@ def _objective(config: TrainConfig, x0, c, s, t, omega, cond, uncond, reward, rn
 def _probe_mmd(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainConfig,
                reference: _Reference) -> float:
     """Energy MMD of a probe sample against the run's held-out reference draws."""
-    probe = SampleConfig(steps=10, count=config.probe_size, churn=0.0)
+    probe = SampleConfig(count=config.probe_size)
     xs, _ = sample(probe, cond, uncond, net, class_weights=data.weights, seed=config.seed)
     return energy_mmd(xs, reference)
 

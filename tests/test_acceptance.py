@@ -179,9 +179,9 @@ def test_posterior_mean_oracle(mog):
         x0, c = mog.sample_joint(1, rng)
         t = float(rng.uniform(0.4, 0.95))
         x_t = (1.0 - t) * x0[0] + t * rng.standard_normal(2)
-        for cond in (int(c[0]), None):
+        for cond, labels in ((int(c[0]), c), (None, None)):
             est, se = _is_posterior(mog, x_t, t, cond, 1_000_000, rng)
-            exact_mean = posterior_mean(mog, x_t, t, cond)
+            exact_mean = posterior_mean(mog, x_t[None], t, labels)[0]
             worst = max(worst, float(np.max(np.abs(est - exact_mean) / se)))
 
     sched = NoiseSchedule()

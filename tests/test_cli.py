@@ -652,7 +652,7 @@ REWARD = {"mode": "reward", "reward": "distance_to_mean"}
     ("train-guidance", {"train": {"time_sampler": {"delta": float("nan")}}}, 3,
      "invalid train.time_sampler: delta "),
     ("pretrain-denoiser", {"denoiser": {"kind": "corrupted"}}, 3,
-     "unknown denoiser kind 'corrupted'"),
+     "invalid denoiser: kind must be one of ('analytic', 'neural'), got 'corrupted'"),
     ("pretrain-denoiser", {"denoiser": {"corruption": {"seed": 4}}}, 3,
      "unknown key(s) ['corruption'] in denoiser"),
     ("train-guidance", {"train": {"learning_rate": NAN}}, 3, "invalid train: learning_rate "),
@@ -906,15 +906,14 @@ def _leaf_fields(cls=ExperimentConfig, path=()):
 
 
 def test_every_leaf_declares_its_domain():
-    """A number, list of numbers or array declares within(); a name declares
-    one_of(), but for denoiser.kind, whose own check names the two kinds."""
+    """A number, list of numbers or array declares within(); a name declares one_of()."""
     fields = list(_leaf_fields())
     assert len(fields) == 44
     for path, f, hint in fields:
         hint = (typing.get_args(hint) or (hint,))[0]  # X of X | None
         if hint in (int, float, tuple, np.ndarray):
             assert "within" in f.metadata, path
-        elif hint is str and path != ("denoiser", "kind"):
+        elif hint is str:
             assert "one_of" in f.metadata, path
 
 
@@ -997,7 +996,7 @@ def _fuzz_cases(field, hint, current):
         edges = [v for v, _ in _edges(*field.metadata["within"], integer=hint is int)]
         edges += [lo + 1] if hint is int else []  # an odd width, where lo is 0
     else:
-        edges = [*field.metadata.get("one_of", ("analytic", "neural")), "no such name"]
+        edges = [*field.metadata["one_of"], "no such name"]
     shapes = [[current], []]
     if isinstance(current, list):
         shapes += [current[:-1], [[v] for v in current]]

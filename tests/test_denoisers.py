@@ -105,9 +105,9 @@ def test_posterior_mean_matches_importance_sampling(mog):
         x0, c = mog.sample_joint(1, rng)
         t = rng.uniform(0.45, 0.9)
         x_t = (1.0 - t) * x0[0] + t * rng.standard_normal(2)
-        for cond in (int(c[0]), None):
+        for cond, labels in ((int(c[0]), c), (None, None)):
             est, se = is_posterior_mean(mog, x_t, t, cond, 200_000, rng)
-            exact = posterior_mean(mog, x_t, t, cond)
+            exact = posterior_mean(mog, x_t[None], t, labels)[0]
             assert np.all(np.abs(est - exact) < 4.0 * se + 1e-12)
 
 
@@ -121,14 +121,6 @@ def test_posterior_mean_score_identity(mog):
         assert np.max(np.abs(posterior_mean(mog, x, t) - tweedie)) < 1e-8
 
 
-def test_posterior_mean_single_point_and_scalar_class(mog):
-    x = np.array([3.0, -2.0])
-    out = posterior_mean(mog, x, 0.6, 2)
-    assert out.shape == (2,)
-    batch = posterior_mean(mog, x[None], 0.6, np.array([2]))
-    assert np.array_equal(out, batch[0])
-
-
 def test_both_teachers_reject_out_of_range_labels(mog):
     neural, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=0, seed=4))
     k = mog.n_classes
@@ -137,7 +129,7 @@ def test_both_teachers_reject_out_of_range_labels(mog):
                 "neural": lambda x, c: neural.denoise(x, 0.6, c)}
     x = np.zeros((3, 2))
     for name, denoise in teachers.items():
-        for c in (-1, k, np.array([0, k, 1])):
+        for c in (np.full(3, -1), np.full(3, k), np.array([0, k, 1])):
             with pytest.raises(ValueError, match="class label out of range"):
                 denoise(x, c)
         assert denoise(x, np.array([0, k - 1, 1])).shape == (3, 2), name
@@ -178,8 +170,6 @@ def test_neural_denoiser_training_reduces_loss(mog):
     out = model.denoise(np.zeros((3, 2)), 0.5, np.array([0, 1, 2]))
     assert out.shape == (3, 2)
     assert np.all(np.isfinite(out))
-    single = model.denoise(np.zeros(2), 0.5, 1)
-    assert single.shape == (2,)
 
 
 def test_neural_denoiser_training_is_deterministic(mog):
@@ -201,21 +191,19 @@ def _gelu(h):
 def _prebreak_denoise(den, x_t, t, c=None):
     """NeuralDenoiser.denoise before its first layer was split: one embedding
     row per input row, concatenated features, out-of-place bias add and GeLU."""
-    x_t = np.asarray(x_t, dtype=float)
-    single = x_t.ndim == 1
-    x = np.atleast_2d(x_t)
+    x = np.asarray(x_t, dtype=float)
     snr = np.clip(SCHEDULE.logsnr(t), -LOGSNR_CLIP, LOGSNR_CLIP)
     snr = np.broadcast_to(np.asarray(snr, dtype=float), (x.shape[0],))
     emb = nn.sinusoidal_embedding(snr, den.time_embed_dim)
     onehot = (np.zeros((x.shape[0], den.n_classes)) if c is None else
-              nn.class_onehot(np.broadcast_to(c, x.shape[:1]), den.n_classes))
+              nn.class_onehot(c, den.n_classes))
     h = np.concatenate([x, emb, onehot], axis=1)
     last = len(den.net.weights) - 1
     for i, (w, b) in enumerate(zip(den.net.weights, den.net.biases)):
         h = h @ w.T + b
         if i < last:
             h = _gelu(h)
-    return h[0] if single else h
+    return h
 
 
 def _oracle_denoise(den, x_t, t, c=None, dtype=np.float32):
@@ -223,9 +211,7 @@ def _oracle_denoise(den, x_t, t, c=None, dtype=np.float32):
     time term emb W_e^T + b0 of each row's run of equal t (runs found by walking
     the rows), plus the class column; then, in dtype on weights cast from
     den.net.params, out-of-place GeLU layers; the output in float64."""
-    x_t = np.asarray(x_t, dtype=float)
-    single = x_t.ndim == 1
-    x = np.atleast_2d(x_t)
+    x = np.asarray(x_t, dtype=float)
     n, d = x.shape
     width = den.time_embed_dim
     w0 = den.net.weights[0]
@@ -238,15 +224,14 @@ def _oracle_denoise(den, x_t, t, c=None, dtype=np.float32):
     time_term = nn.sinusoidal_embedding(snr, width) @ w0[:, d:d + width].T + den.net.biases[0]
     h = x @ w0[:, :d].T + time_term[run_of_row]
     if c is not None:
-        h = h + w0[:, d + width:].T[np.broadcast_to(c, (n,))]
+        h = h + w0[:, d + width:].T[c]
     h = _gelu(h.astype(dtype))
     last = len(den.net.weights) - 1
     for i in range(1, last + 1):
         h = h @ den.net.weights[i].astype(dtype).T + den.net.biases[i].astype(dtype)
         if i < last:
             h = _gelu(h)
-    h = h.astype(np.float64)
-    return h[0] if single else h
+    return h.astype(np.float64)
 
 
 def _denoise_cases(mog):
@@ -260,9 +245,8 @@ def _denoise_cases(mog):
              "all distinct": rng.uniform(0.01, 0.99, n),
              "boundaries": np.repeat([0.0, 1e-9, 0.5, 1.0], n // 4),
              "scalar": 0.37}
-    cases = [(name, x, t, cls) for name, t in times.items() for cls in (c, None, 2)]
-    return cases + [("single point", x[0], 0.6, 1),
-                    ("single row", x[:1], times["all distinct"][:1], c[:1])]
+    cases = [(name, x, t, cls) for name, t in times.items() for cls in (c, None)]
+    return cases + [("single row", x[:1], times["all distinct"][:1], c[:1])]
 
 
 def test_neural_denoiser_bytes_match_split_layer_oracle(mog):
@@ -308,8 +292,7 @@ def test_neural_denoiser_follows_its_live_params(mog):
 def test_neural_denoiser_returns_float64(mog):
     den, _ = train_neural_denoiser(mog, DenoiserTrainConfig(iterations=3, seed=4))
     x = np.zeros((3, 2), dtype=np.float32)
-    for out in (den.denoise(x, 0.5, np.array([0, 1, 2])), den.denoise(x, 0.5),
-                den.denoise(x[0], 0.5, 1)):
+    for out in (den.denoise(x, 0.5, np.array([0, 1, 2])), den.denoise(x, 0.5)):
         assert out.dtype == np.float64
 
 
@@ -358,7 +341,6 @@ def _oracle_log_joint(spec, x, t):
 def _oracle_log_responsibilities(spec, x, t):
     from scipy.special import logsumexp
 
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     log_joint, _, _ = _oracle_log_joint(spec, x, t)
     return log_joint - logsumexp(log_joint, axis=-1, keepdims=True)
 
@@ -366,23 +348,18 @@ def _oracle_log_responsibilities(spec, x, t):
 def _oracle_mixture_log_density(spec, x, t):
     from scipy.special import logsumexp
 
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     log_joint, _, _ = _oracle_log_joint(spec, x, t)
     return logsumexp(log_joint, axis=-1)
 
 
 def _oracle_mixture_score(spec, x, t):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     resp = np.exp(_oracle_log_responsibilities(spec, x, t))
     _, comp_means, comp_var = _oracle_log_joint(spec, x, t)
     pull = (comp_means - x[:, None, :]) / comp_var[..., None]
     return np.sum(resp[..., None] * pull, axis=1)
 
 
-def _oracle_posterior_mean(spec, x_t, t, c=None):
-    x_t = np.asarray(x_t, dtype=float)
-    single = x_t.ndim == 1
-    x = np.atleast_2d(x_t)
+def _oracle_posterior_mean(spec, x, t, c=None):
     alpha, sigma = SCHEDULE.alpha_sigma(t)
     alpha = np.asarray(alpha, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -394,13 +371,8 @@ def _oracle_posterior_mean(spec, x_t, t, c=None):
     comp_post = num / comp_var[..., None]
     if c is None:
         resp = np.exp(_oracle_log_responsibilities(spec, x, t))
-        out = np.sum(resp[..., None] * comp_post, axis=1)
-    else:
-        c = np.asarray(c)
-        if c.ndim == 0:
-            c = np.full(x.shape[0], int(c))
-        out = comp_post[np.arange(x.shape[0]), c]
-    return out[0] if single else out
+        return np.sum(resp[..., None] * comp_post, axis=1)
+    return comp_post[np.arange(x.shape[0]), c]
 
 
 def _same(got, want):
@@ -417,15 +389,11 @@ def test_mixture_functions_bytes_match_per_function_oracle(mog):
     times = {"scalar": 0.43, "per row": rng.uniform(0.01, 0.99, n), "zero": 0.0,
              "zero per row": np.zeros(n)}
     for name, t in times.items():
-        for pts in (x, x[3]):
-            tt = t if np.ndim(t) == 0 or pts.ndim == 2 else t[3]
-            assert _same(mixture_log_density(mog, pts, tt),
-                         _oracle_mixture_log_density(mog, pts, tt)), name
-            assert _same(mixture_score(mog, pts, tt),
-                         _oracle_mixture_score(mog, pts, tt)), name
-            for cls in (None, 2, c if pts.ndim == 2 else c[3]):
-                assert _same(posterior_mean(mog, pts, tt, cls),
-                             _oracle_posterior_mean(mog, pts, tt, cls)), (name, cls)
+        assert _same(mixture_log_density(mog, x, t), _oracle_mixture_log_density(mog, x, t)), name
+        assert _same(mixture_score(mog, x, t), _oracle_mixture_score(mog, x, t)), name
+        for cls in (None, c):
+            assert _same(posterior_mean(mog, x, t, cls),
+                         _oracle_posterior_mean(mog, x, t, cls)), (name, cls)
     den = AnalyticDenoiser(mog)
     assert _same(den.denoise(x, times["per row"], None),
                  _oracle_posterior_mean(mog, x, times["per row"], None))

@@ -3,16 +3,15 @@
 pyflakes and ruff are not part of the toolchain, so this walks the syntax
 tree with the stdlib `ast` module: a name bound by an import (at any depth
 of a module) must be read somewhere in that module. The package's
-`__init__.py` is exempt, since its imports are the public re-exports; they
-must be exactly the names in `guidefit.__all__`, so a deletion cannot leave a
-stale re-export behind.
+`__init__.py` imports nothing: callers import its submodules, and every
+public attribute of the package is one.
 
 A module-level name under src/guidefit/ that starts with one underscore
 (a helper, constant or class) must be read somewhere in src/ outside its own
 definition; tests do not count, so a helper left behind by a refactor fails.
-A public module-level name must be read the same way, outside the package's
-re-exports, or be listed in `guidefit.__all__`: a function that only tests
-call is either part of the package's interface or dead code.
+A public module-level name must be read the same way, or be listed with its
+reason in `TEST_ENTRY_POINTS`: a function that only tests call is either an
+entry point the tests are built on or dead code.
 
 A parameter with a default must be set by some call in src/, or be listed
 with its reason in `UNSET_DEFAULTS`: a default that no caller overrides is a
@@ -20,6 +19,7 @@ constant, and belongs in the body.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -58,15 +58,17 @@ def test_walk_flags_unused_and_keeps_used():
     assert unused_imports(source) == [(2, "json")]
 
 
-@pytest.mark.parametrize("path", [p for p in FILES if p.name != "__init__.py"],
-                         ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_all_is_what_init_imports():
-    init = ROOT / "src" / "guidefit" / "__init__.py"
-    assert sorted(guidefit.__all__) == sorted(imported_names(ast.parse(init.read_text())))
+def test_package_attributes_are_only_submodules():
+    """No re-export layer: the package's public attributes are the submodules
+    that have been imported, nothing else."""
+    assert [name for name in dir(guidefit) if not name.startswith("_")
+            and not (isinstance(getattr(guidefit, name), types.ModuleType)
+                     and getattr(guidefit, name).__name__ == f"guidefit.{name}")] == []
 
 
 def _defined(node):
@@ -129,11 +131,18 @@ def test_every_private_name_is_read_in_src():
     assert unread_names({p.name: p.read_text() for p in SRC}, private=True) == []
 
 
+# Public names that only tests read, each with its reason.
+TEST_ENTRY_POINTS = {
+    ("guidance.py", "mean_abs_weight"): "the acceptance probe's mean |omega| over the grid",
+    ("trainer.py", "loss_param_grad"): "the gradient checks' loss and d loss / d params",
+}
+
+
 def test_every_public_name_is_read_in_src_or_exported():
-    """__init__.py's imports are the exports themselves, so they are not reads."""
-    unread = unread_names({p.name: p.read_text() for p in SRC if p.name != "__init__.py"},
-                          private=False)
-    assert [(path, name) for path, name in unread if name not in guidefit.__all__] == []
+    """A public name no src/ statement reads is a listed test entry point."""
+    unread = unread_names({p.name: p.read_text() for p in SRC}, private=False)
+    assert [key for key in unread if key not in TEST_ENTRY_POINTS] == []
+    assert sorted(TEST_ENTRY_POINTS) == unread  # no stale entry
 
 
 def _callee(call):

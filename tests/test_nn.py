@@ -202,13 +202,13 @@ def test_sinusoidal_embedding_shape_and_values():
 
 
 def test_class_onehot_paths():
-    assert np.array_equal(nn.class_onehot(1, 3), np.array([[0.0, 1.0, 0.0]]))
+    assert np.array_equal(nn.class_onehot(np.array([1]), 3), np.array([[0.0, 1.0, 0.0]]))
     out = nn.class_onehot(np.array([2, 0]), 3)
     assert np.array_equal(out, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         nn.class_onehot(np.array([3]), 3)
     with pytest.raises(ValueError):
-        nn.class_onehot(-1, 3)
+        nn.class_onehot(np.array([-1]), 3)
 
 
 # Oracles: the earlier out-of-place and per-block bodies (for GeLU, the tanh

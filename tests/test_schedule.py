@@ -88,6 +88,9 @@ def test_transition_validation():
         ddim_transition(0.8, 0.5, churn=0.0)
     with pytest.raises(ValueError):
         ddim_transition(np.array([0.2, 0.6]), np.array([0.5, 0.5]), churn=0.0)
+    for s, t in [(np.nan, 0.5), (0.2, np.nan), (np.array([0.2, np.nan]), np.array([0.5, 0.5]))]:
+        with pytest.raises(ValueError):
+            ddim_transition(s, t, churn=0.0)
 
 
 def test_composed_marginal_single_pair_monte_carlo():
