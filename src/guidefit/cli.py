@@ -198,8 +198,7 @@ def cmd_train_guidance(args) -> int:
     if not args.quiet:
         print(f"training guidance ({config.train.mode}, {config.train.iterations} iterations)")
     try:
-        net, record = train_guidance(net, denoiser, denoiser, config.mog, config.train,
-                                     quiet=args.quiet)
+        net, record = train_guidance(net, denoiser, config.mog, config.train, quiet=args.quiet)
     except TrainingDiverged as exc:
         exc.record.write_csv(_artifact(os.path.join(args.out, "train_record.csv")), header)
         with open(os.path.join(args.out, "diverged.json"), "w") as fh:
@@ -292,8 +291,7 @@ def cmd_sweep(args) -> int:
     learned = _checkpoint(args.guidance, None, load_weight_fn, config, args.quiet)
     denoiser = _denoiser(args, config)
     report = run_figure_protocol(
-        denoiser, denoiser, config.mog, config.sample,
-        config.eval.omega_grid, learned_fn=learned,
+        denoiser, config.mog, config.sample, config.eval.omega_grid, learned_fn=learned,
         beta=config.eval.beta, lam=config.eval.lam,
         n_resamples=config.eval.resamples, seed=config.seed,
         config_digest=digest, quiet=args.quiet)

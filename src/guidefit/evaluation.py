@@ -245,7 +245,7 @@ class EvalReport:
         raise KeyError(f"no row labeled {label!r}")
 
 
-def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
+def run_figure_protocol(denoiser, data, sample_config, omega_grid,
                         learned_fn=None, beta: float = 1.0, lam: float = 1.0,
                         n_resamples: int = 20, seed: int = 0,
                         config_digest: str | None = None, quiet: bool = True) -> EvalReport:
@@ -269,7 +269,7 @@ def run_figure_protocol(cond, uncond, data, sample_config, omega_grid,
         runs.append(("learned", None, learned_fn))
     rows = []
     for label, omega, fn in runs:
-        x, cx = sample(sample_config, cond, uncond, fn, class_weights=data.weights, seed=seed)
+        x, cx = sample(sample_config, denoiser, denoiser, fn, class_weights=data.weights, seed=seed)
         mmd, se, per_class = mmd_with_se(x, ref, beta, lam, n_resamples, seed=seed,
                                          classes=(cx, ref_c))
         rows.append(EvalRow(label, omega, mmd, se, x.shape[0], per_class))

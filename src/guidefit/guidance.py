@@ -2,13 +2,14 @@
 
 The guided estimate is
 
-    xhat(x_t, c; omega) = xhat(x_t, c) + omega * (xhat(x_t, c) - xhat(x_t))
+    xhat(x_t, c; omega) = xhat(x_t, c) + omega * (xhat(x_t, c) - xhat(x_t, None))
 
-so omega = 0 is the conditional denoiser and omega = -1 the unconditional
-one. Two weight functions exist: a constant, the classifier-free
-guidance baseline, and a small neural net over (logSNR s, logSNR t, one-hot
-c), the learned weights. The net's time features and the weight table's time
-grid are the schedule's (schedule.logsnr_feature, ZETA, GRID_DT).
+from one denoiser, queried at c and at c = None, so omega = 0 is the
+conditional estimate and omega = -1 the unconditional one. Two weight
+functions exist: a constant, the classifier-free guidance baseline, and a
+small neural net over (logSNR s, logSNR t, one-hot c), the learned weights.
+The net's time features and the weight table's time grid are the
+schedule's (schedule.logsnr_feature, ZETA, GRID_DT).
 """
 
 from __future__ import annotations
@@ -109,18 +110,17 @@ class GuidanceNet:
         return self.weight_with_tape(s, t, c, tape=False)[0]
 
 
-def guided_denoise(cond, uncond, x_t, t, c, omega):
-    """Combine conditional and unconditional denoisers at guidance weight omega.
+def guided_denoise(denoiser, x_t, t, c, omega):
+    """The denoiser at labels c and at c = None, combined at guidance weight omega.
 
     Args:
-        cond, uncond: denoisers; uncond is queried with c = None.
         omega: scalar or (n,) array of per-row weights.
 
     Returns:
-        (xhat_c + omega delta, delta) where delta = xhat_c - xhat_uncond.
+        (xhat_c + omega delta, delta) where delta = xhat_c - xhat_None.
     """
-    xc = cond.denoise(x_t, t, c)
-    delta = xc - uncond.denoise(x_t, t, None)
+    xc = denoiser.denoise(x_t, t, c)
+    delta = xc - denoiser.denoise(x_t, t, None)
     return xc + np.asarray(omega, dtype=float)[..., None] * delta, delta
 
 

@@ -210,30 +210,30 @@ def clip_global_norm(grad, max_norm, blocks):
 
     blocks are the parameter blocks grad is laid out as (a net's
     parameters()); the squared norm is summed block by block in their order.
-    Returns the norm before clipping. max_norm None or <= 0 disables clipping.
+    Returns the norm before clipping. max_norm inf or <= 0 disables clipping.
     """
     ends = np.cumsum([b.size for b in blocks])[:-1]
     norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in np.split(grad, ends))))
-    if not (max_norm is None or max_norm <= 0.0 or norm <= max_norm):
+    if not (max_norm <= 0.0 or norm <= max_norm):
         grad *= max_norm / norm
     return norm
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam with bias correction; m and v are flat, in the parameters' layout."""
+    """Adam at ADAM_BETA1, ADAM_BETA2, ADAM_EPS, with bias correction; flat m and v."""
 
     lr: float
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
 
     @classmethod
-    def for_params(cls, params, lr, **kwargs):
-        return cls(lr, np.zeros_like(params), np.zeros_like(params), **kwargs)
+    def for_params(cls, params, lr):
+        return cls(lr, np.zeros_like(params), np.zeros_like(params))
 
 
 def adam_step(state: AdamState, params, grad):
@@ -243,7 +243,7 @@ def adam_step(state: AdamState, params, grad):
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, then
@@ -256,7 +256,7 @@ def adam_step(state: AdamState, params, grad):
     state.v += tmp
     denom = np.divide(state.v, bc2, out=tmp)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     update = state.m / bc1
     update /= denom
     update *= state.lr

@@ -14,9 +14,11 @@ affine in omega,
 
     xprop_j(omega) = A xnoisy_j + B (xhat_c_j + omega delta_j) + sqrt(Sigma) xi_j,
 
-so every loss here takes omega, reports an exact d loss / d omega alongside
-its value, and a ParticleBatch caches all draws so losses can be replayed at
-any omega. Rewards are plain functions R(spec, x, c) named in REWARDS.
+where delta = xhat_c - xhat_None, the teacher denoiser queried at c and at
+c = None. Every loss here takes one weight per item, omega (n,), reports an
+exact d loss / d omega alongside its value, and a ParticleBatch caches all
+draws so losses can be replayed at any omega. Rewards are plain functions
+R(spec, x, c) named in REWARDS.
 Guided score matching uses the same batch type with one particle, A = 0,
 B = 1, Sigma = 0 and the clean point as target. Training time pairs lie in
 the schedule's range [ZETA, 1 - ZETA].
@@ -53,25 +55,20 @@ class TimePairSampler:
         return s, s + dt
 
 
-def _per_item(omega, n: int):
-    """omega as n per-item floats: a scalar is repeated, an (n,) array kept."""
-    return np.broadcast_to(np.asarray(omega, dtype=float), (n,))
-
-
 @dataclass
 class ParticleBatch:
     """Cached draws for n batch items with m particles each.
 
     All m target and m proposal particles of item i share its clean point,
     class c[i] and time pair. proposals(omega) replays the guided transition
-    at any weight. build_gsm's batches have m = 1 and target x0 itself.
+    at any weights omega (n,). build_gsm's batches have m = 1 and target x0 itself.
     """
 
     c: np.ndarray            # (n,)
     targets: np.ndarray      # (n, m, d), x0 noised to s
     prop_noisy: np.ndarray   # (n, m, d), x0 noised to t
-    xhat_c: np.ndarray       # (n, m, d), conditional denoiser at prop_noisy
-    delta: np.ndarray        # (n, m, d), conditional minus unconditional
+    xhat_c: np.ndarray       # (n, m, d), denoiser at c at prop_noisy
+    delta: np.ndarray        # (n, m, d), denoiser at c minus denoiser at c = None
     trans: DdimTransition    # (n,) coefficients A, B, Sigma of each item's step
     trans_noise: np.ndarray  # (n, m, d), xi of the transition
 
@@ -84,11 +81,11 @@ class ParticleBatch:
         return self.targets.shape[1]
 
     def guided_estimates(self, omega):
-        """Guided denoiser outputs xhat_c + omega delta at the proposal points."""
-        return self.xhat_c + _per_item(omega, self.n_items)[:, None, None] * self.delta
+        """Guided denoiser outputs xhat_c + omega delta at the proposal points, omega (n,)."""
+        return self.xhat_c + omega[:, None, None] * self.delta
 
     def proposals(self, omega):
-        """Proposal particles: the guided transition from prop_noisy at weights omega."""
+        """Proposal particles: the guided transition from prop_noisy at weights omega (n,)."""
         return self.trans.sample(self.guided_estimates(omega), self.prop_noisy, self.trans_noise)
 
     def slope(self):
@@ -96,7 +93,7 @@ class ParticleBatch:
         return self.trans.mean_coeff_x0[:, None, None] * self.delta
 
 
-def build_particles(x0, c, s, t, m: int, cond, uncond, churn: float, rng) -> ParticleBatch:
+def build_particles(x0, c, s, t, m: int, denoiser, churn: float, rng) -> ParticleBatch:
     """Draw targets, proposals, and the transition pieces for a training batch.
 
     Args:
@@ -104,7 +101,7 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, churn: float, rng) -> Par
         c: class labels (n,).
         s, t: time pairs (n,) with s < t elementwise.
         m: particles per item, at least 1 (TrainConfig.particles).
-        cond, uncond: denoisers evaluated at the proposal noisy points.
+        denoiser: the teacher, queried at c and at c = None at prop_noisy.
         churn: transition noise level in [0, 1].
         rng: all draws (target noise, proposal noise, transition noise, in
             that order) come from this generator.
@@ -115,7 +112,7 @@ def build_particles(x0, c, s, t, m: int, cond, uncond, churn: float, rng) -> Par
     targets = noise_sample(x0[:, None, :], s, rng.standard_normal((n, m, d)))
     prop_noisy = noise_sample(x0[:, None, :], t, rng.standard_normal((n, m, d)))
 
-    xc, delta = guided_denoise(cond, uncond, prop_noisy.reshape(n * m, d), np.repeat(t, m),
+    xc, delta = guided_denoise(denoiser, prop_noisy.reshape(n * m, d), np.repeat(t, m),
                                np.repeat(c, m), 0.0)
     return ParticleBatch(c, targets, prop_noisy, xc.reshape(n, m, d), delta.reshape(n, m, d),
                          trans, rng.standard_normal((n, m, d)))
@@ -146,9 +143,9 @@ def mmd_loss(batch: ParticleBatch, beta: float, lam: float, omega):
     """Per-item self-consistency loss and d loss / d omega, both shape (n,).
 
     beta in (0, 2] is the energy-kernel exponent and lam >= 0 the repulsion
-    weight, as TrainConfig declares them. omega is a scalar or one weight per
-    item (n,); the cached draws are reused, so the map omega -> loss is smooth
-    and exactly replayable. The repulsion kernel is symmetric, so its sum over
+    weight, as TrainConfig declares them. omega is one weight per item (n,);
+    the cached draws are reused, so the map omega -> loss is smooth and
+    exactly replayable. The repulsion kernel is symmetric, so its sum over
     j != k is taken as twice the sum over j < k.
     """
     m = batch.n_particles
@@ -173,7 +170,7 @@ def mmd_loss(batch: ParticleBatch, beta: float, lam: float, omega):
 
 
 def l2_loss(batch: ParticleBatch, omega):
-    """Single-particle squared-error objective: ||xprop - xtgt||^2 per item.
+    """Single-particle squared-error objective ||xprop - xtgt||^2 per item, omega (n,).
 
     batch holds one particle per item, as TrainConfig requires of mode 'l2'.
     Written directly (not via mmd_loss) so the equivalence with the beta = 2,
@@ -201,7 +198,8 @@ REWARDS = {"distance_to_mean": distance_to_mean, "mixture_log_density": log_dens
 
 
 def reward_loss(batch: ParticleBatch, reward, omega):
-    """Per-item reward term -(1/m) sum_j R(xhat_j(omega), c) and its omega-gradient.
+    """Per-item reward term -(1/m) sum_j R(xhat_j(omega), c) and its omega-gradient,
+    at weights omega (n,).
 
     reward(x, c) is a REWARDS entry with its spec bound. The reward acts on
     the guided denoiser outputs, so d xhat / d omega is the raw
@@ -217,9 +215,9 @@ def reward_loss(batch: ParticleBatch, reward, omega):
     return -val.mean(axis=-1), -np.sum(grad * batch.delta, axis=-1).mean(axis=-1)
 
 
-def build_gsm(x0, c, t, cond, uncond, rng) -> ParticleBatch:
+def build_gsm(x0, c, t, denoiser, rng) -> ParticleBatch:
     """Noise each clean point x0 (n, d) to its time t (n,) once and cache the
-    denoiser pair there at its label c (n,).
+    denoiser's answers there at its label c (n,) and at c = None.
 
     The guided-score-matching batch is a ParticleBatch with one particle per
     item and the transition A = 0, B = 1, Sigma = 0: the target is x0
@@ -228,19 +226,18 @@ def build_gsm(x0, c, t, cond, uncond, rng) -> ParticleBatch:
     """
     n = x0.shape[0]
     x_t = noise_sample(x0, t, rng.standard_normal(x0.shape))
-    xc, delta = guided_denoise(cond, uncond, x_t, t, c, 0.0)
+    xc, delta = guided_denoise(denoiser, x_t, t, c, 0.0)
     return ParticleBatch(c, x0[:, None], x_t[:, None], xc[:, None], delta[:, None],
                          DdimTransition(np.zeros(n), np.ones(n), np.zeros(n)),
                          np.zeros_like(x_t[:, None]))
 
 
 def guided_score_matching_loss(batch: ParticleBatch, omega):
-    """Per-item ||x0 - guided estimate||^2 and d loss / d omega, shape (n,).
+    """Per-item ||x0 - guided estimate||^2 and d loss / d omega at weights omega (n,).
 
     Reads particle 0 of a build_gsm batch.
     """
-    w = _per_item(omega, batch.n_items)[:, None]
     delta = batch.delta[:, 0]
-    u = batch.targets[:, 0] - batch.xhat_c[:, 0] - w * delta
+    u = batch.targets[:, 0] - batch.xhat_c[:, 0] - omega[:, None] * delta
     loss = np.sum(u * u, axis=-1)
     return loss, -2.0 * np.sum(u * delta, axis=-1)

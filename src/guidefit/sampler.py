@@ -2,7 +2,7 @@
 
 Chains start from the schedule's prior at 1 - ZETA and take steps steps down
 a uniform time grid to ZETA (schedule.ZETA fixes the range). Each step
-queries the conditional and unconditional denoisers once, combines them at
+queries the denoiser once at c and once at c = None, combines the two at
 omega(s, t, c), and applies the reverse transition at the configured churn
 (0 by default, the deterministic velocity step). omega depends on a chain
 only through its class, so each step evaluates the weight function once on
@@ -66,7 +66,10 @@ def _chain_draws(count: int, steps: int, dim: int, seed: int):
 def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int,
          chain: int | None):
     """(x, c, states, omegas): every chain's final state and class, and chain's
-    state before and after each step with each step's weight (none if chain is None)."""
+    state before and after each step with each step's weight (none if chain is None).
+    uncond must be cond: the one denoiser, queried at c and at c = None."""
+    if uncond is not cond:
+        raise ValueError("uncond must be the same denoiser as cond, which answers c = None")
     n_classes = cond.n_classes
     grid = config.grid()
 
@@ -81,7 +84,7 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
     for k in range(config.steps - 1, -1, -1):
         s, t = grid[k], grid[k + 1]
         omega = weight_fn.weight(s, t, classes)[c]
-        guided, _ = guided_denoise(cond, uncond, x, t, c, omega)
+        guided, _ = guided_denoise(cond, x, t, c, omega)
         trans = ddim_transition(s, t, config.churn)
         x = trans.sample(guided, x, z[:, k])
         if chain is not None:
@@ -91,7 +94,8 @@ def _run(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int
 
 
 def sample(config: SampleConfig, cond, uncond, weight_fn, class_weights, seed: int = 0):
-    """Draw config.count guided samples, each chain's class drawn from class_weights (K,).
+    """Draw config.count guided samples from the denoiser cond (uncond must be
+    cond), each chain's class drawn from class_weights (K,).
 
     Returns:
         (x, c) with x of shape (count, d) at time ZETA and the class labels

@@ -3,8 +3,8 @@
 One step: draw a data batch and time pairs, evaluate the net's weights with a
 tape, build the cached particle batch (one particle per item for guided score
 matching), get per-item loss values and omega-gradients from the objective,
-chain them through the net, clip, and take an Adam step. The denoisers are
-frozen teachers; only the guidance net's parameters move.
+chain them through the net, clip, and take an Adam step. The denoiser is a
+frozen teacher; only the guidance net's parameters move.
 
 Checkpoints are taken every checkpoint_every iterations. Except under guided
 score matching, which has no probe, each checkpoint (and the final iterate)
@@ -94,7 +94,7 @@ class TrainRecord:
                         self.mean_abs_omega))
 
 
-def _objective(config: TrainConfig, x0, c, s, t, omega, cond, uncond, reward, rng):
+def _objective(config: TrainConfig, x0, c, s, t, omega, denoiser, reward, rng):
     """Build config.mode's batch and score it at weights omega.
 
     Returns per-item loss and d loss / d omega, both (n,), and the batch's
@@ -102,10 +102,10 @@ def _objective(config: TrainConfig, x0, c, s, t, omega, cond, uncond, reward, rn
     The reward enters the loss only in reward mode; other modes just track it.
     """
     if config.mode == "guided_sm":
-        batch = build_gsm(x0, c, t, cond, uncond, rng)
+        batch = build_gsm(x0, c, t, denoiser, rng)
         loss_items, grad_items = guided_score_matching_loss(batch, omega)
         return loss_items, grad_items, np.nan
-    batch = build_particles(x0, c, s, t, config.particles, cond, uncond, config.churn, rng)
+    batch = build_particles(x0, c, s, t, config.particles, denoiser, config.churn, rng)
     if config.mode == "l2":
         loss_items, grad_items = l2_loss(batch, omega)
     else:
@@ -120,15 +120,15 @@ def _objective(config: TrainConfig, x0, c, s, t, omega, cond, uncond, reward, rn
     return loss_items, grad_items, float(np.mean(-r_loss))
 
 
-def _probe_mmd(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainConfig,
+def _probe_mmd(net: GuidanceNet, denoiser, data: MogSpec, config: TrainConfig,
                reference: _Reference) -> float:
     """Energy MMD of a probe sample against the run's held-out reference draws."""
     probe = SampleConfig(count=config.probe_size)
-    xs, _ = sample(probe, cond, uncond, net, class_weights=data.weights, seed=config.seed)
+    xs, _ = sample(probe, denoiser, denoiser, net, class_weights=data.weights, seed=config.seed)
     return energy_mmd(xs, reference)
 
 
-def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainConfig,
+def train_guidance(net: GuidanceNet, denoiser, data: MogSpec, config: TrainConfig,
                    quiet: bool = True):
     """Run the configured objective for config.iterations steps.
 
@@ -159,7 +159,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
     def probe_at(flat):
         live = params.copy()
         params[:] = flat
-        val = _probe_mmd(net, cond, uncond, data, config, reference)
+        val = _probe_mmd(net, denoiser, data, config, reference)
         params[:] = live
         return val
 
@@ -174,7 +174,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
         s, t = config.time_sampler.sample(n, time_rng)
         omega, tape = net.weight_with_tape(s, t, c, train=True, rng=drop_rng)
         loss_items, grad_items, cols["reward"][it] = _objective(
-            config, x0, c, s, t, omega, cond, uncond, reward, noise_rng)
+            config, x0, c, s, t, omega, denoiser, reward, noise_rng)
 
         loss = float(np.mean(loss_items))
         if not np.isfinite(loss):
@@ -215,7 +215,7 @@ def train_guidance(net: GuidanceNet, cond, uncond, data: MogSpec, config: TrainC
     return net, record(config.iterations)
 
 
-def loss_param_grad(net: GuidanceNet, cond, uncond, data: MogSpec, x0, c, s, t,
+def loss_param_grad(net: GuidanceNet, denoiser, data: MogSpec, x0, c, s, t,
                     config: TrainConfig):
     """Loss and flat d loss / d parameters for one fixed batch (no update).
 
@@ -225,6 +225,6 @@ def loss_param_grad(net: GuidanceNet, cond, uncond, data: MogSpec, x0, c, s, t,
     """
     omega, tape = net.weight_with_tape(s, t, c)
     reward = partial(REWARDS[config.reward], data) if config.reward else None
-    loss_items, grad_items, _ = _objective(config, x0, c, s, t, omega, cond, uncond,
-                                           reward, stream(config.seed, "gradcheck/noise"))
+    loss_items, grad_items, _ = _objective(config, x0, c, s, t, omega, denoiser, reward,
+                                           stream(config.seed, "gradcheck/noise"))
     return float(np.mean(loss_items)), net.backward(tape, grad_items / loss_items.shape[0])

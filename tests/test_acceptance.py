@@ -75,7 +75,7 @@ def test_transition_marginal_consistency():
 # ------------------------------------------------------------- gradient suite
 
 def _omega_fd_error(loss_fn, batch, omega):
-    """Worst per-item relative error of the analytic omega-gradient vs FD at omega."""
+    """Worst per-item relative error of the analytic omega-gradient vs FD at omega (n,)."""
     _, grad = loss_fn(batch, omega)
     h = 1e-6
     up, _ = loss_fn(batch, omega + h)
@@ -86,7 +86,7 @@ def _omega_fd_error(loss_fn, batch, omega):
 
 def _param_fd_error(net, exact, mog, x0, c, s, t, config, n_coords=8):
     """Worst relative error over the largest-gradient parameter coordinates."""
-    _, grad = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
+    _, grad = loss_param_grad(net, exact, mog, x0, c, s, t, config)
     flat = net.params.copy()
     h = 1e-6
     worst = 0.0
@@ -94,10 +94,10 @@ def _param_fd_error(net, exact, mog, x0, c, s, t, config, n_coords=8):
         fp = flat.copy()
         fp[i] += h
         net.params[:] = fp
-        up, _ = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
+        up, _ = loss_param_grad(net, exact, mog, x0, c, s, t, config)
         fp[i] -= 2.0 * h
         net.params[:] = fp
-        down, _ = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
+        down, _ = loss_param_grad(net, exact, mog, x0, c, s, t, config)
         net.params[:] = flat
         fd = (up - down) / (2.0 * h)
         worst = max(worst, abs(fd - grad[i]) / max(abs(fd), 1e-8))
@@ -135,12 +135,12 @@ def test_gradient_suite(mog, exact):
         x0, c = mog.sample_joint(6, rng)
         s = rng.uniform(0.7, 0.85, size=6)
         t = rng.uniform(0.9, 0.97, size=6)
-        m1 = build_particles(x0, c, s, t, 8, exact, exact, 1.0, rng)
-        single = build_particles(x0, c, s, t, 1, exact, exact, 1.0, rng)
-        gsm = build_gsm(x0, c, t, exact, exact, rng)
+        m1 = build_particles(x0, c, s, t, 8, exact, 1.0, rng)
+        single = build_particles(x0, c, s, t, 1, exact, 1.0, rng)
+        gsm = build_gsm(x0, c, t, exact, rng)
         for name, fn in omega_losses.items():
             batch = {"l2": single, "guided_sm": gsm}.get(name, m1)
-            err = _omega_fd_error(fn, batch, 0.3)
+            err = _omega_fd_error(fn, batch, np.full(6, 0.3))
             worst[f"{name}/omega"] = max(worst.get(f"{name}/omega", 0.0), err)
         for name, config in param_configs.items():
             err = _param_fd_error(net, exact, mog, x0, c, s, t, config)
@@ -211,11 +211,11 @@ def test_estimator_identities(mog, exact):
     x0, c = mog.sample_joint(16, rng)
     s = rng.uniform(0.3, 0.6, size=16)
     t = rng.uniform(0.7, 0.95, size=16)
-    batch = build_particles(x0, c, s, t, 1, exact, exact, 1.0, rng)
+    batch = build_particles(x0, c, s, t, 1, exact, 1.0, rng)
     id_err = 0.0
     for w in (0.5, -0.5, 1.5):
-        lv, lg = l2_loss(batch, w)
-        mv, mg = mmd_loss(batch, 2.0, 0.0, w)
+        lv, lg = l2_loss(batch, np.full(16, w))
+        mv, mg = mmd_loss(batch, 2.0, 0.0, np.full(16, w))
         id_err = max(id_err, float(np.max(np.abs(lv - mv))), float(np.max(np.abs(lg - mg))))
 
     x, _ = mog.sample_joint(4096, stream(9, "acc/halves"))
@@ -228,7 +228,7 @@ def test_estimator_identities(mog, exact):
         delta=zeros.copy(), trans=DdimTransition(np.array([1.0]), np.array([0.0]),
                                                  np.array([0.0])),
         trans_noise=zeros.copy())
-    hand_loss = mmd_loss(hand, 1.0, 1.0, 0.0)[0][0]
+    hand_loss = mmd_loss(hand, 1.0, 1.0, np.zeros(1))[0][0]
 
     verdict("estimator identities",
             id_err < 1e-12 and abs(mmd) < 4.0 * se and hand_loss == -1.0,
@@ -242,7 +242,7 @@ def test_estimator_identities(mog, exact):
 def _sweep(config, den, net):
     from guidefit.evaluation import run_figure_protocol
 
-    return run_figure_protocol(den, den, config.mog, config.sample,
+    return run_figure_protocol(den, config.mog, config.sample,
                                config.eval.omega_grid, learned_fn=net,
                                beta=config.eval.beta, lam=config.eval.lam,
                                n_resamples=config.eval.resamples, seed=EVAL_SEED)
@@ -251,7 +251,7 @@ def _sweep(config, den, net):
 def _train_from_config(config):
     den = build_denoiser(config)
     net = build_guidance_net(config)
-    net, _ = train_guidance(net, den, den, config.mog, config.train)
+    net, _ = train_guidance(net, den, config.mog, config.train)
     return den, net
 
 
@@ -332,7 +332,7 @@ def test_reward_training_shifts_samples():
     for gamma in (0.0, config.train.gamma_reward):
         train_cfg = dataclasses.replace(config.train, gamma_reward=gamma)
         net = build_guidance_net(config)
-        net, _ = train_guidance(net, den, den, config.mog, train_cfg)
+        net, _ = train_guidance(net, den, config.mog, train_cfg)
         x, c = sample(config.sample, den, den, net,
                       class_weights=config.mog.weights, seed=EVAL_SEED)
         rew = -np.sum((x - config.mog.means[c]) ** 2, axis=1)

@@ -12,6 +12,11 @@ interpreter (the tracer rebinds module attributes, which must not leak into
 this process). They read perfbench/ and change nothing there. Each tiny
 script runs once per module, and the traced run's artifacts must equal the
 untraced run's byte for byte, as `perfbench/run.py --trace 1` requires.
+
+They also guard the sampler's public positional order: `worker._quality`
+calls `sample(config.sample, denoiser, denoiser, weights, ...)`, so
+`sample` keeps its `(config, cond, uncond, weight_fn, class_weights, seed)`
+positions, with uncond the same object as cond.
 """
 
 import json

@@ -269,7 +269,7 @@ def test_figure_protocol_rows_and_common_reference(exact, mog):
     from guidefit.sampler import SampleConfig
 
     config = SampleConfig(steps=3, count=64)
-    report = run_figure_protocol(exact, exact, mog, config, (0.0, 0.5),
+    report = run_figure_protocol(exact, mog, config, (0.0, 0.5),
                                  learned_fn=ConstantWeight(0.0), n_resamples=4,
                                  seed=2)
     assert [r.label for r in report.rows] == ["omega=0", "omega=0.5", "learned"]
@@ -278,7 +278,7 @@ def test_figure_protocol_rows_and_common_reference(exact, mog):
     assert report.row("omega=0.5").mmd != report.row("omega=0").mmd
 
 
-def _per_row_protocol(cond, uncond, data, config, omega_grid, learned_fn, beta, lam,
+def _per_row_protocol(denoiser, data, config, omega_grid, learned_fn, beta, lam,
                       n_resamples, seed):
     """The sweep with every row scored on its own, nothing shared between rows:
     each row gets a fresh reference, whose own pairs it sums again."""
@@ -289,7 +289,7 @@ def _per_row_protocol(cond, uncond, data, config, omega_grid, learned_fn, beta, 
     fns.append(("learned", None, learned_fn))
     rows = []
     for label, omega, fn in fns:
-        x, cx = sample(config, cond, uncond, fn, class_weights=data.weights, seed=seed)
+        x, cx = sample(config, denoiser, denoiser, fn, class_weights=data.weights, seed=seed)
         mmd, se, per_class = mmd_with_se(x, reference, beta, lam, n_resamples, seed=seed,
                                          classes=(cx, ref_c))
         rows.append(EvalRow(label=label, omega=omega, mmd=mmd, se=se, count=x.shape[0],
@@ -308,9 +308,9 @@ def test_figure_protocol_matches_per_row_oracle(exact, mog, monkeypatch, beta, l
     config = SampleConfig(steps=3, count=600)
     grid = (0.0, 0.5, 2.0)
     learned = ConstantWeight(1.0)
-    want = _per_row_protocol(exact, exact, mog, config, grid, learned, beta, lam, 5, 3)
+    want = _per_row_protocol(exact, mog, config, grid, learned, beta, lam, 5, 3)
     oracle_pairs, pairs[:] = sum(pairs), []
-    got = run_figure_protocol(exact, exact, mog, config, grid, learned_fn=learned,
+    got = run_figure_protocol(exact, mog, config, grid, learned_fn=learned,
                               beta=beta, lam=lam, n_resamples=5, seed=3)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 

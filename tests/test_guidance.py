@@ -85,21 +85,21 @@ def test_guided_denoise_is_affine_in_omega_exactly(exact, omegas, t, seed):
     c = np.arange(6) % 4
     xc, xu = exact.denoise(x_t, t, c), exact.denoise(x_t, t, None)
     delta = xc - xu
-    out, got_delta = guided_denoise(exact, exact, x_t, t, c, np.array(omegas))
+    out, got_delta = guided_denoise(exact, x_t, t, c, np.array(omegas))
     assert got_delta.tobytes() == delta.tobytes()
     assert out.tobytes() == (xc + np.array(omegas)[:, None] * delta).tobytes()
     for w in omegas:
-        scalar, _ = guided_denoise(exact, exact, x_t, t, c, w)
-        uniform, _ = guided_denoise(exact, exact, x_t, t, c, np.full(6, w))
+        scalar, _ = guided_denoise(exact, x_t, t, c, w)
+        uniform, _ = guided_denoise(exact, x_t, t, c, np.full(6, w))
         assert scalar.tobytes() == uniform.tobytes() == (xc + w * delta).tobytes()
 
 
 def test_guided_denoise_is_affine_in_omega(exact):
     x_t = stream(7, "test/gd2").uniform(-10.0, 10.0, size=(8, 2))
     c = np.arange(8) % 4
-    out0, delta = guided_denoise(exact, exact, x_t, 0.8, c, 0.0)
+    out0, delta = guided_denoise(exact, x_t, 0.8, c, 0.0)
     w = np.linspace(-1.0, 2.0, 8)
-    out_w, _ = guided_denoise(exact, exact, x_t, 0.8, c, w)
+    out_w, _ = guided_denoise(exact, x_t, 0.8, c, w)
     assert np.allclose(out_w, out0 + w[:, None] * delta, atol=1e-12)
 
 

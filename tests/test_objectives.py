@@ -25,15 +25,17 @@ def make_batch(mog, exact, m=8, n=6, churn=1.0, seed=0):
     x0, c = mog.sample_joint(n, rng)
     s = rng.uniform(0.7, 0.85, size=n)
     t = rng.uniform(0.9, 0.97, size=n)
-    return build_particles(x0, c, s, t, m, exact, exact, churn, rng)
+    return build_particles(x0, c, s, t, m, exact, churn, rng)
 
 
 def fd_check(loss_fn, batch, w0=0.3, atol=1e-8, rtol=1e-6):
-    """Central finite differences in omega at w0 against the analytic per-item gradient."""
-    _, grad = loss_fn(batch, w0)
+    """Central finite differences in omega at w0 on every item against the
+    analytic per-item gradient."""
+    w = np.full(batch.n_items, w0)
+    _, grad = loss_fn(batch, w)
     h = 1e-6
-    up, _ = loss_fn(batch, w0 + h)
-    down, _ = loss_fn(batch, w0 - h)
+    up, _ = loss_fn(batch, w + h)
+    down, _ = loss_fn(batch, w - h)
     fd = (up - down) / (2.0 * h)
     assert np.all(np.abs(fd - grad) <= atol + rtol * np.abs(fd))
 
@@ -69,18 +71,17 @@ def test_build_particles_shapes_and_stored_omega(mog, exact):
 
 def test_proposals_bytes_match_explicit_transition(mog, exact):
     """proposals(omega) is A x_t + B (xhat_c + omega delta) + sqrt(Sigma) xi byte
-    for byte, at churn 0, 0.5 and 1 and at scalar and per-item omega."""
+    for byte, at churn 0, 0.5 and 1 and at uniform and random per-item omega."""
     rng = stream(11, "test/batch")
     x0, c = mog.sample_joint(6, rng)
     s = rng.uniform(0.3, 0.6, size=6)
     t = rng.uniform(0.7, 0.95, size=6)
     for churn in (0.0, 0.5, 1.0):
-        batch = build_particles(x0, c, s, t, 3, exact, exact, churn,
+        batch = build_particles(x0, c, s, t, 3, exact, churn,
                                 stream(11, f"test/proposals/{churn}"))
         a, b, var = dataclasses.astuple(ddim_transition(s, t, churn))
-        for omega in (0.0, 1.3, stream(12, "test/w").normal(0.0, 2.0, 6)):
-            w = np.broadcast_to(omega, (6,))[:, None, None]
-            guided = batch.xhat_c + w * batch.delta
+        for omega in (np.zeros(6), np.full(6, 1.3), stream(12, "test/w").normal(0.0, 2.0, 6)):
+            guided = batch.xhat_c + omega[:, None, None] * batch.delta
             want = (a[:, None, None] * batch.prop_noisy + b[:, None, None] * guided
                     + np.sqrt(var)[:, None, None] * batch.trans_noise)
             assert batch.proposals(omega).tobytes() == want.tobytes()
@@ -88,11 +89,11 @@ def test_proposals_bytes_match_explicit_transition(mog, exact):
 
 def test_proposals_affine_in_omega(mog, exact):
     batch = make_batch(mog, exact, seed=1)
-    base = batch.proposals(0.0)
+    base = batch.proposals(np.zeros(6))
     for w in (-1.0, 0.5, 2.0):
-        assert np.allclose(batch.proposals(w), base + w * batch.slope(), atol=1e-10)
+        assert np.allclose(batch.proposals(np.full(6, w)), base + w * batch.slope(), atol=1e-10)
     # guided estimates move by the raw delta, not the transition-scaled slope
-    assert np.allclose(batch.guided_estimates(1.0) - batch.guided_estimates(0.0),
+    assert np.allclose(batch.guided_estimates(np.ones(6)) - batch.guided_estimates(np.zeros(6)),
                        batch.delta, atol=1e-12)
 
 
@@ -104,8 +105,8 @@ def test_mmd_loss_gradient_matches_finite_differences(mog, exact):
 
 def test_mmd_loss_interaction_off_when_lam_zero(mog, exact):
     batch = make_batch(mog, exact, seed=3)
-    full, _ = mmd_loss(batch, 1.5, 0.0, 0.3)
-    u = batch.proposals(0.3) - batch.targets
+    full, _ = mmd_loss(batch, 1.5, 0.0, np.full(6, 0.3))
+    u = batch.proposals(np.full(6, 0.3)) - batch.targets
     direct = np.mean(np.sqrt(np.sum(u * u, axis=-1)) ** 1.5, axis=-1)
     assert np.allclose(full, direct, atol=1e-12)
 
@@ -113,8 +114,8 @@ def test_mmd_loss_interaction_off_when_lam_zero(mog, exact):
 def test_l2_equals_quadratic_energy_single_particle(mog, exact):
     batch = make_batch(mog, exact, m=1, seed=4)
     for w in (0.3, -0.5, 0.0, 1.5):
-        l2_val, l2_grad = l2_loss(batch, w)
-        mmd_val, mmd_grad = mmd_loss(batch, 2.0, 0.0, w)
+        l2_val, l2_grad = l2_loss(batch, np.full(6, w))
+        mmd_val, mmd_grad = mmd_loss(batch, 2.0, 0.0, np.full(6, w))
         assert np.max(np.abs(l2_val - mmd_val)) < 1e-12
         assert np.max(np.abs(l2_grad - mmd_grad)) < 1e-12
 
@@ -129,7 +130,7 @@ def test_two_point_batch_interaction_value():
         delta=zeros.copy(), trans=DdimTransition(np.array([1.0]), np.array([0.0]),
                                                  np.array([0.0])),
         trans_noise=zeros.copy())
-    loss, grad = mmd_loss(batch, 1.0, 1.0, 0.0)
+    loss, grad = mmd_loss(batch, 1.0, 1.0, np.zeros(1))
     assert loss[0] == -1.0
     assert grad[0] == 0.0
 
@@ -162,8 +163,8 @@ def test_mixture_reward_grad_is_the_data_score(mog):
 def test_reward_loss_acts_on_guided_estimates(mog, exact):
     batch = make_batch(mog, exact, seed=7)
     reward = partial(distance_to_mean, mog)
-    loss, _ = reward_loss(batch, reward, 0.4)
-    est = batch.guided_estimates(0.4)
+    loss, _ = reward_loss(batch, reward, np.full(6, 0.4))
+    est = batch.guided_estimates(np.full(6, 0.4))
     manual = np.mean(np.sum((est - mog.means[batch.c][:, None, :]) ** 2, axis=-1), axis=-1)
     assert np.allclose(loss, manual, atol=1e-10)  # the term is -R, here +distance
     fd_check(lambda b, w: reward_loss(b, reward, w), batch)
@@ -174,7 +175,7 @@ def make_gsm(mog, exact):
     x0, c = mog.sample_joint(6, rng)
     rng.uniform(0.3, 0.5, size=6)  # the s half of the time pairs
     t = rng.uniform(0.8, 0.95, size=6)
-    return x0, build_gsm(x0, c, t, exact, exact, rng)
+    return x0, build_gsm(x0, c, t, exact, rng)
 
 
 def test_gsm_batch_and_gradient(mog, exact):
@@ -185,7 +186,7 @@ def test_gsm_batch_and_gradient(mog, exact):
                 batch.trans_noise):
         assert arr.shape == (6, 1, 2)
     assert np.array_equal(batch.targets[:, 0], x0)
-    loss, _ = guided_score_matching_loss(batch, 0.2)
+    loss, _ = guided_score_matching_loss(batch, np.full(6, 0.2))
     manual = np.sum((x0 - batch.xhat_c[:, 0] - 0.2 * batch.delta[:, 0]) ** 2, axis=-1)
     assert np.allclose(loss, manual, atol=1e-12)
 
@@ -222,6 +223,8 @@ def test_gsm_batch_is_a_one_particle_identity_transition(mog, exact, omega):
         omega = stream(9, "test/gsm_w").normal(1.0, 2.0, 6)
     elif omega == "per item":
         omega = stream(10, "test/gsm_w").normal(0.0, 3.0, 6)
+    else:
+        omega = np.full(6, omega)
     assert batch.proposals(omega).tobytes() == batch.guided_estimates(omega).tobytes()
     l2_val, l2_grad = l2_loss(batch, omega)
     gsm_val, gsm_grad = guided_score_matching_loss(batch, omega)
@@ -307,7 +310,7 @@ def _random_batch(n, m, d, seed):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mmd_loss_bytes_match_oracle(beta, lam, m, d):
     batch, weights = _random_batch(12, m, d, seed=100 * m + d)
-    for omega in (weights, 0.7):
+    for omega in (weights, np.full(12, 0.7)):
         got = mmd_loss(batch, beta, lam, omega)
         want = _oracle_mmd_loss(batch, beta, lam, omega)
         assert got[0].tobytes() == want[0].tobytes()
@@ -323,7 +326,7 @@ def test_mmd_loss_matches_all_pairs_form(beta, lam, m, d):
     # error is relative to the batch's largest value: where the cross and
     # repulsion terms cancel, an item's loss is rounding noise in both forms.
     batch, weights = _random_batch(12, m, d, seed=100 * m + d)
-    for omega in (weights, 0.7):
+    for omega in (weights, np.full(12, 0.7)):
         for got, want in zip(mmd_loss(batch, beta, lam, omega),
                              _all_pairs_mmd_loss(batch, beta, lam, omega)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from guidefit.denoisers import DenoiserTrainConfig, train_neural_denoiser
+from guidefit.denoisers import AnalyticDenoiser, DenoiserTrainConfig, train_neural_denoiser
 from guidefit.guidance import ConstantWeight, GuidanceNet, guided_denoise
 from guidefit.rng import stream
 from guidefit.sampler import SampleConfig, _chain_draws, sample, sample_trajectory
@@ -43,6 +43,16 @@ def test_trajectory_matches_full_run(exact, mog):
     assert states.shape == (7, 2)
     assert np.array_equal(states[-1], x[2])
     assert np.array_equal(omegas, np.full(6, 0.7))
+
+
+def test_sampler_takes_one_denoiser(exact, mog):
+    """uncond keeps its position in sample's arguments but must be cond itself:
+    the denoiser answers c = None, so a second denoiser would go unqueried."""
+    config = SampleConfig(steps=2, count=3)
+    for run in (sample, sample_trajectory):
+        with pytest.raises(ValueError, match="uncond"):
+            run(config, exact, AnalyticDenoiser(mog), ConstantWeight(0.0),
+                class_weights=mog.weights)
 
 
 def test_neural_trajectory_is_the_sampled_row(mog):
@@ -148,15 +158,15 @@ class _CountingWeight:
         return self.fn.weight(s, t, c)
 
 
-def _per_row_sample(config, cond, uncond, fn, class_weights, seed):
+def _per_row_sample(config, denoiser, fn, class_weights, seed):
     """The sampler loop with omega evaluated on every chain's own row."""
     grid = config.grid()
-    u, x_init, z = _chain_draws(config.count, config.steps, cond.dim, seed)
-    c = np.minimum(np.searchsorted(np.cumsum(class_weights), u), cond.n_classes - 1)
+    u, x_init, z = _chain_draws(config.count, config.steps, denoiser.dim, seed)
+    c = np.minimum(np.searchsorted(np.cumsum(class_weights), u), denoiser.n_classes - 1)
     x = SCHEDULE.alpha_sigma(grid[-1])[1] * x_init
     for k in range(config.steps - 1, -1, -1):
         s, t = grid[k], grid[k + 1]
-        guided, _ = guided_denoise(cond, uncond, x, t, c, fn.weight(s, t, c))
+        guided, _ = guided_denoise(denoiser, x, t, c, fn.weight(s, t, c))
         trans = ddim_transition(s, t, config.churn)
         x = (trans.mean_coeff_xt * x + trans.mean_coeff_x0 * guided
              + np.sqrt(trans.cov_scale) * z[:, k])
@@ -176,7 +186,7 @@ def test_net_weight_is_evaluated_once_per_step_and_class(exact, mog):
     assert counting.rows == [(mog.n_classes,)] * config.steps
     # the same chains with omega evaluated row by row: the net's matmuls
     # round differently at 4 rows than at 64, so agreement is to rounding
-    want_x, want_c = _per_row_sample(config, exact, exact, net, mog.weights, seed=6)
+    want_x, want_c = _per_row_sample(config, exact, net, mog.weights, seed=6)
     assert np.array_equal(c, want_c)
     np.testing.assert_allclose(x, want_x, rtol=1e-12, atol=1e-12)
 

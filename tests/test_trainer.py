@@ -62,7 +62,7 @@ def test_training_is_deterministic(mog, exact):
     config = short_config()
     runs = []
     for _ in range(2):
-        net, record = train_guidance(fresh_net(), exact, exact, mog, config)
+        net, record = train_guidance(fresh_net(), exact, mog, config)
         runs.append((net.params, record))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1].loss, runs[1][1].loss)
@@ -72,7 +72,7 @@ def test_training_is_deterministic(mog, exact):
 def test_training_moves_parameters_and_records_trace(mog, exact):
     net = fresh_net()
     init = net.params.copy()
-    net, record = train_guidance(net, exact, exact, mog, short_config())
+    net, record = train_guidance(net, exact, mog, short_config())
     assert not np.array_equal(net.params, init)
     assert record.iteration.shape == (8,)
     assert np.all(np.isfinite(record.loss))
@@ -83,7 +83,7 @@ def test_training_moves_parameters_and_records_trace(mog, exact):
 
 def test_reward_mode_tracks_raw_reward(mog, exact):
     config = short_config(mode="reward", reward="distance_to_mean", gamma_reward=0.1)
-    net, record = train_guidance(fresh_net(), exact, exact, mog, config)
+    net, record = train_guidance(fresh_net(), exact, mog, config)
     assert np.all(np.isfinite(record.reward))
     # distance-to-mean reward is nonpositive by construction
     assert np.all(record.reward <= 0.0)
@@ -95,14 +95,14 @@ def test_all_modes_run(mog, exact):
                         ("reward", {"reward": "distance_to_mean", "gamma_reward": 0.1}),
                         ("guided_sm", {})):
         config = short_config(mode=mode, **extra)
-        net, record = train_guidance(fresh_net(), exact, exact, mog, config)
+        net, record = train_guidance(fresh_net(), exact, mog, config)
         assert np.all(np.isfinite(record.loss)), mode
 
 
 def test_ema_anchors_near_init(mog, exact):
     init = fresh_net().params
-    live, _ = train_guidance(fresh_net(), exact, exact, mog, short_config())
-    shadow, _ = train_guidance(fresh_net(), exact, exact, mog,
+    live, _ = train_guidance(fresh_net(), exact, mog, short_config())
+    shadow, _ = train_guidance(fresh_net(), exact, mog,
                                short_config(ema_decay=0.999))
     live_move = np.linalg.norm(live.params - init)
     shadow_move = np.linalg.norm(shadow.params - init)
@@ -111,7 +111,7 @@ def test_ema_anchors_near_init(mog, exact):
 
 def test_select_best_runs_probes(mog, exact):
     config = short_config()
-    net, record = train_guidance(fresh_net(), exact, exact, mog, config)
+    net, record = train_guidance(fresh_net(), exact, mog, config)
     assert np.all(np.isfinite(record.loss))
 
 
@@ -121,7 +121,7 @@ def test_divergence_raises_and_restores_last_checkpoint(mog, exact):
     # the overflow on the diverging step is the point of the test
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as info:
-            train_guidance(net, exact, exact, mog, config)
+            train_guidance(net, exact, mog, config)
     assert info.value.iteration >= 1
     # the exception carries the record of the iterations that completed
     record = info.value.record
@@ -136,12 +136,12 @@ def test_time_sampler_is_honored(mog, exact):
     # an s_min near 1 - ZETA - delta pins every pair into a narrow band
     sampler = TimePairSampler(s_min=0.85, delta=0.1)
     config = short_config(iterations=2, time_sampler=sampler)
-    net, record = train_guidance(fresh_net(), exact, exact, mog, config)
+    net, record = train_guidance(fresh_net(), exact, mog, config)
     assert np.all(np.isfinite(record.loss))
 
 
 def test_train_record_csv_roundtrip(tmp_path, mog, exact):
-    net, record = train_guidance(fresh_net(), exact, exact, mog,
+    net, record = train_guidance(fresh_net(), exact, mog,
                                  short_config(iterations=3))
     path = tmp_path / "record.csv"
     record.write_csv(path, header_comment="seed=0")
@@ -168,27 +168,27 @@ def test_loss_param_grad_all_modes(mog, exact):
                                     "gamma_reward": 0.3}),
                         ("guided_sm", {})):
         config = TrainConfig(mode=mode, seed=12, **extra)
-        loss, grad = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
+        loss, grad = loss_param_grad(net, exact, mog, x0, c, s, t, config)
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))
         assert np.any(grad != 0.0)
         # frozen draw stream makes the map parameters -> loss replayable
-        loss2, grad2 = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
+        loss2, grad2 = loss_param_grad(net, exact, mog, x0, c, s, t, config)
         assert loss == loss2
         assert np.array_equal(grad, grad2)
 
 
-def _oracle_loss_param_grad(net, cond, uncond, data, x0, c, s, t, config):
+def _oracle_loss_param_grad(net, denoiser, data, x0, c, s, t, config):
     """The earlier per-mode composition of loss_param_grad, kept as an oracle."""
     noise_rng = stream(config.seed, "gradcheck/noise")
     omega, tape = net.weight_with_tape(s, t, c)
     n = np.atleast_2d(x0).shape[0]
     if config.mode == "guided_sm":
-        batch = build_gsm(x0, c, t, cond, uncond, noise_rng)
+        batch = build_gsm(x0, c, t, denoiser, noise_rng)
         loss_items, grad_items = guided_score_matching_loss(batch, omega)
     else:
-        batch = build_particles(x0, c, s, t, config.particles, cond, uncond,
-                                config.churn, noise_rng)
+        batch = build_particles(x0, c, s, t, config.particles, denoiser, config.churn,
+                                noise_rng)
         if config.mode == "l2":
             loss_items, grad_items = l2_loss(batch, omega)
         else:
@@ -220,9 +220,8 @@ def test_loss_param_grad_bytes_match_per_mode_oracle(mog, exact):
                         ("guided_sm", {}),
                         ("guided_sm", reward)):
         config = TrainConfig(mode=mode, seed=12, beta=1.5, lam=0.7, **extra)
-        loss, grad = loss_param_grad(net, exact, exact, mog, x0, c, s, t, config)
-        want_loss, want_grad = _oracle_loss_param_grad(net, exact, exact, mog,
-                                                       x0, c, s, t, config)
+        loss, grad = loss_param_grad(net, exact, mog, x0, c, s, t, config)
+        want_loss, want_grad = _oracle_loss_param_grad(net, exact, mog, x0, c, s, t, config)
         assert loss == want_loss, (mode, extra)
         assert grad.tobytes() == want_grad.tobytes(), (mode, extra)
 
@@ -233,11 +232,11 @@ def test_probe_reuses_one_reference_per_run(mog, exact, monkeypatch):
     config = short_config(iterations=12, checkpoint_every=4)
     probes, references, own_pairs = [], [], []
 
-    def recording_probe(net, cond, uncond, data, cfg, reference):
+    def recording_probe(net, denoiser, data, cfg, reference):
         references.append(reference)
-        val = probe_mmd(net, cond, uncond, data, cfg, reference)
+        val = probe_mmd(net, denoiser, data, cfg, reference)
         xs, _ = sample(SampleConfig(steps=10, count=cfg.probe_size, churn=0.0),
-                       cond, uncond, net, class_weights=data.weights, seed=cfg.seed)
+                       denoiser, denoiser, net, class_weights=data.weights, seed=cfg.seed)
         ref, _ = data.sample_joint(cfg.probe_size, stream(cfg.seed, "probe/reference"))
         probes.append((val, energy_mmd(xs, ref)))
         return val
@@ -250,7 +249,7 @@ def test_probe_reuses_one_reference_per_run(mog, exact, monkeypatch):
     probe_mmd, pair_sums = trainer._probe_mmd, evaluation._pair_sums
     monkeypatch.setattr(trainer, "_probe_mmd", recording_probe)
     monkeypatch.setattr(evaluation, "_pair_sums", counting_pair_sums)
-    train_guidance(fresh_net(), exact, exact, mog, config)
+    train_guidance(fresh_net(), exact, mog, config)
     assert len(probes) == 3
     for val, fresh in probes:
         assert val == fresh
