@@ -8,6 +8,14 @@ implementations share that interface:
   * NeuralDenoiser: a small MLP trained by denoising score matching with
     conditioning dropout, so one net serves both conditional and
     unconditional queries.
+
+The mixture arithmetic runs component-first, on (K, n) and (K, d, n) arrays
+with one row of n points per component and coordinate, so each sum over the
+K components or d coordinates is elementwise over rows of n, not a numpy
+reduction of a trailing axis of 2 or 4 entries, one short call per point.
+numpy sums fewer than 8 entries left to right from 0.0, so below 8 components
+and coordinates the results keep the component-last bytes; from 8 on numpy
+sums in pairwise blocks, and the two agree to rounding.
 """
 
 from __future__ import annotations
@@ -70,70 +78,83 @@ class MogSpec:
 
 
 def _noised_components(spec: MogSpec, t):
-    """(alpha_t, sigma_t, component means alpha_t mu_c, variances alpha_t^2 s_c^2 + sigma_t^2).
+    """(alpha_t, sigma_t, component means alpha_t mu_c, variances alpha_t^2 s_c^2 + sigma_t^2),
+    component axis first.
 
-    The means have shape (1 or n, K, d) and the variances (1 or n, K): a
-    scalar t gets a leading axis of one, an (n,) t one row per point.
+    alpha_t and sigma_t have shape (m,), the means (K, d, m) and the variances
+    (K, m): m is 1 for a scalar t and n for an (n,) t, one per point.
     """
-    alpha, sigma = SCHEDULE.alpha_sigma(t)
-    alpha = np.asarray(alpha, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    means = np.expand_dims(alpha, (-2, -1)) * spec.means
-    var = np.expand_dims(alpha**2, -1) * spec.variances + np.expand_dims(sigma**2, -1)
-    if means.ndim == 2:
-        means, var = means[None], var[None]
+    alpha, sigma = SCHEDULE.alpha_sigma(np.atleast_1d(t))
+    means = spec.means[..., None] * alpha
+    var = spec.variances[:, None] * alpha**2 + sigma**2
     return alpha, sigma, means, var
 
 
-def _log_joint(spec: MogSpec, x, means, var):
-    """log(w_c N(x; means_c, var_c I)) per point and component, shape (n, K)."""
-    diff = x[:, None, :] - means
-    sq = np.sum(diff * diff, axis=-1)
+def _log_joint(spec: MogSpec, x_cols, means, var):
+    """log(w_c N(x; means_c, var_c I)) per component and point, shape (K, n), at
+    points given by coordinate, x_cols (d, n). A point past the square root of
+    the float range squares to inf, so its log-joint is -inf."""
+    with np.errstate(over="ignore"):
+        diff = x_cols - means
+        sq = np.sum(diff * diff, axis=1)
     with np.errstate(divide="ignore"):  # a zero weight's log prior is -inf
-        log_w = np.log(spec.weights)
+        log_w = np.log(spec.weights)[:, None]
     return log_w - 0.5 * sq / var - 0.5 * spec.dim * np.log(2.0 * np.pi * var)
 
 
 def _logsumexp(a):
-    """log(sum(exp(a))) over the last axis, kept as an axis of one.
+    """log(sum(exp(a))) over the leading axis, shape a.shape[1:].
 
     scipy.special.logsumexp's steps for real input, so its bytes are scipy's:
     log1p(rest / m) + log(m) + max, rest the shifted sum without the m entries
-    at the row's max; log(sum(exp(a))) where that is not finite.
+    at the column's max; log(sum(exp(a))) where that is not finite.
     """
-    a_max = np.max(a, axis=-1, keepdims=True)
+    a_max = np.max(a, axis=0)
     at_max = a == a_max
-    m = np.sum(at_max, axis=-1, keepdims=True, dtype=a.dtype)
+    m = np.sum(at_max, axis=0, dtype=a.dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0)
         rest = np.where(rest == 0, rest, rest / m)
         out = np.log1p(rest) + np.log(m) + a_max
-    bad = ~np.isfinite(out[..., 0])
+    bad = ~np.isfinite(out)
     if bad.any():
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out[bad, 0] = np.log(np.sum(np.exp(a[bad]), axis=-1))
+            out[bad] = np.log(np.sum(np.exp(a[:, bad]), axis=0))
     return out
 
 
 def _log_posterior(log_joint):
-    """log p(c | x): the log-joint normalized over components."""
-    return log_joint - _logsumexp(log_joint)
+    """log p(c | x): the (K, n) log-joint normalized over components; NaN at a
+    point whose every log-joint is -inf."""
+    with np.errstate(invalid="ignore"):
+        return log_joint - _logsumexp(log_joint)
+
+
+def _columns(x):
+    """Points x (n, d) as C-ordered float coordinate rows (d, n)."""
+    return np.ascontiguousarray(np.asarray(x, dtype=float).T)
+
+
+def _points(cols):
+    """Coordinate rows cols (d, n) as C-ordered points (n, d)."""
+    return np.ascontiguousarray(cols.T)
 
 
 def mixture_log_density(spec: MogSpec, x, t=0.0):
     """log p_t(x) of the noised mixture at points x (n, d), shape (n,); t = 0 gives
     the data density."""
     _, _, means, var = _noised_components(spec, t)
-    return _logsumexp(_log_joint(spec, x, means, var))[..., 0]
+    return _logsumexp(_log_joint(spec, _columns(x), means, var))
 
 
 def mixture_score(spec: MogSpec, x, t=0.0):
     """grad_x log p_t(x) at points x (n, d), shape (n, d): responsibility-weighted
     pull toward the noised means."""
     _, _, means, var = _noised_components(spec, t)
-    resp = np.exp(_log_posterior(_log_joint(spec, x, means, var)))  # (n, K)
-    pull = (means - x[:, None, :]) / var[..., None]                # (n, K, d)
-    return np.sum(resp[..., None] * pull, axis=1)
+    x_cols = _columns(x)
+    resp = np.exp(_log_posterior(_log_joint(spec, x_cols, means, var)))  # (K, n)
+    pull = (means - x_cols) / var[:, None]                                # (K, d, n)
+    return _points(np.sum(resp[:, None] * pull, axis=0))
 
 
 def posterior_mean(spec: MogSpec, x_t, t, c=None):
@@ -141,7 +162,8 @@ def posterior_mean(spec: MogSpec, x_t, t, c=None):
 
     Per component, the posterior is the Gaussian product
         m_c = (sigma_t^2 mu_c + alpha_t s_c^2 x_t) / (alpha_t^2 s_c^2 + sigma_t^2);
-    the marginal mean mixes the m_c with the responsibilities p(c | x_t).
+    at c each point takes its own component's m_c, and the marginal mean
+    mixes the m_c with the responsibilities p(c | x_t).
 
     Args:
         x_t: points of shape (n, d).
@@ -151,15 +173,17 @@ def posterior_mean(spec: MogSpec, x_t, t, c=None):
     Returns:
         array of shape (n, d).
     """
-    x = np.asarray(x_t, dtype=float)
-    alpha, sigma, means, var = _noised_components(spec, t)
-    num = (np.expand_dims(sigma**2, (-2, -1)) * spec.means
-           + np.expand_dims(alpha, (-2, -1)) * spec.variances[:, None] * x[:, None, :])
-    comp_post = num / var[..., None]                               # (n, K, d)
+    x_cols = _columns(x_t)
     if c is not None:
-        return comp_post[np.arange(x.shape[0]), nn.class_labels(c, spec.n_classes)]
-    resp = np.exp(_log_posterior(_log_joint(spec, x, means, var)))
-    return np.sum(resp[..., None] * comp_post, axis=1)
+        c = nn.class_labels(c, spec.n_classes)
+        alpha, sigma = SCHEDULE.alpha_sigma(np.atleast_1d(t))
+        s = np.take(spec.variances, c)
+        num = sigma**2 * np.take(spec.means.T, c, axis=1) + (alpha * s) * x_cols
+        return _points(num / (alpha**2 * s + sigma**2))
+    alpha, sigma, means, var = _noised_components(spec, t)
+    resp = np.exp(_log_posterior(_log_joint(spec, x_cols, means, var)))  # (K, n)
+    num = sigma**2 * spec.means[..., None] + (alpha * spec.variances[:, None])[:, None] * x_cols
+    return _points(np.sum(resp[:, None] * (num / var[:, None]), axis=0))
 
 
 class AnalyticDenoiser:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,23 @@ def test_non_finite_sweep_is_numerical_failure(tmp_path, tiny_config):
     assert code == 3
     assert not (out / "sweep.csv").exists()
     assert not (out / "sweep.json").exists()
+
+
+def test_overflowing_sweep_weight_is_numerical_failure_without_a_warning(tmp_path, capsys):
+    """At omega = 1e200 the chains leave the float range: the analytic teacher
+    answers NaN there without a numpy warning, and the sweep's non-finite
+    check exits 3."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_with(TINY, eval={"omega_grid": [1e200]})))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("sweep", "--config", str(path), "--out", str(out), "--quiet")
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "RuntimeWarning" not in err, err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_malformed_checkpoints_are_usage_errors(tmp_path, tiny_config, capsys):

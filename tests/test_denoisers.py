@@ -18,7 +18,9 @@ from guidefit.denoisers import (AnalyticDenoiser, DenoiserTrainConfig, MogSpec, 
                                 _logsumexp, mixture_log_density, mixture_score, posterior_mean,
                                 train_neural_denoiser)
 from guidefit.rng import stream
-from guidefit.schedule import LOGSNR_CLIP, SCHEDULE
+from guidefit.schedule import LOGSNR_CLIP, SCHEDULE, ZETA
+from mixture_oracles import (_oracle_mixture_log_density, _oracle_mixture_score,
+                             _oracle_posterior_mean)
 
 
 def is_posterior_mean(spec, x_t, t, c, n, rng):
@@ -315,66 +317,6 @@ def test_neural_denoiser_keeps_no_tape(mog):
         assert peak < limit
 
 
-def _oracle_stats(spec, t):
-    """The earlier per-function rebuild of the noised component stats."""
-    alpha, sigma = SCHEDULE.alpha_sigma(t)
-    alpha = np.asarray(alpha, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    means = np.expand_dims(alpha, (-2, -1)) * spec.means
-    var = np.expand_dims(alpha**2, -1) * spec.variances + np.expand_dims(sigma**2, -1)
-    return means, var
-
-
-def _oracle_log_joint(spec, x, t):
-    comp_means, comp_var = _oracle_stats(spec, t)
-    if comp_means.ndim == 2:
-        comp_means = comp_means[None]
-    if comp_var.ndim == 1:
-        comp_var = comp_var[None]
-    diff = x[:, None, :] - comp_means
-    sq = np.sum(diff * diff, axis=-1)
-    log_joint = (np.log(spec.weights) - 0.5 * sq / comp_var
-                 - 0.5 * spec.dim * np.log(2.0 * np.pi * comp_var))
-    return log_joint, comp_means, comp_var
-
-
-def _oracle_log_responsibilities(spec, x, t):
-    from scipy.special import logsumexp
-
-    log_joint, _, _ = _oracle_log_joint(spec, x, t)
-    return log_joint - logsumexp(log_joint, axis=-1, keepdims=True)
-
-
-def _oracle_mixture_log_density(spec, x, t):
-    from scipy.special import logsumexp
-
-    log_joint, _, _ = _oracle_log_joint(spec, x, t)
-    return logsumexp(log_joint, axis=-1)
-
-
-def _oracle_mixture_score(spec, x, t):
-    resp = np.exp(_oracle_log_responsibilities(spec, x, t))
-    _, comp_means, comp_var = _oracle_log_joint(spec, x, t)
-    pull = (comp_means - x[:, None, :]) / comp_var[..., None]
-    return np.sum(resp[..., None] * pull, axis=1)
-
-
-def _oracle_posterior_mean(spec, x, t, c=None):
-    alpha, sigma = SCHEDULE.alpha_sigma(t)
-    alpha = np.asarray(alpha, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    comp_var = np.expand_dims(alpha**2, -1) * spec.variances + np.expand_dims(sigma**2, -1)
-    if comp_var.ndim == 1:
-        comp_var = comp_var[None]
-    num = (np.expand_dims(sigma**2, (-2, -1)) * spec.means
-           + np.expand_dims(alpha, (-2, -1)) * spec.variances[:, None] * x[:, None, :])
-    comp_post = num / comp_var[..., None]
-    if c is None:
-        resp = np.exp(_oracle_log_responsibilities(spec, x, t))
-        return np.sum(resp[..., None] * comp_post, axis=1)
-    return comp_post[np.arange(x.shape[0]), c]
-
-
 def _same(got, want):
     return got.shape == want.shape and np.array_equal(got, want) and \
         got.tobytes() == want.tobytes()
@@ -399,9 +341,72 @@ def test_mixture_functions_bytes_match_per_function_oracle(mog):
                  _oracle_posterior_mean(mog, x, times["per row"], None))
 
 
+def _same_bytes(got, want):
+    """Equal shapes and bytes: NaN for NaN, with its sign and payload."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_mixture_functions_bytes_match_oracle_at_the_edges(mog):
+    """The component-first arithmetic keeps the per-function oracles' bytes at a
+    zero mixture weight, a single row, the ends t = 0 and t = 1 - ZETA (one t
+    and per row), and at points near 1e200, whose squared distances overflow
+    so that every log-joint is -inf and the log-sum-exp takes its non-finite
+    fallback: the log density is -inf there and the score and marginal mean NaN."""
+    rng = stream(13, "test/mixture_edges")
+    n = 64
+    x = rng.standard_normal((n, 2)) * 8.0
+    x[:6] = rng.choice([-1.0, 1.0], (6, 2)) * rng.uniform(0.5, 2.0, (6, 2)) * 1e200
+    c = rng.integers(0, mog.n_classes, n)
+    zero_weight = MogSpec(means=mog.means, variances=mog.variances,
+                          weights=np.array([0.5, 0.0, 0.25, 0.25]))
+    times = {"zero": 0.0, "end": 1.0 - ZETA, "zero per row": np.zeros(n),
+             "end per row": np.full(n, 1.0 - ZETA),
+             "mixed per row": rng.choice([0.0, 0.3, 1.0 - ZETA], n)}
+    cases = [(spec_name, spec, time_name, x, t, c)
+             for spec_name, spec in (("default", mog), ("zero weight", zero_weight))
+             for time_name, t in times.items()]
+    cases += [("single row", mog, "one t", x[6:7], 0.37, c[6:7]),
+              ("single row", mog, "per row", x[6:7], np.array([0.37]), c[6:7]),
+              ("single huge row", mog, "per row", x[:1], np.array([0.37]), c[:1])]
+    for spec_name, spec, time_name, pts, t, cls in cases:
+        name = (spec_name, time_name)
+        density = mixture_log_density(spec, pts, t)
+        assert _same_bytes(density, _oracle_mixture_log_density(spec, pts, t)), name
+        assert _same_bytes(mixture_score(spec, pts, t),
+                           _oracle_mixture_score(spec, pts, t)), name
+        for labels in (None, cls):
+            assert _same_bytes(posterior_mean(spec, pts, t, labels),
+                               _oracle_posterior_mean(spec, pts, t, labels)), (name, labels)
+        huge = np.abs(pts[:, 0]) > 1e100
+        assert np.all(density[huge] == -np.inf), name
+        assert np.all(np.isnan(posterior_mean(spec, pts, t)[huge])), name
+        assert np.all(np.isfinite(posterior_mean(spec, pts, t, cls))), name
+    assert huge.any()
+
+
+def test_mixture_functions_match_oracle_closely_at_eight_components_or_dimensions():
+    """From 8 entries on numpy sums a trailing axis in pairwise blocks, while the
+    component-first sums still run left to right, so there the two agree to
+    rounding rather than to the byte."""
+    rng = stream(14, "test/mixture_wide")
+    for k, d in ((9, 2), (3, 9), (9, 1)):
+        spec = MogSpec(means=rng.standard_normal((k, d)) * 5.0,
+                       variances=rng.uniform(0.2, 3.0, k), weights=np.full(k, 1.0 / k))
+        x = rng.standard_normal((300, d)) * 5.0
+        t = rng.uniform(0.0, 1.0, 300)
+        np.testing.assert_allclose(mixture_log_density(spec, x, t),
+                                   _oracle_mixture_log_density(spec, x, t), rtol=1e-13)
+        np.testing.assert_allclose(mixture_score(spec, x, t), _oracle_mixture_score(spec, x, t),
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(posterior_mean(spec, x, t),
+                                   _oracle_posterior_mean(spec, x, t), rtol=1e-9, atol=1e-12)
+
+
 def test_logsumexp_bytes_match_scipy():
     """The package's log-sum-exp is scipy's, byte for byte and NaN for NaN, on
-    finite rows at every scale, tied maxima, -inf, +inf and NaN entries."""
+    finite rows at every scale, tied maxima, -inf, +inf and NaN entries. It
+    reduces over the leading (component) axis, so it is fed each set of rows
+    transposed, against scipy's reduction over the trailing axis."""
     from scipy.special import logsumexp
 
     rng = stream(12, "test/logsumexp")
@@ -417,7 +422,7 @@ def test_logsumexp_bytes_match_scipy():
     rows.append(mixture)
     for a in rows:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            want = logsumexp(a, axis=-1, keepdims=True)
-        got = _logsumexp(a)
+            want = logsumexp(a, axis=-1)
+        got = _logsumexp(np.ascontiguousarray(a.T))
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()

@@ -18,6 +18,7 @@ from guidefit.objectives import (REWARDS, ParticleBatch, TimePairSampler,
 from guidefit.denoisers import mixture_score
 from guidefit.rng import stream
 from guidefit.schedule import ZETA, DdimTransition, ddim_transition
+from mixture_oracles import OracleDenoiser
 
 
 def make_batch(mog, exact, m=8, n=6, churn=1.0, seed=0):
@@ -67,6 +68,23 @@ def test_build_particles_shapes_and_stored_omega(mog, exact):
     for coeff in dataclasses.astuple(batch.trans):
         assert coeff.shape == (4,)
     assert "omega" not in {f.name for f in dataclasses.fields(batch)}
+
+
+def test_build_particles_bytes_match_the_oracle_teacher(mog, exact):
+    """A training-size batch (128 items x 32 particles, each item's t repeated
+    over its particles) is the same, byte for byte, whether the teacher is the
+    component-first AnalyticDenoiser or the (n, K) oracle."""
+    batches = []
+    for teacher in (exact, OracleDenoiser(mog)):
+        rng = stream(15, "test/oracle_batch")
+        x0, c = mog.sample_joint(128, rng)
+        s = rng.uniform(ZETA, 0.6, size=128)
+        t = s + rng.uniform(0.05, 0.39, size=128)
+        batches.append(build_particles(x0, c, s, t, 32, teacher, 0.5, rng))
+    got, want = batches
+    for field in dataclasses.fields(got):
+        if field.name != "trans":
+            assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes()
 
 
 def test_proposals_bytes_match_explicit_transition(mog, exact):

@@ -8,6 +8,7 @@ from guidefit.guidance import ConstantWeight, GuidanceNet, guided_denoise
 from guidefit.rng import stream
 from guidefit.sampler import SampleConfig, _chain_draws, sample, sample_trajectory
 from guidefit.schedule import SCHEDULE, ddim_transition
+from mixture_oracles import OracleDenoiser
 
 
 def test_sample_config_validation_and_grid():
@@ -230,3 +231,16 @@ def test_chain_draws_are_kept_read_only_and_do_not_depend_on_count(exact, mog):
                       seed=11)
     assert x_few.tobytes() == x[:7].tobytes() and np.array_equal(c_few, c[:7])
     assert again.tobytes() == x.tobytes()
+
+
+def test_sampler_bytes_match_the_oracle_teacher(exact, mog):
+    """4096 chains through the component-first teacher and through the (n, K)
+    oracle land on the same bytes, unguided-plus-one and under a learned net."""
+    oracle = OracleDenoiser(mog)
+    config = SampleConfig(count=4096)
+    for weight_fn in (ConstantWeight(1.0), _test_net(mog)):
+        x, c = sample(config, exact, exact, weight_fn, class_weights=mog.weights, seed=21)
+        want_x, want_c = sample(config, oracle, oracle, weight_fn, class_weights=mog.weights,
+                                seed=21)
+        assert x.tobytes() == want_x.tobytes()
+        assert np.array_equal(c, want_c)
