@@ -123,11 +123,11 @@ def _logsumexp(a):
     return out
 
 
-def _log_posterior(log_joint):
-    """log p(c | x): the (K, n) log-joint normalized over components; NaN at a
-    point whose every log-joint is -inf."""
+def _responsibilities(log_joint, log_density):
+    """p(c | x), shape (K, n): exp of the (K, n) log-joint less its log-sum-exp
+    log_density (n,); NaN at a point whose every log-joint is -inf."""
     with np.errstate(invalid="ignore"):
-        return log_joint - _logsumexp(log_joint)
+        return np.exp(log_joint - log_density)
 
 
 def _columns(x):
@@ -150,11 +150,19 @@ def mixture_log_density(spec: MogSpec, x, t=0.0):
 def mixture_score(spec: MogSpec, x, t=0.0):
     """grad_x log p_t(x) at points x (n, d), shape (n, d): responsibility-weighted
     pull toward the noised means."""
+    return mixture_log_density_and_score(spec, x, t)[1]
+
+
+def mixture_log_density_and_score(spec: MogSpec, x, t=0.0):
+    """(mixture_log_density, mixture_score) at points x (n, d), from one log-joint
+    and its one log-sum-exp: the same bytes as the two functions."""
     _, _, means, var = _noised_components(spec, t)
     x_cols = _columns(x)
-    resp = np.exp(_log_posterior(_log_joint(spec, x_cols, means, var)))  # (K, n)
-    pull = (means - x_cols) / var[:, None]                                # (K, d, n)
-    return _points(np.sum(resp[:, None] * pull, axis=0))
+    log_joint = _log_joint(spec, x_cols, means, var)
+    density = _logsumexp(log_joint)
+    resp = _responsibilities(log_joint, density)  # (K, n)
+    pull = (means - x_cols) / var[:, None]        # (K, d, n)
+    return density, _points(np.sum(resp[:, None] * pull, axis=0))
 
 
 def posterior_mean(spec: MogSpec, x_t, t, c=None):
@@ -181,7 +189,8 @@ def posterior_mean(spec: MogSpec, x_t, t, c=None):
         num = sigma**2 * np.take(spec.means.T, c, axis=1) + (alpha * s) * x_cols
         return _points(num / (alpha**2 * s + sigma**2))
     alpha, sigma, means, var = _noised_components(spec, t)
-    resp = np.exp(_log_posterior(_log_joint(spec, x_cols, means, var)))  # (K, n)
+    log_joint = _log_joint(spec, x_cols, means, var)
+    resp = _responsibilities(log_joint, _logsumexp(log_joint))  # (K, n)
     num = sigma**2 * spec.means[..., None] + (alpha * spec.variances[:, None])[:, None] * x_cols
     return _points(np.sum(resp[:, None] * (num / var[:, None]), axis=0))
 

@@ -24,8 +24,16 @@ A sweep scores every row against one shared reference with one subsample
 stream, so the sums over the reference's own pairs are the same for every
 row; they are computed once per sweep and reused (see _Reference).
 
-scipy supplies cdist and nothing else here, and it is imported when the
-first _Reference is built: a command that scores nothing never loads it.
+cdist builds a block of at most NUMPY_PAIRS = 2^18 pairs (256 rows x 1024
+points, the largest probe block at the shipped probe sizes) in numpy, and a
+larger block by scipy's cdist, imported at the first such block. So
+train-guidance's probes, like every command that scores nothing, never load
+scipy. Both kernels add the squared coordinate differences in coordinate
+order and take one square root, so they give the same bytes. Two stay
+because each wins where it runs: importing scipy costs a fresh process about
+0.3 s and 30 MB, more than numpy's kernel costs a probe, while once loaded
+scipy's compiled loop takes about half numpy's time per pair, which the
+4096-point blocks of a sweep or eval-mmd repay many times over.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ from .rng import stream
 BLOCK_ROWS = 256
 # mmd_with_se's resamples each keep this share of both point sets.
 SUBSET_FRACTION = 0.5
+# cdist builds a block of at most this many pairs in numpy: BLOCK_ROWS x 1024.
+NUMPY_PAIRS = 1 << 18
 
 
 @functools.cache
@@ -57,8 +67,21 @@ def _scipy_cdist():
 
 
 def cdist(a, b):
-    """Euclidean distances between the rows of a and the rows of b, shape (n_a, n_b)."""
-    return _scipy_cdist()(a, b)
+    """Euclidean distances between the rows of a (n_a, d) and b (n_b, d), d >= 1,
+    shape (n_a, n_b): in numpy up to NUMPY_PAIRS pairs, by scipy past it. Both
+    add the squared coordinate differences first to last and take one square
+    root, so both give the same bytes, NaN and inf included, and neither warns."""
+    if a.shape[0] * b.shape[0] > NUMPY_PAIRS:
+        return _scipy_cdist()(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.subtract.outer(a[:, 0], b[:, 0])
+        sq *= sq
+        diff = np.empty_like(sq)
+        for k in range(1, a.shape[1]):
+            np.subtract.outer(a[:, k], b[:, k], out=diff)
+            diff *= diff
+            sq += diff
+        return np.sqrt(sq, out=sq)
 
 
 def _block_sums(wa, d, w):
@@ -111,7 +134,6 @@ class _Reference:
     """
 
     def __init__(self, points):
-        _scipy_cdist()  # scipy's modules load here, before the scoring's arrays
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self._sums = {}
 
@@ -128,7 +150,8 @@ def _energy(x, y: _Reference, beta: float, lam: float, wx, wy):
     est = _pair_sums(x, y.points, beta, wx, wy) / (nx * ny)
     if lam != 0.0:
         tx, ty = _pair_sums(x, x, beta, wx, wx), y.within(beta, wy)
-        est -= 0.5 * lam * (tx / (nx * (nx - 1)) + ty / (ny * (ny - 1)))
+        with np.errstate(over="ignore"):  # a lam near the float range gives -inf
+            est -= 0.5 * lam * (tx / (nx * (nx - 1)) + ty / (ny * (ny - 1)))
     return est
 
 
@@ -173,7 +196,8 @@ def mmd_with_se(x, y, beta: float = 1.0, lam: float = 1.0, n_resamples: int = 20
     for col, cls in enumerate(eligible, 1 + n_resamples):
         wx[classes[0] == cls, col] = wy[classes[1] == cls, col] = 1.0
     est = _energy(x, y, beta, lam, wx, wy)
-    se = float(np.std(est[1:1 + n_resamples], ddof=1) * np.sqrt(SUBSET_FRACTION))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite estimates give NaN
+        se = float(np.std(est[1:1 + n_resamples], ddof=1) * np.sqrt(SUBSET_FRACTION))
     if classes is None:
         return float(est[0]), se
     return float(est[0]), se, dict(zip(eligible, map(float, est[1 + n_resamples:])))

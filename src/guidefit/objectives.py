@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import MogSpec, mixture_log_density, mixture_score
+from .denoisers import MogSpec, mixture_log_density_and_score
 from .domains import check_fields, within
 from .guidance import guided_denoise
 from .schedule import ZETA, DdimTransition, ddim_transition, noise_sample
@@ -190,7 +190,7 @@ def distance_to_mean(spec: MogSpec, x, c):
 
 def log_density(spec: MogSpec, x, c):
     """R(x, c) = log p0(x) under the data mixture (class-independent)."""
-    return mixture_log_density(spec, x), mixture_score(spec, x)
+    return mixture_log_density_and_score(spec, x)
 
 
 # Each reward R(spec, x, c) -> (value (k,), d value / d x (k, d)) on rows x (k, d).

@@ -313,6 +313,23 @@ def test_overflowing_sweep_weight_is_numerical_failure_without_a_warning(tmp_pat
     assert not (out / "sweep.csv").exists()
 
 
+def test_overflowing_eval_lam_is_numerical_failure_without_a_warning(tmp_path, capsys):
+    """At lam = 1e308 the within-set term overflows to -inf and the resample
+    scatter to NaN: the sweep's non-finite check exits 3, without a numpy warning."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_with(TINY, eval={"lam": 1e308})))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("sweep", "--config", str(path), "--out", str(out), "--quiet")
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "numerical failure: sweep evaluation produced a non-finite value" in err, err
+    assert "RuntimeWarning" not in err, err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_malformed_checkpoints_are_usage_errors(tmp_path, tiny_config, capsys):
     out = str(tmp_path / "run")
     assert run("train-guidance", "--config", tiny_config, "--out", out, "--quiet") == 0
@@ -586,16 +603,22 @@ def scipy_modules():
 
 config, out = sys.argv[1:]
 loaded = {"import": scipy_modules()}
-for command in ("pretrain-denoiser", "export-weights", "sample"):
+for command in ("pretrain-denoiser", "export-weights", "sample", "train-guidance"):
     code = cli.main([command, "--config", config, "--out", out, "--quiet"])
     loaded[command] = scipy_modules() if code == 0 else f"exit {code}"
 evaluation.energy_mmd(np.zeros((3, 2)), np.ones((3, 2)))
-loaded["energy_mmd"] = "scipy.spatial.distance" in sys.modules
+loaded["energy_mmd 3 x 3"] = scipy_modules()
+rng = np.random.default_rng(0)
+evaluation.energy_mmd(rng.standard_normal((1100, 2)), rng.standard_normal((1100, 2)))
+loaded["energy_mmd 1100 x 1100"] = "scipy.spatial.distance" in sys.modules
 print(json.dumps(loaded))
 """
 
 
 def test_scipy_loads_only_when_samples_are_scored(tmp_path, tiny_config):
+    """Distance blocks of up to 2^18 pairs are built in numpy, so a probing
+    train-guidance (TINY's 32-point probe) and a small energy_mmd load no scipy;
+    the first larger block (256 x 1100 pairs) loads scipy's cdist."""
     # a fresh process, so modules that other tests imported cannot matter
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADS, tiny_config, str(tmp_path / "o")],
@@ -603,7 +626,7 @@ def test_scipy_loads_only_when_samples_are_scored(tmp_path, tiny_config):
                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "import": [], "pretrain-denoiser": [], "export-weights": [], "sample": [],
-        "energy_mmd": True}
+        "train-guidance": [], "energy_mmd 3 x 3": [], "energy_mmd 1100 x 1100": True}
 
 
 def _with(base, **sections):

@@ -226,6 +226,60 @@ def test_energy_mmd_builds_own_pairs_over_upper_blocks(monkeypatch, n, m):
     assert _own_pairs(1024) == 256 * 1024 + 256 * 768 + 256 * 512 + 256 * 256
 
 
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_numpy_cdist_bytes_match_scipy(d):
+    """The numpy kernel adds the squared coordinate differences in scipy's order
+    and takes one square root: scipy's bytes at every scale, and an exact zero
+    diagonal for a set against itself."""
+    from guidefit.evaluation import cdist as package_cdist
+
+    rng = stream(21, "test/cdist", d)
+    for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3, 1e5):
+        a = rng.standard_normal((BLOCK_ROWS, d)) * scale
+        b = rng.standard_normal((1024, d)) * scale + 0.3 * scale
+        for x, y in ((a, b), (a, a), (b[:200], b[100:])):
+            assert _same_bytes(package_cdist(x, y), cdist(x, y)), (d, scale)
+        assert np.all(np.diag(package_cdist(a, a)) == 0.0)
+
+
+def test_numpy_cdist_bytes_match_scipy_on_non_finite_points():
+    """Points past the float range, at +-inf and NaN: scipy's bytes, NaN in the
+    same places, and no RuntimeWarning (the suite makes one an error)."""
+    from guidefit.evaluation import cdist as package_cdist
+
+    rng = stream(22, "test/cdist_edges")
+    inf, nan = np.inf, np.nan
+    for d in (1, 2, 3):
+        a = rng.standard_normal((40, d))
+        a[:12, 0] = [1e200, -1e200, 1e155, inf, -inf, nan, inf, -inf, nan, 1e308, -1e308, 0.0]
+        a[6:9, -1] = [inf, nan, -inf]
+        b = np.concatenate([a, rng.standard_normal((25, d)) * 1e200])
+        for x, y in ((a, b), (a, a), (b, a)):
+            got, want = package_cdist(x, y), cdist(x, y)
+            assert _same_bytes(got, want), d
+            assert np.array_equal(np.isnan(got), np.isnan(want)) and np.isnan(got).any()
+
+
+def test_cdist_calls_scipy_only_past_the_numpy_block_size(monkeypatch):
+    """A block of NUMPY_PAIRS = 2^18 pairs is built in numpy; one more row is
+    handed to scipy."""
+    from guidefit import evaluation
+
+    calls = []
+    monkeypatch.setattr(evaluation, "_scipy_cdist",
+                        lambda: lambda a, b: calls.append(a.shape[0] * b.shape[0]) or cdist(a, b))
+    assert evaluation.NUMPY_PAIRS == 2**18 == BLOCK_ROWS * 1024
+    a, b = _two_sets(BLOCK_ROWS + 1, 1024)
+    evaluation.cdist(a[:BLOCK_ROWS], b)
+    assert calls == []
+    evaluation.cdist(a, b)
+    assert calls == [(BLOCK_ROWS + 1) * 1024]
+
+
 def test_report_lookup_and_serialization(tmp_path):
     rows = [EvalRow(label="omega=0", omega=0.0, mmd=0.1, se=0.01, count=64),
             EvalRow(label="learned", omega=None, mmd=0.05, se=0.01, count=64)]

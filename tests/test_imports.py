@@ -133,6 +133,10 @@ def test_every_private_name_is_read_in_src():
 
 # Public names that only tests read, each with its reason.
 TEST_ENTRY_POINTS = {
+    ("denoisers.py", "mixture_log_density"):
+        "the density alone, which the score checks difference and the byte oracles pin",
+    ("denoisers.py", "mixture_score"):
+        "the score alone: the Tweedie acceptance check's reference and the byte oracles'",
     ("guidance.py", "mean_abs_weight"): "the acceptance probe's mean |omega| over the grid",
     ("trainer.py", "loss_param_grad"): "the gradient checks' loss and d loss / d params",
 }

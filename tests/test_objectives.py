@@ -15,10 +15,11 @@ from guidefit.objectives import (REWARDS, ParticleBatch, TimePairSampler,
                                  build_gsm, build_particles, distance_to_mean,
                                  guided_score_matching_loss, l2_loss, log_density,
                                  mmd_loss, reward_loss)
-from guidefit.denoisers import mixture_score
+from guidefit.denoisers import mixture_log_density, mixture_score
 from guidefit.rng import stream
 from guidefit.schedule import ZETA, DdimTransition, ddim_transition
-from mixture_oracles import OracleDenoiser
+from mixture_oracles import (OracleDenoiser, _oracle_mixture_log_density,
+                             _oracle_mixture_score)
 
 
 def make_batch(mog, exact, m=8, n=6, churn=1.0, seed=0):
@@ -170,12 +171,20 @@ def test_distance_reward_value_and_grad(mog):
 
 
 def test_mixture_reward_grad_is_the_data_score(mog):
+    """The reward takes its value and gradient from one shared log-joint, with
+    the bytes of mixture_log_density, mixture_score and their per-function
+    oracles, at rows near 1e200 (log density -inf, score NaN) too."""
     assert REWARDS == {"distance_to_mean": distance_to_mean,
                        "mixture_log_density": log_density}
-    x = stream(6, "test/reward2").uniform(-12.0, 12.0, size=(10, 2))
-    val, grad = log_density(mog, x, np.zeros(10, dtype=int))
-    assert np.array_equal(grad, mixture_score(mog, x))
-    assert val.shape == (10,)
+    rng = stream(6, "test/reward2")
+    x = np.concatenate([rng.uniform(-12.0, 12.0, size=(10, 2)),
+                        rng.choice([-1.0, 1.0], (3, 2)) * 1e200])
+    val, grad = log_density(mog, x, np.zeros(13, dtype=int))
+    for want in (mixture_log_density(mog, x), _oracle_mixture_log_density(mog, x, 0.0)):
+        assert val.shape == want.shape == (13,) and val.tobytes() == want.tobytes()
+    for want in (mixture_score(mog, x), _oracle_mixture_score(mog, x, 0.0)):
+        assert grad.shape == want.shape == (13, 2) and grad.tobytes() == want.tobytes()
+    assert np.all(val[10:] == -np.inf) and np.all(np.isnan(grad[10:]))
 
 
 def test_reward_loss_acts_on_guided_estimates(mog, exact):
